@@ -62,6 +62,19 @@ class DemandRow:
     post: int
 
 
+#: column dtype of each row-field annotation
+_DTYPES = {"int": np.int64, "str": object, "float": np.float64}
+
+
+def _to_rows(arrays, row_type) -> list:
+    names = [f.name for f in fields(row_type)]
+    return [row_type(*values) for values in zip(*(getattr(arrays, name).tolist() for name in names))]
+
+
+def _from_rows(rows: Sequence, row_type) -> dict[str, np.ndarray]:
+    return {f.name: np.array([getattr(r, f.name) for r in rows], dtype=_DTYPES[f.type]) for f in fields(row_type)}
+
+
 def _binary(name: str, arr: np.ndarray, where) -> None:
     bad = np.nonzero((arr != 0) & (arr != 1))[0]
     if bad.size:
@@ -123,40 +136,11 @@ class PanelArrays:
             raise ValidationError(f"{where} {bad[0]}: post40=1 requires post35=1")
 
     def to_rows(self) -> list[PanelRow]:
-        return [
-            PanelRow(
-                worker_id=int(self.worker_id[i]),
-                market_id=str(self.market_id[i]),
-                month_index=int(self.month_index[i]),
-                treat=int(self.treat[i]),
-                post35=int(self.post35[i]),
-                post40=int(self.post40[i]),
-                fjobnum=int(self.fjobnum[i]),
-                fjobearn=float(self.fjobearn[i]),
-                fjobratio=float(self.fjobratio[i]),
-                tenure=int(self.tenure[i]),
-                us=int(self.us[i]),
-                experienced=int(self.experienced[i]),
-            )
-            for i in range(self.n_rows)
-        ]
+        return _to_rows(self, PanelRow)
 
     @classmethod
     def from_rows(cls, rows: Sequence[PanelRow]) -> "PanelArrays":
-        return cls(
-            worker_id=np.array([r.worker_id for r in rows], dtype=np.int64),
-            market_id=np.array([r.market_id for r in rows], dtype=object),
-            month_index=np.array([r.month_index for r in rows], dtype=np.int64),
-            treat=np.array([r.treat for r in rows], dtype=np.int64),
-            post35=np.array([r.post35 for r in rows], dtype=np.int64),
-            post40=np.array([r.post40 for r in rows], dtype=np.int64),
-            fjobnum=np.array([r.fjobnum for r in rows], dtype=np.int64),
-            fjobearn=np.array([r.fjobearn for r in rows], dtype=np.float64),
-            fjobratio=np.array([r.fjobratio for r in rows], dtype=np.float64),
-            tenure=np.array([r.tenure for r in rows], dtype=np.int64),
-            us=np.array([r.us for r in rows], dtype=np.int64),
-            experienced=np.array([r.experienced for r in rows], dtype=np.int64),
-        )
+        return cls(**_from_rows(rows, PanelRow))
 
     def subset(self, mask: np.ndarray) -> "PanelArrays":
         return PanelArrays(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
@@ -177,26 +161,11 @@ class DemandArrays:
         return len(self.market_id)
 
     def to_rows(self) -> list[DemandRow]:
-        return [
-            DemandRow(
-                market_id=str(self.market_id[i]),
-                week_index=int(self.week_index[i]),
-                postnum=int(self.postnum[i]),
-                treat=int(self.treat[i]),
-                post=int(self.post[i]),
-            )
-            for i in range(self.n_rows)
-        ]
+        return _to_rows(self, DemandRow)
 
     @classmethod
     def from_rows(cls, rows: Sequence[DemandRow]) -> "DemandArrays":
-        return cls(
-            market_id=np.array([r.market_id for r in rows], dtype=object),
-            week_index=np.array([r.week_index for r in rows], dtype=np.int64),
-            postnum=np.array([r.postnum for r in rows], dtype=np.int64),
-            treat=np.array([r.treat for r in rows], dtype=np.int64),
-            post=np.array([r.post for r in rows], dtype=np.int64),
-        )
+        return cls(**_from_rows(rows, DemandRow))
 
     def subset(self, mask: np.ndarray) -> "DemandArrays":
         return DemandArrays(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})

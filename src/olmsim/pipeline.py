@@ -12,6 +12,7 @@ hash).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
@@ -25,14 +26,7 @@ from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, derive_worker_covariates, logit_fit, propensity_match
 from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays, PanelRow
-from .regression import (
-    RegressionSpec,
-    demand_did_fit,
-    did_fit,
-    dual_shock_fit,
-    event_study_fit,
-    tost_pretrends,
-)
+from .regression import RegressionSpec, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
     balance_text_table,
@@ -58,6 +52,7 @@ STATICS_GRID = 101
 
 #: the three outcome/transform pairs every estimation stage reports
 OUTCOMES = (("fjobnum", "log1p"), ("fjobratio", "identity"), ("fjobearn", "log1p"))
+OUTCOME_SPECS = tuple(RegressionSpec(outcome=o, transform=t, controls=("tenure",)) for o, t in OUTCOMES)
 
 STAGE_TOKENS = (
     "simulate",
@@ -70,6 +65,21 @@ STAGE_TOKENS = (
     "tost",
     "report",
 )
+
+#: fit kinds each stage reads; all but ``demand`` are fitted on the matched
+#: samples, together, once per run
+STAGE_FITS = {
+    "estimate": ("did", "event", "dual", "demand"),
+    "estimate_did": ("did",),
+    "estimate_event": ("event",),
+    "estimate_dual": ("dual",),
+    "estimate_demand": ("demand",),
+    "tost": ("event",),
+    "report": ("dual",),
+}
+
+#: table titles of the fit kinds
+FIT_TITLES = {"did": "did", "event": "event study", "dual": "dual shock"}
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +253,19 @@ def _normalize_stages(stages) -> list[str]:
     return out
 
 
-def _outcome_spec(outcome: str, transform: str) -> RegressionSpec:
-    return RegressionSpec(outcome=outcome, transform=transform, controls=("tenure",))
-
-
 @dataclass
 class _Workspace:
     """Lazily computed intermediate products shared between stages."""
 
     config: ScenarioConfig
     caliper: float
+    #: designs fitted on each matched sample when fits are first needed
+    fit_kinds: tuple[str, ...] = ("did", "event", "dual")
     panel: PanelArrays | None = None
     demand: DemandArrays | None = None
     matches: dict | None = None
     samples: dict | None = None
+    fits: dict | None = None
 
     def get_panel(self) -> PanelArrays:
         if self.panel is None:
@@ -302,6 +311,13 @@ class _Workspace:
                 self.samples[market_id] = panel.subset(mask)
         return self.samples
 
+    def get_fits(self) -> dict:
+        """Per treated market: the ``fit_kinds`` fits of every outcome, keyed ``(kind, outcome)``."""
+        if self.fits is None:
+            samples = self.get_samples().items()
+            self.fits = {m: fit_designs(sample, OUTCOME_SPECS, self.fit_kinds) for m, sample in samples}
+        return self.fits
+
 
 def run_pipeline(
     config: ScenarioConfig | str | Path,
@@ -333,7 +349,8 @@ def run_pipeline(
         stages=requested,
         options={"alpha": alpha, "caliper": caliper, "bounds": bounds, "weeks": DEFAULT_WEEKS},
     )
-    ws = _Workspace(config=config, caliper=caliper)
+    needed = {kind for token in requested for kind in STAGE_FITS.get(token, ())}
+    ws = _Workspace(config=config, caliper=caliper, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
 
     def emit(name: str, text: str) -> None:
         path = out / name
@@ -349,8 +366,6 @@ def run_pipeline(
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
     tables: list[str] = []
-    event_fits: dict = {}
-    dual_fits: dict = {}
 
     def stage_simulate():
         panel = ws.get_panel()
@@ -372,52 +387,34 @@ def run_pipeline(
             emit(f"balance_{market_id}.csv", "\n".join(balance_csv_lines(match["balance"])) + "\n")
             tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
 
-    def make_estimator(kind: str):
-        def stage_estimate():
-            for market_id, sample in ws.get_samples().items():
+    def emit_fit(name: str, fit, title: str) -> None:
+        emit(name, "\n".join(fit_csv_lines(fit)) + "\n")
+        tables.append(fit_text_table(fit, title))
+
+    def stage_estimate(token: str) -> None:
+        kinds = STAGE_FITS[token]
+        sample_kinds = [kind for kind in kinds if kind in FIT_TITLES]
+        if sample_kinds:
+            for market_id, fits in ws.get_fits().items():
                 for outcome, transform in OUTCOMES:
-                    spec = _outcome_spec(outcome, transform)
                     label = f"{market_id}_{outcome}"
-                    if kind in ("did", "all"):
-                        fit = did_fit(sample, spec)
-                        emit(f"fit_did_{label}.csv", "\n".join(fit_csv_lines(fit)) + "\n")
-                        tables.append(fit_text_table(fit, f"did: {label} ({transform})"))
-                    if kind in ("event", "all"):
-                        fit = event_study_fit(sample, spec)
-                        event_fits[(market_id, outcome)] = fit
-                        emit(f"fit_event_{label}.csv", "\n".join(fit_csv_lines(fit)) + "\n")
-                        tables.append(fit_text_table(fit, f"event study: {label} ({transform})"))
-                    if kind in ("dual", "all"):
-                        fit = dual_shock_fit(sample, spec)
-                        dual_fits[(market_id, outcome)] = fit
-                        emit(f"fit_dual_{label}.csv", "\n".join(fit_csv_lines(fit)) + "\n")
-                        tables.append(fit_text_table(fit, f"dual shock: {label} ({transform})"))
-            if kind in ("demand", "all"):
-                demand = ws.get_demand()
-                control_id = config.control_market_id
-                for market_id in config.treated_ids():
-                    mask = (demand.market_id == market_id) | (demand.market_id == control_id)
-                    fit = demand_did_fit(demand.subset(mask))
-                    emit(f"fit_demand_{market_id}.csv", "\n".join(fit_csv_lines(fit)) + "\n")
-                    tables.append(fit_text_table(fit, f"demand: {market_id} vs control"))
+                    for kind in sample_kinds:
+                        title = f"{FIT_TITLES[kind]}: {label} ({transform})"
+                        emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
+        if "demand" in kinds:
+            demand = ws.get_demand()
+            for market_id in config.treated_ids():
+                mask = (demand.market_id == market_id) | (demand.market_id == config.control_market_id)
+                fit = demand_did_fit(demand.subset(mask))
+                emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
 
-        return stage_estimate
-
-    def ensure_event_fits():
-        if not event_fits:
-            for market_id, sample in ws.get_samples().items():
-                for outcome, transform in OUTCOMES:
-                    event_fits[(market_id, outcome)] = event_study_fit(sample, _outcome_spec(outcome, transform))
-
-    def ensure_dual_fits():
-        if not dual_fits:
-            for market_id, sample in ws.get_samples().items():
-                for outcome, transform in OUTCOMES:
-                    dual_fits[(market_id, outcome)] = dual_shock_fit(sample, _outcome_spec(outcome, transform))
+    def sample_fits(kind: str) -> list[tuple[str, str, object]]:
+        """(market, outcome, fit) of one kind, sorted by market and outcome."""
+        fits = ws.get_fits()
+        return [(m, o, fits[m][(kind, o)]) for m in sorted(fits) for o in sorted(o for o, _ in OUTCOMES)]
 
     def stage_tost():
-        ensure_event_fits()
-        for (market_id, outcome), fit in sorted(event_fits.items()):
+        for market_id, outcome, fit in sample_fits("event"):
             result = tost_pretrends(fit, bounds=bounds, alpha=alpha)
             emit(
                 f"tost_{market_id}_{outcome}.json",
@@ -425,9 +422,8 @@ def run_pipeline(
             )
 
     def stage_report():
-        ensure_dual_fits()
         rows = []
-        for (market_id, outcome), fit in sorted(dual_fits.items()):
+        for market_id, outcome, fit in sample_fits("dual"):
             b1 = fit.coefficients["treat_x_post35"]
             p1 = fit.pvalues["treat_x_post35"]
             b2 = fit.coefficients["treat_x_post40"]
@@ -437,20 +433,10 @@ def run_pipeline(
         if tables:
             emit("tables.txt", "\n\n".join(tables) + "\n")
 
-    stage_fns = {
-        "simulate": stage_simulate,
-        "match": stage_match,
-        "estimate": make_estimator("all"),
-        "estimate_did": make_estimator("did"),
-        "estimate_event": make_estimator("event"),
-        "estimate_dual": make_estimator("dual"),
-        "estimate_demand": make_estimator("demand"),
-        "tost": stage_tost,
-        "report": stage_report,
-    }
+    stage_fns = {"simulate": stage_simulate, "match": stage_match, "tost": stage_tost, "report": stage_report}
     for token in STAGE_TOKENS:
         if token in requested:
-            run_stage(token, stage_fns[token])
+            run_stage(token, stage_fns.get(token) or functools.partial(stage_estimate, token))
 
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return manifest

@@ -2,18 +2,22 @@
 event studies, dual-shock designs, demand regressions, moderation, and
 pre-trend equivalence testing.
 
-The estimation path is the same everywhere: transform the outcome, build
-the interest and control columns, absorb the fixed effects by alternating
-demeaning, solve the least-squares problem on the absorbed matrix, and
-compute a clustered sandwich covariance. Every fit is a pure function of
-its inputs.
+Every fit runs through one path: stack the transformed outcomes that keep
+the same rows with the union of the columns of every requested design,
+absorb the fixed effects of that stack once by alternating demeaning,
+factor each design once by pivoted QR, then solve and compute a clustered
+sandwich covariance per outcome. :func:`fit_designs` fits several outcomes
+and designs of one sample this way, as the pipeline does for each matched
+sample; the single-fit functions are the same path with one outcome and one
+design. Every fit is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +31,8 @@ from .errors import (
 )
 from .panel import DemandArrays, PanelArrays, as_demand_arrays, as_panel_arrays
 
+#: a column stops absorbing once no cell moves by more than this fraction
+#: of the column's largest absolute input value
 ABSORB_TOL = 1e-10
 ABSORB_MAX_ITER = 10_000
 
@@ -47,6 +53,8 @@ _REL_TERM = re.compile(r"^treat_rel\[(-?\d+)\]$")
 class AbsorbResult:
     values: np.ndarray
     iterations: int
+    #: passes each column took; ``iterations`` is their maximum
+    column_iterations: np.ndarray = field(repr=False, default=None)
 
 
 def absorb_two_way(
@@ -58,11 +66,15 @@ def absorb_two_way(
 ) -> AbsorbResult:
     """Residualize the columns of ``matrix`` on unit and/or time effects.
 
-    Alternates group demeaning over the two dimensions until the largest
-    cell change falls below ``tol``. Balanced panels converge after one
-    pass of each dimension.
+    Alternates group demeaning over the two dimensions. Each column stops
+    once a pass moves none of its cells by more than ``tol`` times the
+    column's largest absolute input value, so where a column stops depends
+    neither on its scale nor on the other columns. Balanced panels stop
+    after the second pass.
     """
-    m = np.array(matrix, dtype=np.float64, copy=True)
+    # column-major while demeaning, so each column is contiguous; every
+    # column's arithmetic is its own, so the layout changes no result
+    m = np.array(matrix, dtype=np.float64, order="F")
     if m.ndim == 1:
         m = m[:, None]
     dims = []
@@ -73,27 +85,33 @@ def absorb_two_way(
                 raise ValidationError(f"fixed-effect codes have shape {codes.shape}, expected ({m.shape[0]},)")
             compact = np.unique(codes, return_inverse=True)[1]
             dims.append((compact, np.bincount(compact).astype(np.float64)))
-    if not dims:
-        return AbsorbResult(m, 0)
+    k = m.shape[1]
+    column_iterations = np.zeros(k, dtype=np.int64)
 
-    def demean_pass(arr: np.ndarray) -> None:
+    def demean(col: np.ndarray) -> None:
         for codes, counts in dims:
-            for k in range(arr.shape[1]):
-                means = np.bincount(codes, weights=arr[:, k]) / counts
-                arr[:, k] -= means[codes]
+            means = np.bincount(codes, weights=col) / counts
+            col -= means[codes]
 
-    if len(dims) == 1:
-        demean_pass(m)
-        return AbsorbResult(m, 1)
-
-    for it in range(1, max_iter + 1):
-        prev = m.copy()
-        demean_pass(m)
-        if np.max(np.abs(m - prev)) < tol:
-            return AbsorbResult(m, it)
-    raise ConvergenceError(
-        f"two-way absorption did not converge within {max_iter} iterations", iterations=max_iter
-    )
+    for j in range(k):
+        col = m[:, j]
+        if len(dims) < 2:  # one pass is exact for a single dimension
+            demean(col)
+            column_iterations[j] = len(dims)
+            continue
+        bound = tol * np.abs(col).max()
+        for it in range(1, max_iter + 1):
+            before = col.copy()
+            demean(col)
+            if np.abs(col - before).max() <= bound:
+                column_iterations[j] = it
+                break
+        else:
+            raise ConvergenceError(
+                f"two-way absorption of column {j} did not converge within {max_iter} iterations",
+                iterations=max_iter,
+            )
+    return AbsorbResult(np.ascontiguousarray(m), int(column_iterations.max(initial=0)), column_iterations)
 
 
 @dataclass
@@ -101,6 +119,23 @@ class OlsResult:
     coefficients: np.ndarray
     residuals: np.ndarray
     fitted: np.ndarray
+
+
+def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
+    """Economic pivoted QR of ``X``; raises on a rank-deficient design."""
+    n, k = X.shape
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    scale = diag.max() if diag.size else 0.0
+    rank_tol = max(n, k) * np.finfo(np.float64).eps * scale
+    rank = int(np.sum(diag > rank_tol))
+    if rank < k:
+        col = int(piv[rank])
+        label = names[col] if names is not None else f"column {col}"
+        raise RankDeficiencyError(
+            f"design matrix is rank deficient: {label} is collinear after absorption", column=label
+        )
+    return q, r, piv
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> OlsResult:
@@ -113,25 +148,25 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    n, k = X.shape
-    if names is not None and len(names) != k:
-        raise ValidationError(f"got {len(names)} names for {k} columns")
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    scale = diag.max() if diag.size else 0.0
-    rank_tol = max(n, k) * np.finfo(np.float64).eps * scale
-    rank = int(np.sum(diag > rank_tol))
-    if rank < k:
-        col = int(piv[rank])
-        label = names[col] if names is not None else f"column {col}"
-        raise RankDeficiencyError(
-            f"design matrix is rank deficient: {label} is collinear after absorption", column=label
-        )
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
+    if names is not None and len(names) != X.shape[1]:
+        raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
+    q, r, piv = _pivoted_qr(X, names)
+    beta = np.empty(X.shape[1])
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
     fitted = X @ beta
     return OlsResult(coefficients=beta, residuals=y - fitted, fitted=fitted)
+
+
+def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np.ndarray) -> np.ndarray:
+    n, k = X.shape
+    xe = X * e[:, None]
+    scores = np.empty((g, k))
+    for j in range(k):
+        scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
+    meat = scores.T @ scores
+    factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
+    v = factor * bread @ meat @ bread
+    return 0.5 * (v + v.T)
 
 
 def cluster_vcov(X: np.ndarray, residuals: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
@@ -144,21 +179,12 @@ def cluster_vcov(X: np.ndarray, residuals: np.ndarray, cluster_ids: np.ndarray) 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    e = np.asarray(residuals, dtype=np.float64)
-    n, k = X.shape
     codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
     g = int(codes.max()) + 1
     if g < 2:
         raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
     bread = np.linalg.inv(X.T @ X)
-    xe = X * e[:, None]
-    scores = np.empty((g, k))
-    for j in range(k):
-        scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
-    meat = scores.T @ scores
-    factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
-    v = factor * bread @ meat @ bread
-    return 0.5 * (v + v.T)
+    return _sandwich(X, np.asarray(residuals, dtype=np.float64), codes, g, bread)
 
 
 def coef_to_percent(beta: float) -> float:
@@ -213,6 +239,9 @@ class FitResult:
     outcome_sd: float
     vcov: np.ndarray = field(repr=False, default=None)
     terms: tuple[str, ...] = ()
+    #: rows the outcome transform dropped before fitting (``log`` drops
+    #: nonpositive outcomes)
+    rows_dropped: int = 0
 
     def tstat(self, term: str) -> float:
         s = self.se[term]
@@ -252,67 +281,58 @@ def _transform_outcome(values: np.ndarray, transform: str) -> tuple[np.ndarray, 
     return out, keep
 
 
-def _pvalue(beta: float, se: float, df: int) -> float:
-    if se == 0.0:
-        return 0.0 if beta != 0.0 else 1.0
-    t = abs(beta / se)
-    return float(2.0 * stats.t.sf(t, df))
+def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
+    """Two-sided t-test p-values; a zero SE gives 0 (nonzero beta) or 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * stats.t.sf(np.abs(beta / se), df)
+    return np.where(se == 0.0, np.where(beta != 0.0, 0.0, 1.0), p)
 
 
-def _cluster_codes(panel: PanelArrays, which: str) -> np.ndarray:
-    if which == "worker":
-        return panel.worker_id
-    if which == "market":
-        return panel.market_id
-    return np.arange(panel.n_rows)
+def _fit_columns(
+    outcomes: dict[str, np.ndarray], columns: dict[str, np.ndarray], designs: dict[str, Sequence[str]],
+    unit_codes, time_codes, cluster_ids, rows_dropped: int = 0,
+) -> dict[tuple[str, str], FitResult]:
+    """Fit every design (a list of regressor names) on every outcome, keyed
+    ``(design, outcome)``.
 
-
-def _run_fit(
-    y: np.ndarray,
-    columns: dict[str, np.ndarray],
-    unit_codes: np.ndarray | None,
-    time_codes: np.ndarray | None,
-    cluster_ids: np.ndarray,
-) -> FitResult:
-    names = list(columns)
-    m = np.column_stack([y] + [np.asarray(columns[c], dtype=np.float64) for c in names])
-    absorbed = absorb_two_way(m, unit_codes, time_codes)
-    ya = absorbed.values[:, 0]
-    xa = absorbed.values[:, 1:]
-    ols = ols_fit(xa, ya, names=names)
-    vcov = cluster_vcov(xa, ols.residuals, cluster_ids)
-    g = len(np.unique(cluster_ids))
-    se = np.sqrt(np.diag(vcov))
-    coefficients = {name: float(b) for name, b in zip(names, ols.coefficients)}
-    ses = {name: float(s) for name, s in zip(names, se)}
-    pvalues = {name: _pvalue(coefficients[name], ses[name], g - 1) for name in names}
-    ss_tot = float(ya @ ya)
-    ss_res = float(ols.residuals @ ols.residuals)
-    within_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return FitResult(
-        coefficients=coefficients,
-        se=ses,
-        pvalues=pvalues,
-        n_obs=len(y),
-        n_clusters=g,
-        within_r2=within_r2,
-        converged_fe_iterations=absorbed.iterations,
-        outcome_sd=float(np.std(y, ddof=1)) if len(y) > 1 else 0.0,
-        vcov=vcov,
-        terms=tuple(names),
-    )
-
-
-def _prepare(panel, spec: RegressionSpec):
-    arrays = as_panel_arrays(panel)
-    y, keep = _transform_outcome(arrays.column(spec.outcome), spec.transform)
-    if not keep.all():
-        arrays = arrays.subset(keep)
-        y = y[keep]
-    unit = arrays.worker_id if "worker" in spec.fe else None
-    time = arrays.month_index if "month" in spec.fe else None
-    cluster = _cluster_codes(arrays, spec.cluster)
-    return arrays, y, unit, time, cluster
+    ``outcomes`` and ``columns`` share one row set. They are absorbed
+    together once, and each design is factored once for all outcomes.
+    """
+    position = {name: i for i, name in enumerate([*outcomes, *columns])}
+    stack = np.column_stack([np.asarray(v, dtype=np.float64) for v in [*outcomes.values(), *columns.values()]])
+    absorbed = absorb_two_way(stack, unit_codes, time_codes)
+    values, iterations = absorbed.values, absorbed.column_iterations
+    codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
+    g = int(codes.max()) + 1
+    fits: dict[tuple[str, str], FitResult] = {}
+    for kind, terms in designs.items():
+        terms, idx = tuple(terms), [position[t] for t in terms]
+        # a C-ordered copy: on the F-ordered ``values[:, idx]``, ``X @ beta``
+        # sums in another order
+        X = np.take(values, idx, axis=1)
+        q, r, piv = _pivoted_qr(X, terms)
+        if g < 2:
+            raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
+        bread = np.linalg.inv(X.T @ X)
+        for j, (outcome, y) in enumerate(outcomes.items()):
+            ya = values[:, j]
+            beta = np.empty(len(terms))
+            beta[piv] = scipy.linalg.solve_triangular(r, q.T @ ya)
+            residuals = ya - X @ beta
+            vcov = _sandwich(X, residuals, codes, g, bread)
+            se = np.sqrt(np.diag(vcov))
+            ss_tot, ss_res = float(ya @ ya), float(residuals @ residuals)
+            fits[(kind, outcome)] = FitResult(
+                coefficients=dict(zip(terms, beta.tolist())),
+                se=dict(zip(terms, se.tolist())),
+                pvalues=dict(zip(terms, _pvalues(beta, se, g - 1).tolist())),
+                n_obs=len(y), n_clusters=g,
+                within_r2=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
+                converged_fe_iterations=int(iterations[[j, *idx]].max()),
+                outcome_sd=float(np.std(y, ddof=1)) if len(y) > 1 else 0.0,
+                vcov=vcov, terms=terms, rows_dropped=rows_dropped,
+            )
+    return fits
 
 
 def _control_columns(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
@@ -324,56 +344,21 @@ def _control_columns(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.
     return cols
 
 
-def did_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
-    """Two-way fixed-effects difference-in-differences.
-
-    The interest term ``treat_x_post35`` is the interaction of the treated
-    flag with the first-shock post indicator; with ``market_trend`` set, a
-    treated-group linear time trend is added.
-    """
-    spec = spec or RegressionSpec()
-    arrays, y, unit, time, cluster = _prepare(panel, spec)
-    cols = {"treat_x_post35": arrays.treat * arrays.post35}
-    cols.update(_control_columns(arrays, spec))
-    return _run_fit(y, cols, unit, time, cluster)
+def _did_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
+    return {"treat_x_post35": arrays.treat * arrays.post35}
 
 
-def dual_shock_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
-    """DiD with both shock indicators.
-
-    ``treat_x_post35`` carries the first-shock effect; because the second
-    indicator is nested in the first, ``treat_x_post40`` is the incremental
-    effect after the second release.
-    """
-    spec = spec or RegressionSpec()
-    arrays, y, unit, time, cluster = _prepare(panel, spec)
+def _dual_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
     if np.any(arrays.post40 > arrays.post35):
         raise ValidationError("post40 must be nested in post35")
-    cols = {
-        "treat_x_post35": arrays.treat * arrays.post35,
-        "treat_x_post40": arrays.treat * arrays.post40,
-    }
-    cols.update(_control_columns(arrays, spec))
-    return _run_fit(y, cols, unit, time, cluster)
+    return {"treat_x_post35": arrays.treat * arrays.post35, "treat_x_post40": arrays.treat * arrays.post40}
 
 
-def _relative_time(arrays: PanelArrays) -> np.ndarray:
+def _event_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
     post_months = arrays.month_index[arrays.post35 == 1]
     if post_months.size == 0:
         raise ValidationError("panel has no post-shock months (post35 never 1)")
-    shock = int(post_months.min())
-    return arrays.month_index - shock
-
-
-def event_study_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
-    """Relative-time (lead/lag) model around the first shock.
-
-    One ``treat_rel[s]`` coefficient per relative month ``s``, omitting
-    the baseline period (default ``-1``, the last pre-shock month).
-    """
-    spec = spec or RegressionSpec()
-    arrays, y, unit, time, cluster = _prepare(panel, spec)
-    rel = _relative_time(arrays)
+    rel = arrays.month_index - int(post_months.min())
     present = np.unique(rel)
     expected = np.arange(present.min(), present.max() + 1)
     missing = sorted(set(expected.tolist()) - set(present.tolist()))
@@ -386,8 +371,104 @@ def event_study_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
         if sigma == spec.baseline_period:
             continue
         cols[f"treat_rel[{int(sigma)}]"] = arrays.treat * (rel == sigma).astype(np.float64)
-    cols.update(_control_columns(arrays, spec))
-    return _run_fit(y, cols, unit, time, cluster)
+    return cols
+
+
+def _heterogeneity_terms(arrays: PanelArrays, moderator: str) -> dict[str, np.ndarray]:
+    mod = arrays.column(moderator)
+    if np.any((mod != 0) & (mod != 1)):
+        raise ValidationError(f"moderator {moderator!r} must be binary")
+    order = np.argsort(arrays.worker_id, kind="stable")
+    wid, first = np.unique(arrays.worker_id[order], return_index=True)
+    per_worker = mod[order]
+    varies = np.minimum.reduceat(per_worker, first) != np.maximum.reduceat(per_worker, first)
+    if varies.any():
+        raise ValidationError(f"moderator {moderator!r} varies within worker {wid[np.argmax(varies)]}")
+    gpt = arrays.treat * arrays.post35
+    return {f"{moderator}_x_treat_x_post35": mod * gpt, "treat_x_post35": gpt,
+            f"{moderator}_x_post35": mod * arrays.post35}
+
+
+#: interest-term builders of the named panel designs; the spec's controls
+#: follow the interest terms in every design
+DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms}
+
+
+def fit_designs(
+    panel, specs: Sequence[RegressionSpec], designs=("did", "dual", "event")
+) -> dict[tuple[str, str], FitResult]:
+    """Fit each design on each outcome of ``specs``, keyed ``(design, outcome)``.
+
+    ``designs`` names entries of :data:`DESIGNS` or maps names to term
+    builders. The specs may differ only in outcome and transform; outcomes
+    whose transform keeps the same rows are absorbed together, once.
+    """
+    if not isinstance(designs, dict):
+        if unknown := [kind for kind in designs if kind not in DESIGNS]:
+            raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
+        designs = {kind: DESIGNS[kind] for kind in designs}
+    if not specs:
+        raise ValidationError("fit_designs needs at least one outcome spec")
+    arrays = as_panel_arrays(panel)
+    base = specs[0]
+    if len({spec.outcome for spec in specs}) != len(specs):
+        raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
+    if any(replace(spec, outcome=base.outcome, transform=base.transform) != base for spec in specs):
+        raise ValidationError("specs fitted together must differ only in outcome and transform")
+    groups: dict[bytes, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+    for spec in specs:
+        y, keep = _transform_outcome(arrays.column(spec.outcome), spec.transform)
+        groups.setdefault(keep.tobytes(), (keep, {}))[1][spec.outcome] = y
+    fits: dict[tuple[str, str], FitResult] = {}
+    for keep, ys in groups.values():
+        sample = arrays if keep.all() else arrays.subset(keep)
+        ys = {outcome: y[keep] for outcome, y in ys.items()} if sample is not arrays else ys
+        controls = _control_columns(sample, base)
+        columns: dict[str, np.ndarray] = {}
+        terms: dict[str, list[str]] = {}
+        for kind, build in designs.items():
+            cols = {**build(sample, base), **controls}
+            terms[kind] = list(cols)
+            columns.update((name, v) for name, v in cols.items() if name not in columns)
+        unit = sample.worker_id if "worker" in base.fe else None
+        time = sample.month_index if "month" in base.fe else None
+        cluster = np.arange(sample.n_rows) if base.cluster == "row" else sample.column(f"{base.cluster}_id")
+        fits.update(_fit_columns(ys, columns, terms, unit, time, cluster, rows_dropped=int((~keep).sum())))
+    return fits
+
+
+def _fit_one(panel, spec: RegressionSpec | None, kind: str, build) -> FitResult:
+    spec = spec or RegressionSpec()
+    return fit_designs(panel, [spec], {kind: build})[(kind, spec.outcome)]
+
+
+def did_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+    """Two-way fixed-effects difference-in-differences.
+
+    The interest term ``treat_x_post35`` is the interaction of the treated
+    flag with the first-shock post indicator; with ``market_trend`` set, a
+    treated-group linear time trend is added.
+    """
+    return _fit_one(panel, spec, "did", _did_terms)
+
+
+def dual_shock_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+    """DiD with both shock indicators.
+
+    ``treat_x_post35`` carries the first-shock effect; because the second
+    indicator is nested in the first, ``treat_x_post40`` is the incremental
+    effect after the second release.
+    """
+    return _fit_one(panel, spec, "dual", _dual_terms)
+
+
+def event_study_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+    """Relative-time (lead/lag) model around the first shock.
+
+    One ``treat_rel[s]`` coefficient per relative month ``s``, omitting
+    the baseline period (default ``-1``, the last pre-shock month).
+    """
+    return _fit_one(panel, spec, "event", _event_terms)
 
 
 def heterogeneity_fit(panel, spec: RegressionSpec | None = None, moderator: str = "us") -> FitResult:
@@ -396,27 +477,7 @@ def heterogeneity_fit(panel, spec: RegressionSpec | None = None, moderator: str 
     Reports the moderated treatment effect and the moderator-by-post term;
     the moderator's main effect is absorbed by the worker fixed effect.
     """
-    spec = spec or RegressionSpec()
-    arrays, y, unit, time, cluster = _prepare(panel, spec)
-    mod = arrays.column(moderator)
-    if np.any((mod != 0) & (mod != 1)):
-        raise ValidationError(f"moderator {moderator!r} must be binary")
-    order = np.argsort(arrays.worker_id, kind="stable")
-    wid, first = np.unique(arrays.worker_id[order], return_index=True)
-    per_worker = mod[order]
-    starts = np.r_[first, len(per_worker)]
-    for i in range(len(wid)):
-        chunk = per_worker[starts[i]:starts[i + 1]]
-        if chunk.min() != chunk.max():
-            raise ValidationError(f"moderator {moderator!r} varies within worker {wid[i]}")
-    gpt = arrays.treat * arrays.post35
-    cols = {
-        f"{moderator}_x_treat_x_post35": mod * gpt,
-        "treat_x_post35": gpt,
-        f"{moderator}_x_post35": mod * arrays.post35,
-    }
-    cols.update(_control_columns(arrays, spec))
-    return _run_fit(y, cols, unit, time, cluster)
+    return _fit_one(panel, spec, "heterogeneity", lambda arrays, _: _heterogeneity_terms(arrays, moderator))
 
 
 def demand_did_fit(series, cluster: str = "row", market_trend: bool = False) -> FitResult:
@@ -435,15 +496,11 @@ def demand_did_fit(series, cluster: str = "row", market_trend: bool = False) -> 
     cols = {"treat_x_post": arrays.treat * arrays.post}
     if market_trend:
         cols["treat_x_trend"] = arrays.treat * arrays.week_index
-    if cluster == "row":
-        cluster_ids = np.arange(arrays.n_rows)
-    elif cluster == "market":
-        cluster_ids = market_codes
-    elif cluster == "week":
-        cluster_ids = arrays.week_index
-    else:
+    cluster_ids = {"row": np.arange(arrays.n_rows), "market": market_codes, "week": arrays.week_index}.get(cluster)
+    if cluster_ids is None:
         raise ValidationError(f"cluster must be row, market, or week, got {cluster!r}")
-    return _run_fit(y, cols, market_codes, arrays.week_index, cluster_ids)
+    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, arrays.week_index, cluster_ids)
+    return fits[("demand", "postnum")]
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def best_response_equilibrium(
     return q
 
 
+def assert_same_fit(a, b) -> None:
+    """Two ``FitResult`` objects agree exactly, to the last bit."""
+    assert a.terms == b.terms
+    assert a.coefficients == b.coefficients
+    assert a.se == b.se
+    assert a.pvalues == b.pvalues
+    assert np.array_equal(a.vcov, b.vcov)
+    assert a.within_r2 == b.within_r2
+    assert a.converged_fe_iterations == b.converged_fe_iterations
+    assert (a.n_obs, a.n_clusters, a.outcome_sd, a.rows_dropped) == (b.n_obs, b.n_clusters, b.outcome_sd, b.rows_dropped)
+
+
 def one_step_best_response(q: np.ndarray, potential_value: float, marginal_cost: float, b: float) -> np.ndarray:
     total = q.sum()
     return np.maximum(0.0, (potential_value - marginal_cost - b * (total - q)) / (2.0 * b))

@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from conftest import assert_same_fit
 
 from olmsim.cli import main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.pipeline import (
+    OUTCOME_SPECS,
+    _Workspace,
     ingest_panel_csv,
     panel_csv_lines,
     parse_scenario,
@@ -12,6 +15,7 @@ from olmsim.pipeline import (
     selftest,
     write_scenario,
 )
+from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
 from olmsim.scenarios import honeymoon_config, two_market_config
 from olmsim.synth import AiPath, config_from_dict, config_to_dict, generate_panel_arrays
 
@@ -139,6 +143,25 @@ class TestRunPipeline:
         names = set(manifest.outputs)
         assert any(n.startswith("fit_dual_") for n in names)
         assert not any(n.startswith(("fit_did_", "fit_event_", "panel")) for n in names)
+
+    def test_batched_fits_equal_single_fits(self):
+        ws = _Workspace(config=small_config(), caliper=0.02)
+        single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
+        for market_id, fits in ws.get_fits().items():
+            sample = ws.get_samples()[market_id]
+            for spec in OUTCOME_SPECS:
+                for kind, fit_fn in single.items():
+                    assert_same_fit(fits[(kind, spec.outcome)], fit_fn(sample, spec))
+
+    @pytest.mark.parametrize("stages", [["tost"], ["estimate_dual", "report"]])
+    def test_stage_subset_writes_full_run_bytes(self, tmp_path, stages):
+        full = run_pipeline(small_config(), tmp_path / "full")
+        part = run_pipeline(small_config(), tmp_path / "part", stages=stages)
+        # tables.txt collects the tables of the stages that ran, so it differs
+        names = set(part.outputs) - {"tables.txt"}
+        assert names and names <= set(full.outputs)
+        for name in names:
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown stage"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_fit
 
 from olmsim.errors import (
     RankDeficiencyError,
@@ -19,6 +20,7 @@ from olmsim.regression import (
     did_fit,
     dual_shock_fit,
     event_study_fit,
+    fit_designs,
     heterogeneity_fit,
     ols_fit,
     tost_pretrends,
@@ -109,6 +111,45 @@ class TestAbsorb:
         x = np.full((12, 1), 3.7)
         res = absorb_two_way(x, unit, time)
         np.testing.assert_allclose(res.values, 0.0, atol=1e-12)
+
+    def test_stopping_rule_is_scale_invariant(self):
+        # unbalanced 300 x 12 panel with 70% of cells kept: an absolute
+        # tolerance stops a 1e-6 column early and never stops a 1e8 one
+        rng = np.random.default_rng(7)
+        unit = np.repeat(np.arange(300), 12)
+        time = np.tile(np.arange(12), 300)
+        keep = rng.uniform(size=unit.size) < 0.7
+        unit, time = unit[keep], time[keep]
+        x = rng.standard_normal(unit.size) + unit / 600 + np.sin(time)
+        d = np.column_stack(
+            [np.ones(len(unit))]
+            + [(unit == i).astype(float) for i in range(1, 300)]
+            + [(time == j).astype(float) for j in range(1, 12)]
+        )
+        beta, *_ = np.linalg.lstsq(d, x, rcond=None)
+        oracle = x - d @ beta
+        iterations = set()
+        for scale in (1e-6, 1.0, 1e8):
+            res = absorb_two_way(x * scale, unit, time)
+            rel_err = np.max(np.abs(res.values[:, 0] / scale - oracle)) / np.max(np.abs(oracle))
+            assert rel_err < 1e-9, (scale, rel_err)
+            iterations.add(res.iterations)
+        assert len(iterations) == 1
+
+    def test_columns_stop_independently(self):
+        # a column's result and pass count do not depend on its neighbours
+        rng = np.random.default_rng(8)
+        unit = np.repeat(np.arange(40), 6)
+        time = np.tile(np.arange(6), 40)
+        keep = rng.uniform(size=unit.size) < 0.75
+        unit, time = unit[keep], time[keep]
+        x = rng.standard_normal((unit.size, 3)) * np.array([1e-4, 1.0, 1e6])
+        together = absorb_two_way(x, unit, time)
+        for j in range(3):
+            alone = absorb_two_way(x[:, j], unit, time)
+            assert np.array_equal(alone.values[:, 0], together.values[:, j])
+            assert alone.iterations == together.column_iterations[j]
+        assert together.iterations == together.column_iterations.max()
 
 
 class TestOls:
@@ -241,7 +282,9 @@ class TestDid:
         spec = RegressionSpec(outcome="fjobearn", transform="log", controls=())
         fit = did_fit(panel, spec)
         assert fit.n_obs == 20 * 8 - 2
+        assert fit.rows_dropped == 2
         assert np.isfinite(fit.coefficients["treat_x_post35"])
+        assert did_fit(panel, IDENTITY_SPEC).rows_dropped == 0
 
 
 class TestDualShock:
@@ -336,6 +379,60 @@ class TestHeterogeneity:
         panel.us[0] = 1 - panel.us[1]
         with pytest.raises(ValidationError, match="varies within"):
             heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+
+    def test_varying_moderator_names_first_worker(self):
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal((6, 6))
+        panel = toy_panel(y, {0, 1, 2}, shock_month=3)
+        # rows are worker-major: flip one month of workers 4 and 2
+        panel.us[4 * 6 + 5] = 1 - panel.us[4 * 6]
+        panel.us[2 * 6 + 3] = 1 - panel.us[2 * 6]
+        shuffled = panel.subset(rng.permutation(panel.n_rows))
+        with pytest.raises(ValidationError, match=r"varies within worker 2$"):
+            heterogeneity_fit(shuffled, IDENTITY_SPEC, moderator="us")
+
+
+class TestFitDesigns:
+    SINGLE = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
+
+    @staticmethod
+    def panel():
+        rng = np.random.default_rng(30)
+        y = np.abs(rng.standard_normal((16, 12))) + 0.2
+        y[rng.uniform(size=y.shape) < 0.1] = 0.0
+        panel = toy_panel(y, set(range(8)), shock_month=5, shock2_month=8)
+        panel.fjobnum[:] = rng.poisson(2.0, size=panel.n_rows)
+        panel.tenure[:] = panel.month_index + rng.integers(0, 3, size=panel.n_rows)
+        # drop a few cells so the absorption iterates
+        return panel.subset(rng.uniform(size=panel.n_rows) < 0.9)
+
+    @pytest.mark.parametrize("controls", [("tenure",), ()])
+    def test_equals_single_fits_exactly(self, controls):
+        # without tenure, the did columns stop absorbing before the others
+        panel = self.panel()
+        specs = [
+            RegressionSpec(outcome="fjobnum", transform="log1p", controls=controls),
+            RegressionSpec(outcome="fjobratio", transform="identity", controls=controls),
+            RegressionSpec(outcome="fjobearn", transform="log", controls=controls),
+        ]
+        fits = fit_designs(panel, specs)
+        assert set(fits) == {(kind, s.outcome) for kind in self.SINGLE for s in specs}
+        for (kind, outcome), fit in fits.items():
+            spec = next(s for s in specs if s.outcome == outcome)
+            assert_same_fit(fit, self.SINGLE[kind](panel, spec))
+        # the log outcome dropped its zero rows; the others kept every row
+        assert fits[("did", "fjobearn")].rows_dropped == int((panel.fjobearn <= 0).sum()) > 0
+        assert fits[("did", "fjobnum")].rows_dropped == 0
+        assert fits[("did", "fjobearn")].n_obs + fits[("did", "fjobearn")].rows_dropped == panel.n_rows
+
+    def test_specs_must_share_settings(self):
+        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn", controls=())]
+        with pytest.raises(ValidationError, match="differ only"):
+            fit_designs(self.panel(), specs)
+        with pytest.raises(ValidationError, match="once"):
+            fit_designs(self.panel(), [RegressionSpec(), RegressionSpec(transform="identity")])
+        with pytest.raises(ValidationError, match="unknown design"):
+            fit_designs(self.panel(), [RegressionSpec()], designs=("triple",))
 
 
 class TestDemandDid:
