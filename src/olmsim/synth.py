@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .market import MarketPotentialSpec, MarketSpec, PotentialFamily, cournot_equilibrium
+from .market import Equilibrium, MarketPotentialSpec, MarketSpec, PotentialFamily, cournot_equilibrium
 from .panel import DemandArrays, DemandRow, PanelArrays, PanelRow
 
 #: months covered by the default panel window: six pre-shock months, a
@@ -48,33 +49,36 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
     Drawing counts through a uniform keeps them a pure function of ``u``,
     which is what the common-random-number counterfactuals rely on. Small
     rates use a cumulative term search (an order of magnitude faster than
-    the generic ppf at panel scale); large rates defer to scipy.
+    the generic ppf at panel scale) that carries only the cells still below
+    their uniform; large rates defer to scipy.
     """
     u = np.asarray(u, dtype=np.float64)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape).copy()
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
     if np.any(lam < 0):
         raise ValidationError("poisson rate must be nonnegative")
     k = np.zeros(u.shape, dtype=np.int64)
+    k_flat, u, lam = k.reshape(-1), u.reshape(-1), lam.reshape(-1)
     big = lam > _ICDF_RATE_CUTOFF
     if big.any():
         from scipy import stats
 
-        k[big] = stats.poisson.ppf(u[big], lam[big]).astype(np.int64)
-        lam = np.where(big, 0.0, lam)
-        u = np.where(big, 0.0, u)
+        k_flat[big] = stats.poisson.ppf(u[big], lam[big]).astype(np.int64)
+    idx = np.flatnonzero(~big)
+    u, lam = u[idx], lam[idx]
     p = np.exp(-lam)
-    cum = p.copy()
-    active = cum < u
+    cum = p
     i = 0
-    while active.any():
+    while True:
+        live = np.flatnonzero(cum < u)
+        if not live.size:
+            return k
+        idx, u, lam, p, cum = idx[live], u[live], lam[live], p[live], cum[live]
         i += 1
         if i > max_count:
             raise ConvergenceError(f"poisson inverse CDF exceeded {max_count} terms", iterations=i)
         p = p * (lam / i)
         cum = cum + p
-        k[active] = i
-        active = cum < u
-    return k
+        k_flat[idx] = i
 
 
 @dataclass(frozen=True)
@@ -276,19 +280,69 @@ def _draw(config: ScenarioConfig, seed: int) -> _Draws:
     return _Draws(month_fe=month_fe, per_market=per_market)
 
 
-def _equilibrium_levels(scenario: MarketScenario, config: ScenarioConfig, path: AiPath, boost: float | None):
+def _equilibria(market: MarketSpec, levels: Sequence[float]) -> list[Equilibrium]:
+    """``cournot_equilibrium`` at each level, solving each distinct level once."""
+    solved = {a: cournot_equilibrium(market, a) for a in dict.fromkeys(levels)}
+    return [solved[a] for a in levels]
+
+
+def _equilibrium_levels(scenario: MarketScenario, config: ScenarioConfig, path: AiPath):
     """Per-month (q, p) for the base path and, if boosted, the scaled path."""
-    t = config.n_months
-    q = np.empty((2, t))
-    p = np.empty((2, t))
-    for month in range(t):
-        a = path.level_at(month, config.shock1_index, config.shock2_index)
-        for row, mult in enumerate((None, boost)):
-            a_eff = a if mult is None else min(1.0, _boost_level(a, path.a_pre, mult))
-            eq = cournot_equilibrium(scenario.market, a_eff)
-            q[row, month] = eq.q
-            p[row, month] = eq.p
+    base = [path.level_at(month, config.shock1_index, config.shock2_index) for month in range(config.n_months)]
+    boost = config.moderator_boost
+    scaled = base if boost is None else [min(1.0, _boost_level(a, path.a_pre, boost.multiplier)) for a in base]
+    eqs = _equilibria(scenario.market, base + scaled)
+    q = np.array([eq.q for eq in eqs]).reshape(2, -1)
+    p = np.array([eq.p for eq in eqs]).reshape(2, -1)
     return q, p
+
+
+class _MarketCells:
+    """The generating formulas for one market's cells on months ``cols``.
+
+    Rates, job counts, earnings and job ratios are computed here and only
+    here. The path-independent factors (worker-month activity, the earnings
+    noise factor, background counts) are computed once and shared by every
+    AI path evaluated on the same draws.
+    """
+
+    def __init__(self, config: ScenarioConfig, draws: _Draws, idx: int, cols: slice):
+        d = draws.per_market[idx]
+        self.config, self.d, self.cols = config, d, cols
+        boost = config.moderator_boost
+        self.boosted = np.zeros(len(d.worker_fe), dtype=np.int64) if boost is None else getattr(d, boost.column)
+        self.activity = np.exp(d.worker_fe[:, None] + draws.month_fe[None, cols])
+
+    def jobs(self, q: np.ndarray) -> np.ndarray:
+        # row 0 of the (2, t) levels is the base path, row 1 the boosted one
+        lam = q[:, self.cols][self.boosted] * self.config.jobs_scale * self.activity
+        return poisson_icdf(self.d.u_jobs[:, self.cols], lam)
+
+    @cached_property
+    def earn_factor(self) -> np.ndarray:
+        # earnings noise splits into a persistent worker trait and a cell
+        # shock; marginally it stays Normal(0, noise_sigma)
+        share = EARN_NOISE_WORKER_SHARE
+        earn_noise = np.sqrt(share) * self.d.earn_trait[:, None] + np.sqrt(1.0 - share) * self.d.eps[:, self.cols]
+        return np.exp(self.config.noise_sigma * earn_noise)
+
+    @cached_property
+    def background(self) -> np.ndarray:
+        u_bg = self.d.u_bg[:, self.cols]
+        return poisson_icdf(u_bg, np.full(u_bg.shape, self.config.background_rate))
+
+    def earn(self, jobs: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return jobs * p[:, self.cols][self.boosted] * self.earn_factor
+
+    def ratio(self, jobs: np.ndarray) -> np.ndarray:
+        total = jobs + self.background
+        return np.divide(jobs, total, out=np.zeros(total.shape), where=total > 0)
+
+    def outcome(self, name: str, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        jobs = self.jobs(q)
+        if name == "fjobnum":
+            return jobs
+        return self.earn(jobs, p) if name == "fjobearn" else self.ratio(jobs)
 
 
 def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> PanelArrays:
@@ -297,28 +351,15 @@ def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> Pa
     months = np.arange(t)
     post35 = (months >= config.shock1_index).astype(np.int64)
     post40 = (months >= config.shock2_index).astype(np.int64)
-    boost = config.moderator_boost
     pieces = []
     for idx, scenario in enumerate(config.markets):
         d = draws.per_market[idx]
         path = scenario.a_path.frozen_at_pre() if counterfactual else scenario.a_path
-        q, p = _equilibrium_levels(scenario, config, path, boost.multiplier if boost else None)
-        if boost is not None:
-            boosted = d.us if boost.column == "us" else d.experienced
-        else:
-            boosted = np.zeros(w, dtype=np.int64)
-        q_cell = q[boosted]  # (w, t): row 0 base path, row 1 boosted path
-        p_cell = p[boosted]
-        lam = q_cell * config.jobs_scale * np.exp(d.worker_fe[:, None] + draws.month_fe[None, :])
-        jobs = poisson_icdf(d.u_jobs, lam)
-        # earnings noise splits into a persistent worker trait and a cell
-        # shock; marginally it stays Normal(0, noise_sigma)
-        share = EARN_NOISE_WORKER_SHARE
-        earn_noise = np.sqrt(share) * d.earn_trait[:, None] + np.sqrt(1.0 - share) * d.eps
-        earn = jobs * p_cell * np.exp(config.noise_sigma * earn_noise)
-        background = poisson_icdf(d.u_bg, np.full((w, t), config.background_rate))
-        total = jobs + background
-        ratio = np.divide(jobs, total, out=np.zeros((w, t)), where=total > 0)
+        q, p = _equilibrium_levels(scenario, config, path)
+        cells = _MarketCells(config, draws, idx, slice(None))
+        jobs = cells.jobs(q)
+        earn = cells.earn(jobs, p)
+        ratio = cells.ratio(jobs)
         tenure = ((d.reg_day[:, None] + day_offsets[None, :]) // 30).astype(np.int64)
         treated = int(scenario.market_id != config.control_market_id)
         worker_ids = idx * w + np.arange(w)
@@ -379,25 +420,40 @@ class GroundTruth:
 def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int = 200) -> GroundTruth:
     """ATT oracle: factual minus frozen-at-pre outcome under shared draws.
 
-    Replication ``r`` reruns the full generating process from seed
-    ``seed ^ r`` twice, once with the configured AI paths and once with
-    every path frozen at its pre level, and averages the difference of
-    the transformed outcome over treated post-shock cells.
+    Replication ``r`` redraws all of the generating process's randomness
+    from seed ``seed ^ r`` and evaluates the outcome twice on the same
+    draws, once with the configured AI paths and once with every path
+    frozen at its pre level. Only the cells the average reads are
+    computed: the treated markets' post-shock months, in panel order
+    (markets, then workers, then months). Each treated market's
+    equilibrium levels on both paths are solved once per call, and the
+    path-independent factors once per replication. The difference of the
+    transformed outcome is averaged over those cells.
+
+    Replication streams are ``seed ^ r``, so with seed 0 replication ``r``
+    reuses the draws of ``config.with_seed(r)``.
     """
     if reps < 1:
         raise ValidationError("reps must be positive")
     if outcome not in _TRANSFORMS:
         raise ValidationError(f"outcome must be one of {sorted(_TRANSFORMS)}, got {outcome!r}")
     transform = _TRANSFORMS[outcome]
+    treated = []  # (market index, [(q, p) factual, (q, p) frozen])
+    for idx, scenario in enumerate(config.markets):
+        if scenario.market_id != config.control_market_id:
+            paths = (scenario.a_path, scenario.a_path.frozen_at_pre())
+            treated.append((idx, [_equilibrium_levels(scenario, config, path) for path in paths]))
+    cols = slice(config.shock1_index, None)
+    n_cells = config.workers_per_market * (config.n_months - config.shock1_index)
+    cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
     for r in range(reps):
         draws = _draw(config, config.seed ^ r)
-        factual = _assemble(config, draws, counterfactual=False)
-        frozen = _assemble(config, draws, counterfactual=True)
-        cells = (factual.treat == 1) & (factual.post35 == 1)
-        y1 = transform(factual.column(outcome).astype(np.float64))
-        y0 = transform(frozen.column(outcome).astype(np.float64))
-        diffs[r] = float(np.mean(y1[cells] - y0[cells]))
+        for k, (idx, levels) in enumerate(treated):
+            cells = _MarketCells(config, draws, idx, cols)
+            y1, y0 = (transform(cells.outcome(outcome, q, p)) for q, p in levels)
+            cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
+        diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps, outcome=outcome)
 
@@ -426,11 +482,9 @@ def generate_demand_arrays(
     post = (week_index >= s1).astype(np.int64)
     pieces = []
     for scenario in config.markets:
-        rate = np.empty(weeks)
-        for wk in range(weeks):
-            a = scenario.a_path.level_at(wk, s1, s2)
-            eq = cournot_equilibrium(scenario.market, a)
-            rate[wk] = scenario.market.n * eq.q * config.weekly_scale
+        levels = [scenario.a_path.level_at(wk, s1, s2) for wk in range(weeks)]
+        eqs = _equilibria(scenario.market, levels)
+        rate = np.array([scenario.market.n * eq.q * config.weekly_scale for eq in eqs])
         lam = rate * np.exp(week_fe)
         postnum = poisson_icdf(rng.uniform(size=weeks), lam)
         treated = int(scenario.market_id != config.control_market_id)

@@ -111,6 +111,42 @@ class TestPanelCsv:
             ingest_panel_csv(path)
 
 
+class TestPanelInvariants:
+    """Cross-row invariants of an ingested panel, each naming the first bad line."""
+
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        lines = panel_csv_lines(generate_panel_arrays(small_config()))
+        lines.insert(40, lines[20])  # data row 19 again, as CSV line 41
+        with pytest.raises(ValidationError, match=r"line 41: duplicate worker_id,month_index .*first at line 21"):
+            ingest_panel_csv(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize("column", ["treat", "market_id", "us", "experienced"])
+    def test_worker_constant_column_varying_rejected(self, tmp_path, column):
+        arrays = generate_panel_arrays(small_config())
+        row = 3 * 16 + 9  # worker 3, month 9: mid-panel
+        values = arrays.column(column)
+        values[row] = "control" if column == "market_id" else 1 - values[row]
+        values[row + 2] = values[row]  # a later bad row too: the first one is named
+        message = rf"line {row + 2}: {column} must be the same on every row of worker_id 3"
+        with pytest.raises(ValidationError, match=message):
+            ingest_panel_csv(self.write(tmp_path, panel_csv_lines(arrays)))
+
+    @pytest.mark.parametrize("column, month, value", [("post35", 6, 0), ("post40", 7, 1)])
+    def test_post_flag_not_a_function_of_month_rejected(self, tmp_path, column, month, value):
+        arrays = generate_panel_arrays(small_config())
+        row = 5 * 16 + month
+        arrays.column(column)[row] = value
+        message = rf"line {row + 2}: {column} must be the same on every row of month_index {month}"
+        with pytest.raises(ValidationError, match=message):
+            ingest_panel_csv(self.write(tmp_path, panel_csv_lines(arrays)))
+
+
 class TestRunPipeline:
     def test_manifest_hash_deterministic(self, tmp_path):
         config = small_config()

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from olmsim.errors import ValidationError
+from olmsim import synth
+from olmsim.errors import ConvergenceError, ValidationError
 from olmsim.market import cournot_equilibrium
 from olmsim.panel import PanelArrays
 from olmsim.regression import RegressionSpec, did_fit
 from olmsim.scenarios import (
+    crossing_config,
     honeymoon_config,
     null_config,
     reference_market,
     substitution_config,
+    sweep_config,
     two_market_config,
 )
 from olmsim.synth import (
@@ -47,6 +50,30 @@ class TestPoissonIcdf:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             poisson_icdf(np.array([0.5]), np.array([-1.0]))
+
+    def test_non_contiguous_slice_matches_contiguous_copy(self):
+        rng = np.random.default_rng(1)
+        u = rng.uniform(size=(40, 30))
+        lam = rng.uniform(0.0, 20.0, size=(40, 30))
+        for view in ((slice(None), slice(3, None, 2)), (slice(None, None, -3), slice(5, None))):
+            got = poisson_icdf(u[view], lam[view])
+            assert got.shape == u[view].shape
+            np.testing.assert_array_equal(
+                got, poisson_icdf(np.ascontiguousarray(u[view]), np.ascontiguousarray(lam[view]))
+            )
+        np.testing.assert_array_equal(poisson_icdf(u.T, lam.T), poisson_icdf(u, lam).T)
+
+    def test_mixed_rates_2d_match_scipy_ppf(self):
+        rng = np.random.default_rng(2)
+        u = rng.uniform(size=(50, 40))
+        lam = rng.uniform(0.0, 2 * synth._ICDF_RATE_CUTOFF, size=(50, 40))
+        assert (lam > synth._ICDF_RATE_CUTOFF).any() and (lam <= synth._ICDF_RATE_CUTOFF).any()
+        np.testing.assert_array_equal(poisson_icdf(u, lam), stats.poisson.ppf(u, lam))
+
+    def test_max_count_exceeded_raises(self):
+        with pytest.raises(ConvergenceError, match="exceeded 5 terms") as info:
+            poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]), max_count=5)
+        assert info.value.iterations == 6
 
 
 class TestConfigValidation:
@@ -244,6 +271,36 @@ class TestGroundTruth:
     def test_outcome_name_checked(self):
         with pytest.raises(ValidationError):
             ground_truth_att(null_config(workers=5), outcome="bogus", reps=2)
+
+
+def _reference_att(config, outcome, reps):
+    """The oracle spelled out on full panels: both paths assembled, treated post cells masked."""
+    transform = np.log1p if outcome in ("fjobnum", "fjobearn") else (lambda x: x)
+    diffs = np.empty(reps)
+    for r in range(reps):
+        draws = synth._draw(config, config.seed ^ r)
+        factual = synth._assemble(config, draws, counterfactual=False)
+        frozen = synth._assemble(config, draws, counterfactual=True)
+        cells = (factual.treat == 1) & (factual.post35 == 1)
+        y1 = transform(factual.column(outcome).astype(np.float64))
+        y0 = transform(frozen.column(outcome).astype(np.float64))
+        diffs[r] = float(np.mean(y1[cells] - y0[cells]))
+    return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(reps))
+
+
+@pytest.mark.parametrize("outcome", ["fjobnum", "fjobearn", "fjobratio"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        sweep_config(workers=12, seed=5),
+        two_market_config(AiPath(0.3, 0.5, 0.6), workers=30, seed=11, moderator_boost=ModeratorBoost("us", 1.5)),
+        crossing_config(workers=30, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
+    ],
+    ids=["sweep", "us-boost", "experienced-boost"],
+)
+def test_oracle_equals_full_panel_reference(config, outcome):
+    gt = ground_truth_att(config, outcome=outcome, reps=4)
+    assert (gt.att, gt.mc_se) == _reference_att(config, outcome, reps=4)
 
 
 class TestDemandSeries:
