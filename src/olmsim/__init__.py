@@ -24,15 +24,13 @@ from .market import (
     potential_slope,
     sweep_comparative_statics,
 )
-from .panel import DemandRow, PanelArrays, PanelRow
+from .panel import PanelArrays
 from .synth import (
     AiPath,
     GroundTruth,
     MarketScenario,
     ModeratorBoost,
     ScenarioConfig,
-    generate_demand_series,
-    generate_panel,
     ground_truth_att,
 )
 from .regression import (
@@ -65,7 +63,6 @@ __all__ = [
     "__version__",
     "AiPath",
     "BalanceTable",
-    "DemandRow",
     "Equilibrium",
     "FitResult",
     "GroundTruth",
@@ -75,7 +72,6 @@ __all__ = [
     "MatchResult",
     "ModeratorBoost",
     "PanelArrays",
-    "PanelRow",
     "Phase",
     "PhaseResult",
     "PotentialFamily",
@@ -98,8 +94,6 @@ __all__ = [
     "equilibrium_from_primitives",
     "eval_potential",
     "event_study_fit",
-    "generate_demand_series",
-    "generate_panel",
     "ground_truth_att",
     "heterogeneity_fit",
     "inflection_point",

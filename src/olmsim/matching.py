@@ -17,7 +17,7 @@ from scipy import stats
 from scipy.special import expit
 
 from .errors import EmptySideError, SeparationError, ValidationError
-from .panel import PanelArrays, as_panel_arrays
+from .panel import PanelArrays
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -334,37 +334,36 @@ def balance_table(
 # covariate construction
 
 
-def derive_worker_covariates(panel) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
+def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
     """Worker-level pre-shock covariates from a panel.
 
     Returns ``(worker_ids, covariates, names, treat)`` where the columns
     are log1p accumulated jobs, log1p tenure at the last pre-shock month,
     log1p average earnings per job, and the mean focal-job share.
     """
-    arr: PanelArrays = as_panel_arrays(panel)
-    pre = arr.post35 == 0
+    pre = panel.post35 == 0
     if not pre.any():
         raise ValidationError("panel has no pre-shock months")
-    ids, codes = np.unique(arr.worker_id, return_inverse=True)
+    ids, codes = np.unique(panel.worker_id, return_inverse=True)
     w = len(ids)
     pre_codes = codes[pre]
-    jobs = np.bincount(pre_codes, weights=arr.fjobnum[pre], minlength=w)
-    earn = np.bincount(pre_codes, weights=arr.fjobearn[pre], minlength=w)
-    ratio_sum = np.bincount(pre_codes, weights=arr.fjobratio[pre], minlength=w)
+    jobs = np.bincount(pre_codes, weights=panel.fjobnum[pre], minlength=w)
+    earn = np.bincount(pre_codes, weights=panel.fjobearn[pre], minlength=w)
+    ratio_sum = np.bincount(pre_codes, weights=panel.fjobratio[pre], minlength=w)
     months = np.bincount(pre_codes, minlength=w)
     if months.min() == 0:
         raise ValidationError("every worker needs at least one pre-shock month")
-    last_pre = int(arr.month_index[pre].max())
+    last_pre = int(panel.month_index[pre].max())
     tenure_last = np.zeros(w)
-    at_last = pre & (arr.month_index == last_pre)
-    tenure_last[codes[at_last]] = arr.tenure[at_last]
+    at_last = pre & (panel.month_index == last_pre)
+    tenure_last[codes[at_last]] = panel.tenure[at_last]
     avg_earn = np.divide(earn, jobs, out=np.zeros(w), where=jobs > 0)
     covariates = np.column_stack(
         [np.log1p(jobs), np.log1p(tenure_last), np.log1p(avg_earn), ratio_sum / months]
     )
     names = ("log_acc_jobs", "log_tenure", "log_avg_earn", "mean_fjobratio")
     treat = np.zeros(w, dtype=np.int64)
-    treat[codes[arr.treat == 1]] = 1
+    treat[codes[panel.treat == 1]] = 1
     return ids, covariates, names, treat
 
 

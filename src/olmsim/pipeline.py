@@ -1,6 +1,11 @@
 """Batch front door: scenario files, CSV ingestion, end-to-end runs, and
 reproducibility manifests.
 
+Panels and demand series stay columnar (``PanelArrays``, ``DemandArrays``)
+from generation to output: ``ingest_panel_csv`` returns the validated
+columns it parsed, and the CSV writer formats blocks of rows column by
+column.
+
 A run executes simulate -> match -> estimate -> tost -> report, writing
 every artifact into one output directory. All file contents are pure
 functions of (config, seed, package version); the manifest hash covers
@@ -25,7 +30,7 @@ from . import __version__
 from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, derive_worker_covariates, logit_fit, propensity_match
-from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays, PanelRow
+from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from .regression import RegressionSpec, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
@@ -49,6 +54,10 @@ DEFAULT_CALIPER = 0.02
 DEFAULT_ALPHA = 0.05
 DEFAULT_WEEKS = 95
 STATICS_GRID = 101
+
+#: rows the CSV writer formats at a time; whole-column formatting holds
+#: every cell's string at once and raises peak memory
+_CSV_BLOCK_ROWS = 4096
 
 #: the three outcome/transform pairs every estimation stage reports
 OUTCOMES = (("fjobnum", "log1p"), ("fjobratio", "identity"), ("fjobearn", "log1p"))
@@ -105,27 +114,23 @@ def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
 
 
-def panel_csv_lines(arrays: PanelArrays) -> list[str]:
-    # repr gives the shortest exact round-trip form for the float columns
-    lines = [",".join(PANEL_COLUMNS)]
-    for i in range(arrays.n_rows):
-        lines.append(
-            f"{arrays.worker_id[i]},{arrays.market_id[i]},{arrays.month_index[i]},"
-            f"{arrays.treat[i]},{arrays.post35[i]},{arrays.post40[i]},"
-            f"{arrays.fjobnum[i]},{float(arrays.fjobearn[i])!r},{float(arrays.fjobratio[i])!r},"
-            f"{arrays.tenure[i]},{arrays.us[i]},{arrays.experienced[i]}"
-        )
+def _csv_lines(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> list[str]:
+    """Header plus one line per row, formatted ``_CSV_BLOCK_ROWS`` rows at a time."""
+    # str of a Python float is its repr: the shortest form that reads back exactly
+    values = [getattr(arrays, name) for name in columns]
+    lines = [",".join(columns)]
+    for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        lines.extend(map(",".join, zip(*(map(str, column[block].tolist()) for column in values))))
     return lines
+
+
+def panel_csv_lines(arrays: PanelArrays) -> list[str]:
+    return _csv_lines(arrays, PANEL_COLUMNS)
 
 
 def demand_csv_lines(arrays: DemandArrays) -> list[str]:
-    lines = [",".join(DEMAND_COLUMNS)]
-    for i in range(arrays.n_rows):
-        lines.append(
-            f"{arrays.market_id[i]},{arrays.week_index[i]},{arrays.postnum[i]},"
-            f"{arrays.treat[i]},{arrays.post[i]}"
-        )
-    return lines
+    return _csv_lines(arrays, DEMAND_COLUMNS)
 
 
 def _parse_int(value: str, line: int, name: str) -> int:
@@ -160,6 +165,11 @@ def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _csv_line(i: int) -> str:
+    """The CSV line of data row ``i``: the header is line 1."""
+    return f"line {i + 2}"
+
+
 def _check_panel_invariants(arrays: PanelArrays) -> None:
     """Cross-row invariants of a panel, naming the first offending CSV line."""
     first = _group_first_rows(arrays.worker_id, arrays.month_index)
@@ -167,8 +177,8 @@ def _check_panel_invariants(arrays: PanelArrays) -> None:
     if dup.size:
         i = dup[0]
         raise ValidationError(
-            f"line {i + 2}: duplicate worker_id,month_index cell ({arrays.worker_id[i]}, "
-            f"{arrays.month_index[i]}), first at line {first[i] + 2}"
+            f"{_csv_line(i)}: duplicate worker_id,month_index cell ({arrays.worker_id[i]}, "
+            f"{arrays.month_index[i]}), first at {_csv_line(first[i])}"
         )
     for key, names in (("worker_id", _WORKER_CONSTANT), ("month_index", _MONTH_CONSTANT)):
         groups = arrays.column(key)
@@ -179,17 +189,18 @@ def _check_panel_invariants(arrays: PanelArrays) -> None:
             if bad.size:
                 i = bad[0]
                 raise ValidationError(
-                    f"line {i + 2}: {name} must be the same on every row of {key} {groups[i]}, "
-                    f"got {values[i]} here and {values[first[i]]} at line {first[i] + 2}"
+                    f"{_csv_line(i)}: {name} must be the same on every row of {key} {groups[i]}, "
+                    f"got {values[i]} here and {values[first[i]]} at {_csv_line(first[i])}"
                 )
 
 
-def ingest_panel_csv(path: str | Path) -> list[PanelRow]:
-    """Read a panel CSV, enforcing the exact schema and every row invariant.
+def ingest_panel_csv(path: str | Path) -> PanelArrays:
+    """Read a panel CSV into columns, enforcing the exact schema and every row invariant.
 
     Panel-level invariants are checked too: each (worker, month) cell
     appears once, ``treat``, ``market_id``, ``us`` and ``experienced`` are
     fixed within a worker, and ``post35`` and ``post40`` within a month.
+    An error in a data row names its CSV line.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -231,9 +242,9 @@ def ingest_panel_csv(path: str | Path) -> list[PanelRow]:
         us=ints("us"),
         experienced=ints("experienced"),
     )
-    arrays.validate(where="data row")
+    arrays.validate(where=_csv_line)
     _check_panel_invariants(arrays)
-    return arrays.to_rows()
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +564,7 @@ def selftest(verbose: bool = True) -> bool:
     small = cfg.__class__(**{**cfg.__dict__, "workers_per_market": 8})
     a = generate_panel_arrays(small)
     b = generate_panel_arrays(small)
-    ok = all(np.array_equal(a.column(n), b.column(n)) for n in ("fjobnum", "tenure")) and np.allclose(
-        a.fjobearn, b.fjobearn
-    )
+    ok = all(np.array_equal(a.column(n), b.column(n)) for n in PANEL_COLUMNS)
     log("panel generation deterministic", ok)
 
     return all(flag for _, flag in checks)

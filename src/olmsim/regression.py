@@ -29,7 +29,7 @@ from .errors import (
     SingleClusterError,
     ValidationError,
 )
-from .panel import DemandArrays, PanelArrays, as_demand_arrays, as_panel_arrays
+from .panel import DemandArrays, PanelArrays
 
 #: a column stops absorbing once no cell moves by more than this fraction
 #: of the column's largest absolute input value
@@ -395,7 +395,7 @@ DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms}
 
 
 def fit_designs(
-    panel, specs: Sequence[RegressionSpec], designs=("did", "dual", "event")
+    panel: PanelArrays, specs: Sequence[RegressionSpec], designs=("did", "dual", "event")
 ) -> dict[tuple[str, str], FitResult]:
     """Fit each design on each outcome of ``specs``, keyed ``(design, outcome)``.
 
@@ -409,7 +409,6 @@ def fit_designs(
         designs = {kind: DESIGNS[kind] for kind in designs}
     if not specs:
         raise ValidationError("fit_designs needs at least one outcome spec")
-    arrays = as_panel_arrays(panel)
     base = specs[0]
     if len({spec.outcome for spec in specs}) != len(specs):
         raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
@@ -417,12 +416,12 @@ def fit_designs(
         raise ValidationError("specs fitted together must differ only in outcome and transform")
     groups: dict[bytes, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
     for spec in specs:
-        y, keep = _transform_outcome(arrays.column(spec.outcome), spec.transform)
+        y, keep = _transform_outcome(panel.column(spec.outcome), spec.transform)
         groups.setdefault(keep.tobytes(), (keep, {}))[1][spec.outcome] = y
     fits: dict[tuple[str, str], FitResult] = {}
     for keep, ys in groups.values():
-        sample = arrays if keep.all() else arrays.subset(keep)
-        ys = {outcome: y[keep] for outcome, y in ys.items()} if sample is not arrays else ys
+        sample = panel if keep.all() else panel.subset(keep)
+        ys = {outcome: y[keep] for outcome, y in ys.items()} if sample is not panel else ys
         controls = _control_columns(sample, base)
         columns: dict[str, np.ndarray] = {}
         terms: dict[str, list[str]] = {}
@@ -437,12 +436,12 @@ def fit_designs(
     return fits
 
 
-def _fit_one(panel, spec: RegressionSpec | None, kind: str, build) -> FitResult:
+def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str, build) -> FitResult:
     spec = spec or RegressionSpec()
     return fit_designs(panel, [spec], {kind: build})[(kind, spec.outcome)]
 
 
-def did_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+def did_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
     """Two-way fixed-effects difference-in-differences.
 
     The interest term ``treat_x_post35`` is the interaction of the treated
@@ -452,7 +451,7 @@ def did_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
     return _fit_one(panel, spec, "did", _did_terms)
 
 
-def dual_shock_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+def dual_shock_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
     """DiD with both shock indicators.
 
     ``treat_x_post35`` carries the first-shock effect; because the second
@@ -462,7 +461,7 @@ def dual_shock_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
     return _fit_one(panel, spec, "dual", _dual_terms)
 
 
-def event_study_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
+def event_study_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
     """Relative-time (lead/lag) model around the first shock.
 
     One ``treat_rel[s]`` coefficient per relative month ``s``, omitting
@@ -471,7 +470,7 @@ def event_study_fit(panel, spec: RegressionSpec | None = None) -> FitResult:
     return _fit_one(panel, spec, "event", _event_terms)
 
 
-def heterogeneity_fit(panel, spec: RegressionSpec | None = None, moderator: str = "us") -> FitResult:
+def heterogeneity_fit(panel: PanelArrays, spec: RegressionSpec | None = None, moderator: str = "us") -> FitResult:
     """DiD with a binary worker-level moderator interacted with the shock.
 
     Reports the moderated treatment effect and the moderator-by-post term;
@@ -480,26 +479,25 @@ def heterogeneity_fit(panel, spec: RegressionSpec | None = None, moderator: str 
     return _fit_one(panel, spec, "heterogeneity", lambda arrays, _: _heterogeneity_terms(arrays, moderator))
 
 
-def demand_did_fit(series, cluster: str = "row", market_trend: bool = False) -> FitResult:
+def demand_did_fit(series: DemandArrays, cluster: str = "row", market_trend: bool = False) -> FitResult:
     """Market-week DiD on log1p fulfilled postings with market and week effects.
 
     ``cluster`` picks the inference level: ``row`` (independent cells,
     matching the generating process here), ``market``, or ``week``.
     """
-    arrays: DemandArrays = as_demand_arrays(series)
-    if len(np.unique(arrays.market_id)) < 2:
+    if len(np.unique(series.market_id)) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
-    if arrays.post.min() == arrays.post.max():
+    if series.post.min() == series.post.max():
         raise ValidationError("demand window must span the shock (post must vary)")
-    y = np.log1p(arrays.postnum.astype(np.float64))
-    market_codes = np.unique(arrays.market_id, return_inverse=True)[1]
-    cols = {"treat_x_post": arrays.treat * arrays.post}
+    y = np.log1p(series.postnum.astype(np.float64))
+    market_codes = np.unique(series.market_id, return_inverse=True)[1]
+    cols = {"treat_x_post": series.treat * series.post}
     if market_trend:
-        cols["treat_x_trend"] = arrays.treat * arrays.week_index
-    cluster_ids = {"row": np.arange(arrays.n_rows), "market": market_codes, "week": arrays.week_index}.get(cluster)
+        cols["treat_x_trend"] = series.treat * series.week_index
+    cluster_ids = {"row": np.arange(series.n_rows), "market": market_codes, "week": series.week_index}.get(cluster)
     if cluster_ids is None:
         raise ValidationError(f"cluster must be row, market, or week, got {cluster!r}")
-    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, arrays.week_index, cluster_ids)
+    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, series.week_index, cluster_ids)
     return fits[("demand", "postnum")]
 
 

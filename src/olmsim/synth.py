@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .market import Equilibrium, MarketPotentialSpec, MarketSpec, PotentialFamily, cournot_equilibrium
-from .panel import DemandArrays, DemandRow, PanelArrays, PanelRow
+from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 
 #: months covered by the default panel window: six pre-shock months, a
 #: two-month gap around the first release, ten post-shock months
@@ -379,25 +379,12 @@ def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> Pa
                 experienced=np.repeat(d.experienced, t),
             )
         )
-    return PanelArrays(
-        **{
-            name: np.concatenate([getattr(p, name) for p in pieces])
-            for name in (
-                "worker_id", "market_id", "month_index", "treat", "post35", "post40",
-                "fjobnum", "fjobearn", "fjobratio", "tenure", "us", "experienced",
-            )
-        }
-    )
+    return PanelArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in PANEL_COLUMNS})
 
 
 def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
     """Columnar panel for one scenario; deterministic given the config seed."""
     return _assemble(config, _draw(config, config.seed), counterfactual=False)
-
-
-def generate_panel(config: ScenarioConfig) -> list[PanelRow]:
-    """Worker-month rows for one scenario (row form of the same panel)."""
-    return generate_panel_arrays(config).to_rows()
 
 
 _TRANSFORMS = {
@@ -497,21 +484,7 @@ def generate_demand_arrays(
                 post=post.copy(),
             )
         )
-    return DemandArrays(
-        **{
-            name: np.concatenate([getattr(p, name) for p in pieces])
-            for name in ("market_id", "week_index", "postnum", "treat", "post")
-        }
-    )
-
-
-def generate_demand_series(
-    config: ScenarioConfig,
-    weeks: int = 95,
-    shock1_week: int | None = None,
-    shock2_week: int | None = None,
-) -> list[DemandRow]:
-    return generate_demand_arrays(config, weeks, shock1_week, shock2_week).to_rows()
+    return DemandArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in DEMAND_COLUMNS})
 
 
 # ---------------------------------------------------------------------------

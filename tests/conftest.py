@@ -97,6 +97,14 @@ def assert_same_fit(a, b) -> None:
     assert (a.n_obs, a.n_clusters, a.outcome_sd, a.rows_dropped) == (b.n_obs, b.n_clusters, b.outcome_sd, b.rows_dropped)
 
 
+def assert_same_columns(a, b, columns) -> None:
+    """Two panels or demand series hold the same columns: same dtype, same values."""
+    for name in columns:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
 def one_step_best_response(q: np.ndarray, potential_value: float, marginal_cost: float, b: float) -> np.ndarray:
     total = q.sum()
     return np.maximum(0.0, (potential_value - marginal_cost - b * (total - q)) / (2.0 * b))

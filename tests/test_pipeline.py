@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
-from conftest import assert_same_fit
+from conftest import assert_same_columns, assert_same_fit
 
 from olmsim.cli import main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
+from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
+    _CSV_BLOCK_ROWS,
     OUTCOME_SPECS,
     _Workspace,
+    demand_csv_lines,
     ingest_panel_csv,
     panel_csv_lines,
     parse_scenario,
@@ -17,7 +21,7 @@ from olmsim.pipeline import (
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
 from olmsim.scenarios import honeymoon_config, two_market_config
-from olmsim.synth import AiPath, config_from_dict, config_to_dict, generate_panel_arrays
+from olmsim.synth import AiPath, config_from_dict, config_to_dict, generate_demand_arrays, generate_panel_arrays
 
 
 def small_config(seed=5):
@@ -77,8 +81,8 @@ class TestPanelCsv:
         arrays = generate_panel_arrays(small_config())
         path = tmp_path / "panel.csv"
         path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
-        rows = ingest_panel_csv(path)
-        assert rows == arrays.to_rows()
+        # floats too: the writer's shortest repr reads back exactly
+        assert_same_columns(ingest_panel_csv(path), arrays, PANEL_COLUMNS)
 
     def test_invariant_violation_reported_with_row(self, tmp_path):
         arrays = generate_panel_arrays(small_config())
@@ -87,6 +91,16 @@ class TestPanelCsv:
         path = tmp_path / "panel.csv"
         path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
         with pytest.raises(ValidationError, match="fjobearn must be 0"):
+            ingest_panel_csv(path)
+
+    def test_invariant_violation_names_csv_line(self, tmp_path):
+        arrays = generate_panel_arrays(small_config())
+        arrays.fjobnum[3] = 0
+        arrays.fjobearn[3] = 5.0
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
+        # data row 3 follows the header and rows 0-2: CSV line 5
+        with pytest.raises(ValidationError, match=r"^line 5: fjobearn must be 0"):
             ingest_panel_csv(path)
 
     def test_shuffled_header_rejected(self, tmp_path):
@@ -109,6 +123,35 @@ class TestPanelCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="line 2"):
             ingest_panel_csv(path)
+
+
+def reference_csv_lines(arrays, columns) -> list[str]:
+    """The CSV lines formatted one row at a time."""
+    lines = [",".join(columns)]
+    for i in range(arrays.n_rows):
+        cells = (getattr(arrays, name)[i] for name in columns)
+        lines.append(",".join(repr(float(v)) if isinstance(v, np.floating) else str(v) for v in cells))
+    return lines
+
+
+class TestCsvWriter:
+    """The block-wise writer against a per-row formatter, at sizes around the block."""
+
+    SIZES = (1, 100, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 17)
+
+    CONFIG = two_market_config(AiPath(0.2, 0.45, 0.6), workers=300, seed=3)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_panel_lines_match_per_row_reference(self, n):
+        panel = generate_panel_arrays(self.CONFIG)  # 9,600 rows
+        part = panel.subset(np.arange(panel.n_rows) < n)
+        assert panel_csv_lines(part) == reference_csv_lines(part, PANEL_COLUMNS)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_demand_lines_match_per_row_reference(self, n):
+        demand = generate_demand_arrays(self.CONFIG, weeks=4200)  # 8,400 rows
+        part = demand.subset(np.arange(demand.n_rows) < n)
+        assert demand_csv_lines(part) == reference_csv_lines(part, DEMAND_COLUMNS)
 
 
 class TestPanelInvariants:
