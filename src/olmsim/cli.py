@@ -17,8 +17,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import NumericError, OlmsimError, PipelineError, ValidationError
-from .pipeline import DEFAULT_ALPHA, DEFAULT_CALIPER, run_pipeline, selftest
+from .errors import OlmsimError, PipelineError, ValidationError
+from .pipeline import DEFAULT_ALPHA, DEFAULT_CALIPER, STAGES, run_pipeline, selftest
 
 BUILTIN_DEMO = "builtin:demo"
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = sub.add_parser("estimate", help="fit one family of regressions")
-    p.add_argument("kind", choices=["did", "event", "dual", "demand"])
+    p.add_argument("kind", choices=[t.removeprefix("estimate_") for t in STAGES if t.startswith("estimate_")])
     _add_common(p)
 
     p = sub.add_parser("report", help="write the quadrant classification report")
@@ -72,16 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "selftest":
         return 0 if selftest() else 3
 
-    stages = {
-        "simulate": ["simulate"],
-        "match": ["match"],
-        "estimate": None,  # filled below
-        "tost": ["tost"],
-        "report": ["report"],
-        "run": None,
-    }[args.command]
-    if args.command == "estimate":
-        stages = [f"estimate_{args.kind}"]
+    # ``run`` runs every stage; any other subcommand names its stage's token
+    token = f"estimate_{args.kind}" if args.command == "estimate" else args.command
+    stages = None if token == "run" else [token]
 
     try:
         manifest = run_pipeline(
@@ -93,18 +86,10 @@ def main(argv: list[str] | None = None) -> int:
             caliper=args.caliper,
             bounds=args.bounds,
         )
-    except PipelineError as exc:
+    except OlmsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, ValidationError) else 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OlmsimError as exc:  # pragma: no cover - catch-all for new subtypes
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        return 2 if isinstance(cause, ValidationError) else 3
     print(f"wrote {len(manifest.outputs)} files to {args.out} (manifest {manifest.manifest_hash[:12]})")
     return 0
 

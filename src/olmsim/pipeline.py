@@ -6,22 +6,25 @@ from generation to output: ``ingest_panel_csv`` returns the validated
 columns it parsed, and the CSV writer formats blocks of rows column by
 column.
 
-A run executes simulate -> match -> estimate -> tost -> report, writing
+A run executes stages from one table, ``STAGES``: simulate -> match ->
+estimate -> tost -> report, each token naming a method of the private
+run object and the fit kinds it reads. The run object computes the
+panel, the matches and the fits once, on first use, and the stages write
 every artifact into one output directory. All file contents are pure
-functions of (config, seed, package version); the manifest hash covers
-the config hash, options, and output file hashes, so two identical runs
-produce identical manifests (timings are recorded but excluded from the
-hash).
+functions of (config, seed, package version); the manifest lists the
+stages that ran, in table order, and its hash covers the config hash,
+stages, options, and output file hashes, so two identical runs produce
+identical manifests (timings are recorded but excluded from the hash).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,31 +66,8 @@ _CSV_BLOCK_ROWS = 4096
 OUTCOMES = (("fjobnum", "log1p"), ("fjobratio", "identity"), ("fjobearn", "log1p"))
 OUTCOME_SPECS = tuple(RegressionSpec(outcome=o, transform=t, controls=("tenure",)) for o, t in OUTCOMES)
 
-STAGE_TOKENS = (
-    "simulate",
-    "match",
-    "estimate",
-    "estimate_did",
-    "estimate_event",
-    "estimate_dual",
-    "estimate_demand",
-    "tost",
-    "report",
-)
-
-#: fit kinds each stage reads; all but ``demand`` are fitted on the matched
-#: samples, together, once per run
-STAGE_FITS = {
-    "estimate": ("did", "event", "dual", "demand"),
-    "estimate_did": ("did",),
-    "estimate_event": ("event",),
-    "estimate_dual": ("dual",),
-    "estimate_demand": ("demand",),
-    "tost": ("event",),
-    "report": ("dual",),
-}
-
-#: table titles of the fit kinds
+#: table titles of the fit kinds fitted on the matched samples, in the
+#: order every estimation stage emits them
 FIT_TITLES = {"did": "did", "event": "event study", "dual": "dual shock"}
 
 
@@ -263,23 +243,8 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def manifest_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "version": self.version,
-                "stages": self.stages,
-                "options": self.options,
-                "outputs": dict(sorted(self.outputs.items())),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def to_dict(self) -> dict:
+    def _hashed(self) -> dict:
+        """Every field but the timings: what the manifest hash covers."""
         return {
             "config_hash": self.config_hash,
             "seed": self.seed,
@@ -287,9 +252,15 @@ class RunManifest:
             "stages": self.stages,
             "options": self.options,
             "outputs": dict(sorted(self.outputs.items())),
-            "timings": self.timings,
-            "manifest_hash": self.manifest_hash,
         }
+
+    @property
+    def manifest_hash(self) -> str:
+        payload = json.dumps(self._hashed(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def to_dict(self) -> dict:
+        return {**self._hashed(), "timings": self.timings, "manifest_hash": self.manifest_hash}
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -301,81 +272,151 @@ def config_hash(config: ScenarioConfig) -> str:
 # pipeline
 
 
-def _normalize_stages(stages) -> list[str]:
-    if stages is None:
-        return ["simulate", "match", "estimate", "tost", "report"]
-    out = []
-    for token in stages:
-        if token not in STAGE_TOKENS:
-            raise ValidationError(f"unknown stage {token!r}; valid stages: {', '.join(STAGE_TOKENS)}")
-        out.append(token)
-    return out
-
-
 @dataclass
-class _Workspace:
-    """Lazily computed intermediate products shared between stages."""
+class _Run:
+    """One run: its settings, the products its stages share, and the stages.
+
+    Each product is computed on first use, so a stage can read an upstream
+    product without that upstream stage writing its files. Each stage
+    method takes the fit kinds its ``STAGES`` row reads.
+    """
 
     config: ScenarioConfig
+    out: Path
+    manifest: RunManifest
+    alpha: float
     caliper: float
-    #: designs fitted on each matched sample when fits are first needed
-    fit_kinds: tuple[str, ...] = ("did", "event", "dual")
-    panel: PanelArrays | None = None
-    demand: DemandArrays | None = None
-    matches: dict | None = None
-    samples: dict | None = None
-    fits: dict | None = None
+    bounds: float | None
+    #: designs fitted on each matched sample, together, once per run
+    fit_kinds: tuple[str, ...]
+    #: text tables of the stages that ran, written by ``report``
+    tables: list[str] = field(default_factory=list, init=False)
 
-    def get_panel(self) -> PanelArrays:
-        if self.panel is None:
-            self.panel = generate_panel_arrays(self.config)
-        return self.panel
+    @cached_property
+    def panel(self) -> PanelArrays:
+        return generate_panel_arrays(self.config)
 
-    def get_demand(self) -> DemandArrays:
-        if self.demand is None:
-            self.demand = generate_demand_arrays(self.config, weeks=DEFAULT_WEEKS)
-        return self.demand
+    @cached_property
+    def demand(self) -> DemandArrays:
+        return generate_demand_arrays(self.config, weeks=DEFAULT_WEEKS)
 
-    def get_matches(self) -> dict:
+    @cached_property
+    def matches(self) -> dict:
         """Per treated market: matching against the control-market pool."""
-        if self.matches is None:
-            panel = self.get_panel()
-            control_id = self.config.control_market_id
-            self.matches = {}
-            for market_id in self.config.treated_ids():
-                pair_mask = (panel.market_id == market_id) | (panel.market_id == control_id)
-                pair = panel.subset(pair_mask)
-                ids, covariates, names, treat = derive_worker_covariates(pair)
-                model = logit_fit(covariates, treat, names=names)
-                scores = model.predict_proba(covariates)
-                result = propensity_match(scores, treat, self.caliper)
-                balance = balance_table(covariates, treat, result, names=names)
-                matched_workers = np.concatenate(
-                    [ids[result.treated_ids], ids[result.control_ids]]
-                )
-                self.matches[market_id] = {
-                    "result": result,
-                    "balance": balance,
-                    "worker_ids": matched_workers,
-                }
-        return self.matches
+        panel = self.panel
+        control_id = self.config.control_market_id
+        matches = {}
+        for market_id in self.config.treated_ids():
+            pair_mask = (panel.market_id == market_id) | (panel.market_id == control_id)
+            pair = panel.subset(pair_mask)
+            ids, covariates, names, treat = derive_worker_covariates(pair)
+            model = logit_fit(covariates, treat, names=names)
+            scores = model.predict_proba(covariates)
+            result = propensity_match(scores, treat, self.caliper)
+            balance = balance_table(covariates, treat, result, names=names)
+            matched_workers = np.concatenate(
+                [ids[result.treated_ids], ids[result.control_ids]]
+            )
+            matches[market_id] = {
+                "result": result,
+                "balance": balance,
+                "worker_ids": matched_workers,
+            }
+        return matches
 
-    def get_samples(self) -> dict:
+    @cached_property
+    def samples(self) -> dict:
         """Matched estimation panel per treated market."""
-        if self.samples is None:
-            panel = self.get_panel()
-            self.samples = {}
-            for market_id, match in self.get_matches().items():
-                mask = np.isin(panel.worker_id, match["worker_ids"])
-                self.samples[market_id] = panel.subset(mask)
-        return self.samples
+        panel = self.panel
+        return {m: panel.subset(np.isin(panel.worker_id, match["worker_ids"])) for m, match in self.matches.items()}
 
-    def get_fits(self) -> dict:
+    @cached_property
+    def fits(self) -> dict:
         """Per treated market: the ``fit_kinds`` fits of every outcome, keyed ``(kind, outcome)``."""
-        if self.fits is None:
-            samples = self.get_samples().items()
-            self.fits = {m: fit_designs(sample, OUTCOME_SPECS, self.fit_kinds) for m, sample in samples}
-        return self.fits
+        return {m: fit_designs(sample, OUTCOME_SPECS, self.fit_kinds) for m, sample in self.samples.items()}
+
+    def _emit(self, name: str, text: str) -> None:
+        (self.out / name).write_text(text)
+        self.manifest.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
+
+    def _emit_fit(self, name: str, fit, title: str) -> None:
+        self._emit(name, "\n".join(fit_csv_lines(fit)) + "\n")
+        self.tables.append(fit_text_table(fit, title))
+
+    def _sample_fits(self, kind: str) -> list[tuple[str, str, object]]:
+        """(market, outcome, fit) of one kind, sorted by market and outcome."""
+        return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(o for o, _ in OUTCOMES)]
+
+    def simulate(self, kinds: tuple[str, ...]) -> None:
+        self._emit("panel.csv", "\n".join(panel_csv_lines(self.panel)) + "\n")
+        self._emit("demand.csv", "\n".join(demand_csv_lines(self.demand)) + "\n")
+        for scenario in self.config.markets:
+            rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
+            self._emit(f"statics_{scenario.market_id}.csv", "\n".join(statics_csv_lines(rows)) + "\n")
+
+    def match(self, kinds: tuple[str, ...]) -> None:
+        for market_id, match in self.matches.items():
+            result = match["result"]
+            pair_lines = ["treated_id,control_id,distance"]
+            for p in result.pairs:
+                pair_lines.append(f"{p.treated_id},{p.control_id},{p.distance:.10g}")
+            for d in result.dropped_treated:
+                pair_lines.append(f"{d.unit_id},,{d.reason}")
+            self._emit(f"match_{market_id}.csv", "\n".join(pair_lines) + "\n")
+            self._emit(f"balance_{market_id}.csv", "\n".join(balance_csv_lines(match["balance"])) + "\n")
+            self.tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
+
+    def estimate(self, kinds: tuple[str, ...]) -> None:
+        sample_kinds = [kind for kind in FIT_TITLES if kind in kinds]
+        if sample_kinds:
+            for market_id, fits in self.fits.items():
+                for outcome, transform in OUTCOMES:
+                    label = f"{market_id}_{outcome}"
+                    for kind in sample_kinds:
+                        title = f"{FIT_TITLES[kind]}: {label} ({transform})"
+                        self._emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
+        if "demand" in kinds:
+            control_id = self.config.control_market_id
+            for market_id in self.config.treated_ids():
+                mask = (self.demand.market_id == market_id) | (self.demand.market_id == control_id)
+                fit = demand_did_fit(self.demand.subset(mask))
+                self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
+
+    def tost(self, kinds: tuple[str, ...]) -> None:
+        for market_id, outcome, fit in self._sample_fits("event"):
+            result = tost_pretrends(fit, bounds=self.bounds, alpha=self.alpha)
+            self._emit(
+                f"tost_{market_id}_{outcome}.json",
+                json.dumps(tost_as_dict(result), indent=2, sort_keys=True) + "\n",
+            )
+
+    def report(self, kinds: tuple[str, ...]) -> None:
+        rows = []
+        for market_id, outcome, fit in self._sample_fits("dual"):
+            b1 = fit.coefficients["treat_x_post35"]
+            p1 = fit.pvalues["treat_x_post35"]
+            b2 = fit.coefficients["treat_x_post40"]
+            p2 = fit.pvalues["treat_x_post40"]
+            rows.append((market_id, outcome, b1, p1, b2, p2, classify_quadrant(b1, p1, b2, p2, self.alpha)))
+        self._emit("quadrant.csv", "\n".join(quadrant_csv_lines(rows)) + "\n")
+        if self.tables:
+            self._emit("tables.txt", "\n\n".join(self.tables) + "\n")
+
+
+#: the stages in run order: token -> (stage method, fit kinds it reads). All
+#: kinds but ``demand`` are fitted on the matched samples; ``estimate_KIND``
+#: is the ``estimate`` stage restricted to one kind.
+STAGES = {
+    "simulate": (_Run.simulate, ()),
+    "match": (_Run.match, ()),
+    "estimate": (_Run.estimate, ("did", "event", "dual", "demand")),
+    "estimate_did": (_Run.estimate, ("did",)),
+    "estimate_event": (_Run.estimate, ("event",)),
+    "estimate_dual": (_Run.estimate, ("dual",)),
+    "estimate_demand": (_Run.estimate, ("demand",)),
+    "tost": (_Run.tost, ("event",)),
+    "report": (_Run.report, ("dual",)),
+}
 
 
 def run_pipeline(
@@ -390,14 +431,20 @@ def run_pipeline(
     """Run the requested stages and write their artifacts plus a manifest.
 
     ``config`` may be a scenario path or an already-validated config; an
-    explicit ``seed`` overrides the one in the file. Upstream products are
-    computed as needed but only the requested stages write files.
+    explicit ``seed`` overrides the one in the file. ``stages`` defaults to
+    every stage but the ``estimate_KIND`` ones; they run once each, in
+    ``STAGES`` order. Upstream products are computed as needed but only
+    the requested stages write files.
     """
     if not isinstance(config, ScenarioConfig):
         config = parse_scenario(config)
     if seed is not None:
         config = config.with_seed(seed)
-    requested = _normalize_stages(stages)
+    requested = [token for token in STAGES if not token.startswith("estimate_")] if stages is None else list(stages)
+    for token in requested:
+        if token not in STAGES:
+            raise ValidationError(f"unknown stage {token!r}; valid stages: {', '.join(STAGES)}")
+    ran = [token for token in STAGES if token in requested]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -405,97 +452,19 @@ def run_pipeline(
         config_hash=config_hash(config),
         seed=config.seed,
         version=__version__,
-        stages=requested,
+        stages=ran,
         options={"alpha": alpha, "caliper": caliper, "bounds": bounds, "weeks": DEFAULT_WEEKS},
     )
-    needed = {kind for token in requested for kind in STAGE_FITS.get(token, ())}
-    ws = _Workspace(config=config, caliper=caliper, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
-
-    def emit(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text)
-        manifest.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
-
-    def run_stage(token: str, fn) -> None:
+    needed = {kind for token in ran for kind in STAGES[token][1]}
+    run = _Run(config, out, manifest, alpha, caliper, bounds, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
+    for token in ran:
+        stage, kinds = STAGES[token]
         start = time.perf_counter()
         try:
-            fn()
+            stage(run, kinds)
         except OlmsimError as exc:
             raise PipelineError(token, exc) from exc
         manifest.timings[token] = round(time.perf_counter() - start, 6)
-
-    tables: list[str] = []
-
-    def stage_simulate():
-        panel = ws.get_panel()
-        emit("panel.csv", "\n".join(panel_csv_lines(panel)) + "\n")
-        emit("demand.csv", "\n".join(demand_csv_lines(ws.get_demand())) + "\n")
-        for scenario in config.markets:
-            rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
-            emit(f"statics_{scenario.market_id}.csv", "\n".join(statics_csv_lines(rows)) + "\n")
-
-    def stage_match():
-        for market_id, match in ws.get_matches().items():
-            result = match["result"]
-            pair_lines = ["treated_id,control_id,distance"]
-            for p in result.pairs:
-                pair_lines.append(f"{p.treated_id},{p.control_id},{p.distance:.10g}")
-            for d in result.dropped_treated:
-                pair_lines.append(f"{d.unit_id},,{d.reason}")
-            emit(f"match_{market_id}.csv", "\n".join(pair_lines) + "\n")
-            emit(f"balance_{market_id}.csv", "\n".join(balance_csv_lines(match["balance"])) + "\n")
-            tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
-
-    def emit_fit(name: str, fit, title: str) -> None:
-        emit(name, "\n".join(fit_csv_lines(fit)) + "\n")
-        tables.append(fit_text_table(fit, title))
-
-    def stage_estimate(token: str) -> None:
-        kinds = STAGE_FITS[token]
-        sample_kinds = [kind for kind in kinds if kind in FIT_TITLES]
-        if sample_kinds:
-            for market_id, fits in ws.get_fits().items():
-                for outcome, transform in OUTCOMES:
-                    label = f"{market_id}_{outcome}"
-                    for kind in sample_kinds:
-                        title = f"{FIT_TITLES[kind]}: {label} ({transform})"
-                        emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
-        if "demand" in kinds:
-            demand = ws.get_demand()
-            for market_id in config.treated_ids():
-                mask = (demand.market_id == market_id) | (demand.market_id == config.control_market_id)
-                fit = demand_did_fit(demand.subset(mask))
-                emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
-
-    def sample_fits(kind: str) -> list[tuple[str, str, object]]:
-        """(market, outcome, fit) of one kind, sorted by market and outcome."""
-        fits = ws.get_fits()
-        return [(m, o, fits[m][(kind, o)]) for m in sorted(fits) for o in sorted(o for o, _ in OUTCOMES)]
-
-    def stage_tost():
-        for market_id, outcome, fit in sample_fits("event"):
-            result = tost_pretrends(fit, bounds=bounds, alpha=alpha)
-            emit(
-                f"tost_{market_id}_{outcome}.json",
-                json.dumps(tost_as_dict(result), indent=2, sort_keys=True) + "\n",
-            )
-
-    def stage_report():
-        rows = []
-        for market_id, outcome, fit in sample_fits("dual"):
-            b1 = fit.coefficients["treat_x_post35"]
-            p1 = fit.pvalues["treat_x_post35"]
-            b2 = fit.coefficients["treat_x_post40"]
-            p2 = fit.pvalues["treat_x_post40"]
-            rows.append((market_id, outcome, b1, p1, b2, p2, classify_quadrant(b1, p1, b2, p2, alpha)))
-        emit("quadrant.csv", "\n".join(quadrant_csv_lines(rows)) + "\n")
-        if tables:
-            emit("tables.txt", "\n\n".join(tables) + "\n")
-
-    stage_fns = {"simulate": stage_simulate, "match": stage_match, "tost": stage_tost, "report": stage_report}
-    for token in STAGE_TOKENS:
-        if token in requested:
-            run_stage(token, stage_fns.get(token) or functools.partial(stage_estimate, token))
 
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return manifest

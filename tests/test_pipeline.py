@@ -9,8 +9,10 @@ from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
+    DEFAULT_ALPHA,
     OUTCOME_SPECS,
-    _Workspace,
+    STAGES,
+    _Run,
     demand_csv_lines,
     ingest_panel_csv,
     panel_csv_lines,
@@ -223,16 +225,18 @@ class TestRunPipeline:
         assert any(n.startswith("fit_dual_") for n in names)
         assert not any(n.startswith(("fit_did_", "fit_event_", "panel")) for n in names)
 
-    def test_batched_fits_equal_single_fits(self):
-        ws = _Workspace(config=small_config(), caliper=0.02)
+    def test_batched_fits_equal_single_fits(self, tmp_path):
         single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
-        for market_id, fits in ws.get_fits().items():
-            sample = ws.get_samples()[market_id]
+        run = _Run(small_config(), tmp_path, None, DEFAULT_ALPHA, 0.02, None, fit_kinds=tuple(single))
+        for market_id, fits in run.fits.items():
+            sample = run.samples[market_id]
             for spec in OUTCOME_SPECS:
                 for kind, fit_fn in single.items():
                     assert_same_fit(fits[(kind, spec.outcome)], fit_fn(sample, spec))
 
-    @pytest.mark.parametrize("stages", [["tost"], ["estimate_dual", "report"]])
+    @pytest.mark.parametrize(
+        "stages", [["tost"], ["estimate_dual", "report"], *([token] for token in STAGES if token != "tost")]
+    )
     def test_stage_subset_writes_full_run_bytes(self, tmp_path, stages):
         full = run_pipeline(small_config(), tmp_path / "full")
         part = run_pipeline(small_config(), tmp_path / "part", stages=stages)
@@ -241,6 +245,14 @@ class TestRunPipeline:
         assert names and names <= set(full.outputs)
         for name in names:
             assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+    def test_manifest_lists_stages_that_ran_in_table_order(self, tmp_path):
+        forward = run_pipeline(small_config(), tmp_path / "a", stages=["simulate", "report"])
+        backward = run_pipeline(small_config(), tmp_path / "b", stages=["report", "simulate", "simulate"])
+        assert forward.stages == backward.stages == ["simulate", "report"]
+        assert list(backward.timings) == ["simulate", "report"]
+        assert forward.outputs == backward.outputs
+        assert forward.manifest_hash == backward.manifest_hash
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown stage"):
@@ -256,14 +268,16 @@ class TestRunPipeline:
 
 
 class TestCli:
-    def test_simulate_and_estimate(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["did", "event", "dual", "demand"])
+    def test_simulate_and_estimate(self, tmp_path, kind):
         config_path = tmp_path / "scenario.json"
         write_scenario(small_config(), config_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
         assert (out / "panel.csv").exists()
-        assert main(["estimate", "did", "--config", str(config_path), "--out", str(out)]) == 0
-        assert any(p.name.startswith("fit_did_") for p in out.iterdir())
+        assert main(["estimate", kind, "--config", str(config_path), "--out", str(out)]) == 0
+        assert any(p.name.startswith(f"fit_{kind}_") for p in out.iterdir())
+        assert json.loads((out / "manifest.json").read_text())["stages"] == [f"estimate_{kind}"]
 
     def test_report_quadrant(self, tmp_path):
         config_path = tmp_path / "scenario.json"
