@@ -61,6 +61,11 @@ class PanelArrays:
 
     def validate(self, where=_row_label) -> None:
         """Check the per-row invariants, naming the first offending row by ``where(index)``."""
+        for name in ("fjobearn", "fjobratio"):
+            values = self.column(name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValidationError(f"{where(bad[0])}: {name} must be finite, got {values[bad[0]]}")
         for name in ("treat", "post35", "post40", "us", "experienced"):
             _binary(name, self.column(name), where)
         for name, arr in (("fjobnum", self.fjobnum), ("fjobearn", self.fjobearn), ("tenure", self.tenure)):

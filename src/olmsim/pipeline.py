@@ -113,18 +113,10 @@ def demand_csv_lines(arrays: DemandArrays) -> list[str]:
     return _csv_lines(arrays, DEMAND_COLUMNS)
 
 
-def _parse_int(value: str, line: int, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ValidationError(f"line {line}: {name} must be an integer, got {value!r}") from exc
-
-
-def _parse_float(value: str, line: int, name: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ValidationError(f"line {line}: {name} must be numeric, got {value!r}") from exc
+#: the dtype ``ingest_panel_csv`` reads each panel column as
+_PANEL_DTYPES = {name: np.int64 for name in PANEL_COLUMNS} | {
+    "market_id": object, "fjobearn": np.float64, "fjobratio": np.float64,
+}
 
 
 #: columns that must take one value per worker, and one value per month
@@ -148,6 +140,22 @@ def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
 def _csv_line(i: int) -> str:
     """The CSV line of data row ``i``: the header is line 1."""
     return f"line {i + 2}"
+
+
+def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """One panel CSV column as an array of its ``_PANEL_DTYPES`` dtype."""
+    dtype = _PANEL_DTYPES[name]
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        # only a column that fails is read cell by cell, to name the first bad line
+        what = "numeric" if dtype is np.float64 else "a 64-bit integer"
+        for i, cell in enumerate(cells):
+            try:
+                np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise ValidationError(f"{_csv_line(i)}: {name} must be {what}, got {cell!r}") from None
+        raise
 
 
 def _check_panel_invariants(arrays: PanelArrays) -> None:
@@ -183,45 +191,18 @@ def ingest_panel_csv(path: str | Path) -> PanelArrays:
     An error in a data row names its CSV line.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path} is empty") from None
-        if tuple(header) != PANEL_COLUMNS:
-            raise SchemaError(
-                f"{path} header mismatch: expected {','.join(PANEL_COLUMNS)}, got {','.join(header)}"
-            )
-        raw = {name: [] for name in PANEL_COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(PANEL_COLUMNS):
-                raise SchemaError(f"{path} line {line_no}: expected {len(PANEL_COLUMNS)} fields, got {len(row)}")
-            for name, value in zip(PANEL_COLUMNS, row):
-                raw[name].append(value)
-    n = len(raw["worker_id"])
-    if n == 0:
+        lines = list(csv.reader(handle))
+    if not lines:
+        raise SchemaError(f"{path} is empty")
+    header, rows = lines[0], lines[1:]
+    if tuple(header) != PANEL_COLUMNS:
+        raise SchemaError(f"{path} header mismatch: expected {','.join(PANEL_COLUMNS)}, got {','.join(header)}")
+    if not rows:
         raise SchemaError(f"{path} has no data rows")
-
-    def ints(name):
-        return np.array([_parse_int(v, i + 2, name) for i, v in enumerate(raw[name])], dtype=np.int64)
-
-    def floats(name):
-        return np.array([_parse_float(v, i + 2, name) for i, v in enumerate(raw[name])], dtype=np.float64)
-
-    arrays = PanelArrays(
-        worker_id=ints("worker_id"),
-        market_id=np.array(raw["market_id"], dtype=object),
-        month_index=ints("month_index"),
-        treat=ints("treat"),
-        post35=ints("post35"),
-        post40=ints("post40"),
-        fjobnum=ints("fjobnum"),
-        fjobearn=floats("fjobearn"),
-        fjobratio=floats("fjobratio"),
-        tenure=ints("tenure"),
-        us=ints("us"),
-        experienced=ints("experienced"),
-    )
+    for i, row in enumerate(rows):
+        if len(row) != len(PANEL_COLUMNS):
+            raise SchemaError(f"{path} {_csv_line(i)}: expected {len(PANEL_COLUMNS)} fields, got {len(row)}")
+    arrays = PanelArrays(**{name: _parse_column(name, cells) for name, cells in zip(PANEL_COLUMNS, zip(*rows))})
     arrays.validate(where=_csv_line)
     _check_panel_invariants(arrays)
     return arrays
@@ -433,7 +414,9 @@ def run_pipeline(
     ``config`` may be a scenario path or an already-validated config; an
     explicit ``seed`` overrides the one in the file. ``stages`` defaults to
     every stage but the ``estimate_KIND`` ones; they run once each, in
-    ``STAGES`` order. Upstream products are computed as needed but only
+    ``STAGES`` order, and the ``estimate*`` tokens requested together run
+    as one ``estimate`` call over the union of their kinds, timed under
+    the first of them. Upstream products are computed as needed but only
     the requested stages write files.
     """
     if not isinstance(config, ScenarioConfig):
@@ -457,8 +440,13 @@ def run_pipeline(
     )
     needed = {kind for token in ran for kind in STAGES[token][1]}
     run = _Run(config, out, manifest, alpha, caliper, bounds, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
+    # stage method -> (first token that runs it, kinds): tokens sharing a method run it once
+    calls: dict = {}
     for token in ran:
         stage, kinds = STAGES[token]
+        first, union = calls.get(stage, (token, ()))
+        calls[stage] = (first, union + tuple(k for k in kinds if k not in union))
+    for stage, (token, kinds) in calls.items():
         start = time.perf_counter()
         try:
             stage(run, kinds)

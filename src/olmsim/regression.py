@@ -36,6 +36,10 @@ from .panel import DemandArrays, PanelArrays
 ABSORB_TOL = 1e-10
 ABSORB_MAX_ITER = 10_000
 
+#: the relative month the event study omits: the last month before the
+#: first shock
+EVENT_BASELINE = -1
+
 #: default equivalence bound for pre-trend TOST, as a multiple of the
 #: outcome standard deviation
 TOST_SD_MULTIPLE = 0.36
@@ -61,16 +65,15 @@ def absorb_two_way(
     matrix: np.ndarray,
     unit_codes: np.ndarray | None = None,
     time_codes: np.ndarray | None = None,
-    tol: float = ABSORB_TOL,
-    max_iter: int = ABSORB_MAX_ITER,
 ) -> AbsorbResult:
     """Residualize the columns of ``matrix`` on unit and/or time effects.
 
     Alternates group demeaning over the two dimensions. Each column stops
-    once a pass moves none of its cells by more than ``tol`` times the
-    column's largest absolute input value, so where a column stops depends
-    neither on its scale nor on the other columns. Balanced panels stop
-    after the second pass.
+    once a pass moves none of its cells by more than :data:`ABSORB_TOL`
+    times the column's largest absolute input value, so where a column
+    stops depends neither on its scale nor on the other columns. Balanced
+    panels stop after the second pass; a column still moving after
+    :data:`ABSORB_MAX_ITER` passes raises :class:`ConvergenceError`.
     """
     # column-major while demeaning, so each column is contiguous; every
     # column's arithmetic is its own, so the layout changes no result
@@ -99,8 +102,8 @@ def absorb_two_way(
             demean(col)
             column_iterations[j] = len(dims)
             continue
-        bound = tol * np.abs(col).max()
-        for it in range(1, max_iter + 1):
+        bound = ABSORB_TOL * np.abs(col).max()
+        for it in range(1, ABSORB_MAX_ITER + 1):
             before = col.copy()
             demean(col)
             if np.abs(col - before).max() <= bound:
@@ -108,8 +111,8 @@ def absorb_two_way(
                 break
         else:
             raise ConvergenceError(
-                f"two-way absorption of column {j} did not converge within {max_iter} iterations",
-                iterations=max_iter,
+                f"two-way absorption of column {j} did not converge within {ABSORB_MAX_ITER} iterations",
+                iterations=ABSORB_MAX_ITER,
             )
     return AbsorbResult(np.ascontiguousarray(m), int(column_iterations.max(initial=0)), column_iterations)
 
@@ -138,6 +141,22 @@ def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
     return q, r, piv
 
 
+def _solve(q: np.ndarray, r: np.ndarray, piv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of ``y`` on the design that :func:`_pivoted_qr` factored."""
+    beta = np.empty(r.shape[1])
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    return beta
+
+
+def _cluster_codes(cluster_ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cluster codes ``0..g-1`` and the cluster count ``g``; needs ``g >= 2``."""
+    codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
+    g = int(codes.max()) + 1
+    if g < 2:
+        raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
+    return codes, g
+
+
 def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> OlsResult:
     """Least squares via pivoted QR, with rank-deficiency detection.
 
@@ -150,9 +169,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
         X = X[:, None]
     if names is not None and len(names) != X.shape[1]:
         raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
-    q, r, piv = _pivoted_qr(X, names)
-    beta = np.empty(X.shape[1])
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    beta = _solve(*_pivoted_qr(X, names), y)
     fitted = X @ beta
     return OlsResult(coefficients=beta, residuals=y - fitted, fitted=fitted)
 
@@ -179,10 +196,7 @@ def cluster_vcov(X: np.ndarray, residuals: np.ndarray, cluster_ids: np.ndarray) 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
-    g = int(codes.max()) + 1
-    if g < 2:
-        raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
+    codes, g = _cluster_codes(cluster_ids)
     bread = np.linalg.inv(X.T @ X)
     return _sandwich(X, np.asarray(residuals, dtype=np.float64), codes, g, bread)
 
@@ -210,19 +224,11 @@ class RegressionSpec:
     outcome: str = "fjobnum"
     transform: str = "log1p"
     controls: tuple[str, ...] = ("tenure",)
-    fe: tuple[str, ...] = ("worker", "month")
-    cluster: str = "worker"
     market_trend: bool = False
-    baseline_period: int = -1
 
     def __post_init__(self):
         if self.transform not in TRANSFORMS:
             raise ValidationError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
-        if self.cluster not in ("worker", "market", "row"):
-            raise ValidationError(f"cluster must be worker, market, or row, got {self.cluster!r}")
-        for dim in self.fe:
-            if dim not in ("worker", "month"):
-                raise ValidationError(f"fe dimensions must be worker/month, got {dim!r}")
 
 
 @dataclass
@@ -300,24 +306,20 @@ def _fit_columns(
     """
     position = {name: i for i, name in enumerate([*outcomes, *columns])}
     stack = np.column_stack([np.asarray(v, dtype=np.float64) for v in [*outcomes.values(), *columns.values()]])
+    codes, g = _cluster_codes(cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     values, iterations = absorbed.values, absorbed.column_iterations
-    codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
-    g = int(codes.max()) + 1
     fits: dict[tuple[str, str], FitResult] = {}
     for kind, terms in designs.items():
         terms, idx = tuple(terms), [position[t] for t in terms]
         # a C-ordered copy: on the F-ordered ``values[:, idx]``, ``X @ beta``
         # sums in another order
         X = np.take(values, idx, axis=1)
-        q, r, piv = _pivoted_qr(X, terms)
-        if g < 2:
-            raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
+        qr = _pivoted_qr(X, terms)
         bread = np.linalg.inv(X.T @ X)
         for j, (outcome, y) in enumerate(outcomes.items()):
             ya = values[:, j]
-            beta = np.empty(len(terms))
-            beta[piv] = scipy.linalg.solve_triangular(r, q.T @ ya)
+            beta = _solve(*qr, ya)
             residuals = ya - X @ beta
             vcov = _sandwich(X, residuals, codes, g, bread)
             se = np.sqrt(np.diag(vcov))
@@ -344,17 +346,17 @@ def _control_columns(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.
     return cols
 
 
-def _did_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
+def _did_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
     return {"treat_x_post35": arrays.treat * arrays.post35}
 
 
-def _dual_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
+def _dual_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
     if np.any(arrays.post40 > arrays.post35):
         raise ValidationError("post40 must be nested in post35")
     return {"treat_x_post35": arrays.treat * arrays.post35, "treat_x_post40": arrays.treat * arrays.post40}
 
 
-def _event_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
+def _event_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
     post_months = arrays.month_index[arrays.post35 == 1]
     if post_months.size == 0:
         raise ValidationError("panel has no post-shock months (post35 never 1)")
@@ -364,11 +366,11 @@ def _event_terms(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndar
     missing = sorted(set(expected.tolist()) - set(present.tolist()))
     if missing:
         raise ValidationError(f"relative periods missing from panel: {missing}")
-    if spec.baseline_period not in present:
-        raise ValidationError(f"baseline period {spec.baseline_period} not present in panel")
+    if EVENT_BASELINE not in present:
+        raise ValidationError(f"baseline period {EVENT_BASELINE} not present in panel")
     cols: dict[str, np.ndarray] = {}
     for sigma in present:
-        if sigma == spec.baseline_period:
+        if sigma == EVENT_BASELINE:
             continue
         cols[f"treat_rel[{int(sigma)}]"] = arrays.treat * (rel == sigma).astype(np.float64)
     return cols
@@ -401,7 +403,8 @@ def fit_designs(
 
     ``designs`` names entries of :data:`DESIGNS` or maps names to term
     builders. The specs may differ only in outcome and transform; outcomes
-    whose transform keeps the same rows are absorbed together, once.
+    whose transform keeps the same rows are absorbed together, once. Every
+    fit absorbs worker and month effects and clusters on workers.
     """
     if not isinstance(designs, dict):
         if unknown := [kind for kind in designs if kind not in DESIGNS]:
@@ -426,13 +429,11 @@ def fit_designs(
         columns: dict[str, np.ndarray] = {}
         terms: dict[str, list[str]] = {}
         for kind, build in designs.items():
-            cols = {**build(sample, base), **controls}
+            cols = {**build(sample), **controls}
             terms[kind] = list(cols)
             columns.update((name, v) for name, v in cols.items() if name not in columns)
-        unit = sample.worker_id if "worker" in base.fe else None
-        time = sample.month_index if "month" in base.fe else None
-        cluster = np.arange(sample.n_rows) if base.cluster == "row" else sample.column(f"{base.cluster}_id")
-        fits.update(_fit_columns(ys, columns, terms, unit, time, cluster, rows_dropped=int((~keep).sum())))
+        wid = sample.worker_id  # the unit effects and the clusters
+        fits.update(_fit_columns(ys, columns, terms, wid, sample.month_index, wid, rows_dropped=int((~keep).sum())))
     return fits
 
 
@@ -465,7 +466,7 @@ def event_study_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> F
     """Relative-time (lead/lag) model around the first shock.
 
     One ``treat_rel[s]`` coefficient per relative month ``s``, omitting
-    the baseline period (default ``-1``, the last pre-shock month).
+    :data:`EVENT_BASELINE` (``-1``, the last pre-shock month).
     """
     return _fit_one(panel, spec, "event", _event_terms)
 
@@ -476,14 +477,14 @@ def heterogeneity_fit(panel: PanelArrays, spec: RegressionSpec | None = None, mo
     Reports the moderated treatment effect and the moderator-by-post term;
     the moderator's main effect is absorbed by the worker fixed effect.
     """
-    return _fit_one(panel, spec, "heterogeneity", lambda arrays, _: _heterogeneity_terms(arrays, moderator))
+    return _fit_one(panel, spec, "heterogeneity", lambda arrays: _heterogeneity_terms(arrays, moderator))
 
 
-def demand_did_fit(series: DemandArrays, cluster: str = "row", market_trend: bool = False) -> FitResult:
+def demand_did_fit(series: DemandArrays) -> FitResult:
     """Market-week DiD on log1p fulfilled postings with market and week effects.
 
-    ``cluster`` picks the inference level: ``row`` (independent cells,
-    matching the generating process here), ``market``, or ``week``.
+    The one term is ``treat_x_post``. Inference clusters on rows: the
+    generating process draws every market-week cell independently.
     """
     if len(np.unique(series.market_id)) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
@@ -492,12 +493,8 @@ def demand_did_fit(series: DemandArrays, cluster: str = "row", market_trend: boo
     y = np.log1p(series.postnum.astype(np.float64))
     market_codes = np.unique(series.market_id, return_inverse=True)[1]
     cols = {"treat_x_post": series.treat * series.post}
-    if market_trend:
-        cols["treat_x_trend"] = series.treat * series.week_index
-    cluster_ids = {"row": np.arange(series.n_rows), "market": market_codes, "week": series.week_index}.get(cluster)
-    if cluster_ids is None:
-        raise ValidationError(f"cluster must be row, market, or week, got {cluster!r}")
-    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, series.week_index, cluster_ids)
+    rows = np.arange(series.n_rows)
+    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, series.week_index, rows)
     return fits[("demand", "postnum")]
 
 

@@ -445,24 +445,18 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps, outcome=outcome)
 
 
-def generate_demand_arrays(
-    config: ScenarioConfig,
-    weeks: int = 95,
-    shock1_week: int | None = None,
-    shock2_week: int | None = None,
-) -> DemandArrays:
+def generate_demand_arrays(config: ScenarioConfig, weeks: int = 95) -> DemandArrays:
     """Market-week fulfilled-posting counts; deterministic given the seed.
 
     The weekly rate is the market-level transaction volume ``n * q`` at
     the week's AI level, scaled and shifted by a common week effect. The
-    default shock placement mirrors the panel window proportions.
+    shocks fall at week ``weeks // 2`` and ``max(1, weeks // 6)`` weeks
+    later, mirroring the panel window proportions.
     """
     if weeks < 8:
         raise ValidationError(f"demand series needs at least 8 weeks, got {weeks}")
-    s1 = weeks // 2 if shock1_week is None else shock1_week
-    s2 = (s1 + max(1, weeks // 6)) if shock2_week is None else shock2_week
-    if not (1 <= s1 <= s2 < weeks):
-        raise ValidationError(f"need 1 <= shock1_week <= shock2_week < {weeks}, got {s1}, {s2}")
+    s1 = weeks // 2
+    s2 = s1 + max(1, weeks // 6)
     rng = np.random.default_rng([config.seed, 2])
     week_fe = rng.standard_normal(weeks) * config.month_fe_sigma
     week_index = np.arange(weeks)

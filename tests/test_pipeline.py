@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,15 +116,42 @@ class TestPanelCsv:
         with pytest.raises(SchemaError, match="header mismatch"):
             ingest_panel_csv(path)
 
-    def test_bad_integer_field_reports_line(self, tmp_path):
-        arrays = generate_panel_arrays(small_config())
-        lines = panel_csv_lines(arrays)
-        parts = lines[1].split(",")
-        parts[6] = "many"  # fjobnum
-        lines[1] = ",".join(parts)
+    @pytest.mark.parametrize(
+        "n_lines, message", [(0, "is empty"), (1, "has no data rows"), (3, "line 3: expected 12 fields, got 11")]
+    )
+    def test_schema_errors(self, tmp_path, n_lines, message):
+        # the file's first ``n_lines`` lines; a last data line loses its last field
+        lines = panel_csv_lines(generate_panel_arrays(small_config()))[:n_lines]
+        if n_lines > 1:
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        path = tmp_path / "panel.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(SchemaError, match=message):
+            ingest_panel_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            pytest.param("fjobnum", "many", "fjobnum must be a 64-bit integer", id="fjobnum-not-integer"),
+            pytest.param("fjobnum", "2.5", "fjobnum must be a 64-bit integer", id="fjobnum-fraction"),
+            pytest.param("fjobearn", "lots", "fjobearn must be numeric", id="fjobearn-not-numeric"),
+            pytest.param("worker_id", "9" * 20, "worker_id must be a 64-bit integer", id="worker_id-overflow"),
+            pytest.param("fjobearn", "nan", "fjobearn must be finite", id="fjobearn-nan"),
+            pytest.param("fjobearn", "inf", "fjobearn must be finite", id="fjobearn-inf"),
+            pytest.param("fjobratio", "nan", "fjobratio must be finite", id="fjobratio-nan"),
+            pytest.param("fjobratio", "inf", "fjobratio must be finite", id="fjobratio-inf"),
+        ],
+    )
+    def test_bad_field_reports_line(self, tmp_path, column, cell, message):
+        lines = panel_csv_lines(generate_panel_arrays(small_config()))
+        # data row 5, CSV line 7; a later bad cell too: the first one is named
+        for row in (5, 9):
+            parts = lines[row + 1].split(",")
+            parts[PANEL_COLUMNS.index(column)] = cell
+            lines[row + 1] = ",".join(parts)
         path = tmp_path / "panel.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match=rf"^line 7: {message}, got "):
             ingest_panel_csv(path)
 
 
@@ -253,6 +281,24 @@ class TestRunPipeline:
         assert list(backward.timings) == ["simulate", "report"]
         assert forward.outputs == backward.outputs
         assert forward.manifest_hash == backward.manifest_hash
+
+    def test_estimate_tokens_requested_together_run_once(self, tmp_path, monkeypatch):
+        written = Counter()
+        emit = _Run._emit
+
+        def counting_emit(run, name, text):
+            written[name] += 1
+            emit(run, name, text)
+
+        monkeypatch.setattr(_Run, "_emit", counting_emit)
+        manifest = run_pipeline(small_config(), tmp_path, stages=["estimate", "estimate_did", "report"])
+        assert written["fit_did_treated_fjobnum.csv"] == 1
+        assert set(written.values()) == {1}
+        titles = [table.split("\n", 1)[0] for table in (tmp_path / "tables.txt").read_text().split("\n\n")]
+        assert "did: treated_fjobnum (log1p)" in titles
+        assert len(titles) == len(set(titles))
+        assert manifest.stages == ["estimate", "estimate_did", "report"]
+        assert list(manifest.timings) == ["estimate", "report"]
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown stage"):

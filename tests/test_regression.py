@@ -425,6 +425,17 @@ class TestFitDesigns:
         assert fits[("did", "fjobnum")].rows_dropped == 0
         assert fits[("did", "fjobearn")].n_obs + fits[("did", "fjobearn")].rows_dropped == panel.n_rows
 
+    def test_ols_fit_and_cluster_vcov_equal_did_fit(self):
+        # the public solve and covariance run the same steps as the fit path
+        panel = self.panel()
+        fit = did_fit(panel, RegressionSpec(outcome="fjobearn", transform="identity"))
+        stack = np.column_stack([panel.fjobearn, panel.treat * panel.post35, panel.tenure])
+        absorbed = absorb_two_way(stack, panel.worker_id, panel.month_index).values
+        X = np.ascontiguousarray(absorbed[:, 1:])
+        ols = ols_fit(X, absorbed[:, 0], names=list(fit.terms))
+        assert ols.coefficients.tolist() == [fit.coefficients[t] for t in fit.terms]
+        assert np.array_equal(cluster_vcov(X, ols.residuals, panel.worker_id), fit.vcov)
+
     def test_specs_must_share_settings(self):
         specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn", controls=())]
         with pytest.raises(ValidationError, match="differ only"):
