@@ -25,7 +25,6 @@ SEPARATION_COEF_BOUND = 30.0
 
 OFF_SUPPORT = "off-support"
 NO_NEIGHBOR = "no-neighbor-within-caliper"
-UNMATCHED = "unmatched"
 
 #: worker-level covariates used by the validation generator, mirroring the
 #: pre-shock activity summaries a platform panel supports
@@ -46,7 +45,6 @@ class PropensityModel:
     coefficients: np.ndarray
     se: np.ndarray
     n_iter: int
-    converged: bool
 
     def predict_proba(self, covariates: np.ndarray) -> np.ndarray:
         x = _with_intercept(np.asarray(covariates, dtype=np.float64))
@@ -96,8 +94,6 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
 
     beta = np.zeros(k)
     current = nll(beta)
-    converged = False
-    it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
         eta = np.clip(xi @ beta, -35.0, 35.0)
         p = expit(eta)
@@ -123,9 +119,8 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
                 f"propensity coefficients diverging (|coef| > {SEPARATION_COEF_BOUND}): separation"
             )
         if np.max(np.abs(step)) < IRLS_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise SeparationError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     eta = xi @ beta
     p = expit(eta)
@@ -136,7 +131,6 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
         coefficients=beta,
         se=np.sqrt(np.diag(cov)),
         n_iter=it,
-        converged=converged,
     )
 
 
@@ -157,15 +151,11 @@ class DroppedUnit:
 class MatchResult:
     """Outcome of one matching run.
 
-    ``dropped_control`` lists the controls no treated unit claimed, with
-    reason ``unmatched``; treated drops carry ``off-support`` or
-    ``no-neighbor-within-caliper``.
+    Treated drops carry ``off-support`` or ``no-neighbor-within-caliper``.
     """
 
     pairs: list[MatchedPair]
     dropped_treated: list[DroppedUnit]
-    dropped_control: list[DroppedUnit]
-    caliper: float
 
     @property
     def treated_ids(self) -> np.ndarray:
@@ -249,13 +239,7 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
             pairs.append(MatchedPair(int(tid), int(c_sorted[pos]), float(dist)))
         else:
             dropped_treated.append(DroppedUnit(int(tid), NO_NEIGHBOR))
-    dropped_control = [DroppedUnit(int(c_sorted[i]), UNMATCHED) for i in range(n_c) if alive[i]]
-    return MatchResult(
-        pairs=pairs,
-        dropped_treated=dropped_treated,
-        dropped_control=dropped_control,
-        caliper=float(caliper),
-    )
+    return MatchResult(pairs=pairs, dropped_treated=dropped_treated)
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,14 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load and fully validate a scenario JSON file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path} must contain a JSON object")
+    except (ValueError, RecursionError) as exc:
+        # a syntax error (its message gives line and column), an integer past the
+        # interpreter's digit limit, or nesting past its recursion limit
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -16,14 +16,18 @@ whole simulation a deterministic function of ``(config, seed)`` and lets
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Sequence
+import json
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from enum import Enum
+from functools import cache, cached_property
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .market import Equilibrium, MarketPotentialSpec, MarketSpec, PotentialFamily, cournot_equilibrium
+from .errors import ConvergenceError, SchemaError, ValidationError
+from .market import Equilibrium, MarketSpec, cournot_equilibrium
 from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 
 #: months covered by the default panel window: six pre-shock months, a
@@ -483,125 +487,104 @@ def generate_demand_arrays(config: ScenarioConfig, weeks: int = 95) -> DemandArr
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# One codec maps every config dataclass to and from JSON by its own fields
+# and annotations, so adding a field needs no serializer edit.
 
 
-def _potential_to_dict(spec: MarketPotentialSpec) -> dict:
-    out = {"family": spec.family.value, "S0": spec.S0}
-    for name in ("kappa", "mu", "s"):
-        value = getattr(spec, name)
-        if value is not None:
-            out[name] = value
-    return out
+@cache
+def _hints(cls: type) -> dict:
+    return get_type_hints(cls)
 
 
-def _potential_from_dict(data: dict) -> MarketPotentialSpec:
+def _optional(tp):
+    """``X`` for an ``X | None`` annotation, else None."""
+    if get_origin(tp) is UnionType:
+        return next(arg for arg in get_args(tp) if arg is not type(None))
+    return None
+
+
+def _encode(value):
+    if is_dataclass(value):
+        hints = _hints(type(value))
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            # unset optional numbers are left out; unset optional objects are null
+            if item is None and not is_dataclass(_optional(hints[f.name])):
+                continue
+            out[f.name] = _encode(item)
+        return out
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _is_number(value) -> bool:
+    # a finite JSON number; bool is an int subclass but never a number here
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+#: annotation -> (description, JSON value check, conversion)
+_SCALARS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    float: ("a finite number", _is_number, float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+}
+
+
+def _mismatch(path: str, expected: str, value) -> SchemaError:
+    return SchemaError(f"{path or 'scenario'}: expected {expected}, got {json.dumps(value)}")
+
+
+def _decode(tp, value, path: str):
+    """Build an instance of annotation ``tp`` from JSON ``value`` found at ``path``."""
+    inner = _optional(tp)
+    if inner is not None:
+        return None if value is None else _decode(inner, value, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise _mismatch(path, "an array", value)
+        return tuple(_decode(get_args(tp)[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if is_dataclass(tp):
+        return _decode_object(tp, value, path)
+    if issubclass(tp, Enum):
+        choices = [member.value for member in tp]
+        if value not in choices:
+            raise _mismatch(path, f"one of {json.dumps(choices)}", value)
+        return tp(value)
+    expected, check, convert = _SCALARS[tp]
+    if not check(value):
+        raise _mismatch(path, expected, value)
+    return convert(value)
+
+
+def _decode_object(cls: type, value, path: str):
+    if not isinstance(value, dict):
+        raise _mismatch(path, "an object", value)
+    prefix = f"{path}." if path else ""
+    hints = _hints(cls)
+    for key in value:
+        if key not in hints:
+            raise SchemaError(f"{prefix}{key}: unknown field; expected one of {', '.join(hints)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], prefix + f.name)
+        elif f.default is MISSING:
+            raise SchemaError(f"{prefix}{f.name}: missing required field")
     try:
-        family = PotentialFamily(data["family"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"potential.family must be one of "
-                              f"{[f.value for f in PotentialFamily]}: {exc}") from exc
-    return MarketPotentialSpec(
-        family=family,
-        S0=float(data["S0"]),
-        kappa=float(data["kappa"]) if "kappa" in data else None,
-        mu=float(data["mu"]) if "mu" in data else None,
-        s=float(data["s"]) if "s" in data else None,
-    )
+        return cls(**kwargs)
+    except ValidationError as exc:
+        if not path:
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "markets": [
-            {
-                "market_id": m.market_id,
-                "market": {
-                    "n": m.market.n,
-                    "c": m.market.c,
-                    "b": m.market.b,
-                    "potential": _potential_to_dict(m.market.potential),
-                },
-                "a_path": {
-                    "a_pre": m.a_path.a_pre,
-                    "a_post35": m.a_path.a_post35,
-                    "a_post40": m.a_path.a_post40,
-                },
-                "worker_fe_mean": m.worker_fe_mean,
-            }
-            for m in config.markets
-        ],
-        "control_market_id": config.control_market_id,
-        "workers_per_market": config.workers_per_market,
-        "months": list(config.months),
-        "shock1_index": config.shock1_index,
-        "shock2_index": config.shock2_index,
-        "worker_fe_sigma": config.worker_fe_sigma,
-        "month_fe_sigma": config.month_fe_sigma,
-        "noise_sigma": config.noise_sigma,
-        "seed": config.seed,
-        "jobs_scale": config.jobs_scale,
-        "background_rate": config.background_rate,
-        "weekly_scale": config.weekly_scale,
-        "us_share": config.us_share,
-        "experienced_share": config.experienced_share,
-        "moderator_boost": (
-            {"column": config.moderator_boost.column, "multiplier": config.moderator_boost.multiplier}
-            if config.moderator_boost
-            else None
-        ),
-    }
-
-
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ValidationError(f"{context} is missing required field {key!r}")
-    return data[key]
+    return _encode(config)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    markets = []
-    for i, entry in enumerate(_require(data, "markets", "scenario")):
-        context = f"markets[{i}]"
-        spec = _require(entry, "market", context)
-        path = _require(entry, "a_path", context)
-        markets.append(
-            MarketScenario(
-                market_id=str(_require(entry, "market_id", context)),
-                market=MarketSpec(
-                    n=int(_require(spec, "n", f"{context}.market")),
-                    c=float(_require(spec, "c", f"{context}.market")),
-                    b=float(_require(spec, "b", f"{context}.market")),
-                    potential=_potential_from_dict(_require(spec, "potential", f"{context}.market")),
-                ),
-                a_path=AiPath(
-                    a_pre=float(_require(path, "a_pre", f"{context}.a_path")),
-                    a_post35=float(_require(path, "a_post35", f"{context}.a_path")),
-                    a_post40=float(_require(path, "a_post40", f"{context}.a_path")),
-                ),
-                worker_fe_mean=float(entry.get("worker_fe_mean", 0.0)),
-            )
-        )
-    boost = data.get("moderator_boost")
-    kwargs = {}
-    for name in (
-        "workers_per_market", "shock1_index", "shock2_index", "seed",
-    ):
-        if name in data:
-            kwargs[name] = int(data[name])
-    for name in (
-        "worker_fe_sigma", "month_fe_sigma", "noise_sigma", "jobs_scale",
-        "background_rate", "weekly_scale", "us_share", "experienced_share",
-    ):
-        if name in data:
-            kwargs[name] = float(data[name])
-    if "months" in data:
-        kwargs["months"] = tuple(str(m) for m in data["months"])
-    return ScenarioConfig(
-        markets=tuple(markets),
-        control_market_id=str(_require(data, "control_market_id", "scenario")),
-        moderator_boost=(
-            ModeratorBoost(column=str(boost["column"]), multiplier=float(boost["multiplier"]))
-            if boost
-            else None
-        ),
-        **kwargs,
-    )
+    """Decode a scenario document; a malformed field raises SchemaError naming its path."""
+    return _decode(ScenarioConfig, data, "")

@@ -3,9 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assert_same_columns, assert_same_fit
+from conftest import assert_same_columns, assert_same_fit, random_logistic_market
 
-from olmsim.cli import main
+from olmsim.cli import BUILTIN_DEMO, _resolve_config, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
@@ -14,6 +14,7 @@ from olmsim.pipeline import (
     OUTCOME_SPECS,
     STAGES,
     _Run,
+    config_hash,
     demand_csv_lines,
     ingest_panel_csv,
     panel_csv_lines,
@@ -23,8 +24,17 @@ from olmsim.pipeline import (
     write_scenario,
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
-from olmsim.scenarios import honeymoon_config, two_market_config
-from olmsim.synth import AiPath, config_from_dict, config_to_dict, generate_demand_arrays, generate_panel_arrays
+from olmsim.scenarios import demo_config, honeymoon_config, two_market_config
+from olmsim.synth import (
+    AiPath,
+    MarketScenario,
+    ModeratorBoost,
+    ScenarioConfig,
+    config_from_dict,
+    config_to_dict,
+    generate_demand_arrays,
+    generate_panel_arrays,
+)
 
 
 def small_config(seed=5):
@@ -39,14 +49,48 @@ class TestScenarioFiles:
         assert parse_scenario(path) == config
 
     def test_dict_round_trip_fields(self):
-        config = honeymoon_config(workers=10, seed=3)
-        again = config_from_dict(config_to_dict(config))
-        assert again == config
+        logistic = random_logistic_market(np.random.default_rng(0))
+        configs = (
+            honeymoon_config(workers=10, seed=3),
+            ScenarioConfig(
+                markets=(
+                    MarketScenario("treated", logistic, AiPath(0.1, 0.3, 0.5), worker_fe_mean=0.2),
+                    MarketScenario("control", logistic, AiPath(0.1, 0.1, 0.1)),
+                ),
+                control_market_id="control",
+                workers_per_market=10,
+            ),
+            two_market_config(AiPath(0.2, 0.45, 0.6), workers=10, moderator_boost=ModeratorBoost("us", 1.5)),
+        )
+        for config in configs:
+            assert config_from_dict(config_to_dict(config)) == config
+
+    def test_demo_scenario_bytes_pinned(self, tmp_path):
+        # the encoder's output is hashed into every manifest: pin its bytes
+        path = tmp_path / "demo.json"
+        write_scenario(demo_config(), path)
+        assert path.read_bytes() == _resolve_config(BUILTIN_DEMO).read_bytes()
+        assert config_hash(demo_config()) == "b5b791ecfaaf0dfe76098afbb07a4f870d0d3d1c129094cd3438e36ac77c9643"
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"markets": [,]}')
         with pytest.raises(SchemaError, match="line 1"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (b'{"seed": 1' + b"1" * 5000 + b"}", "not valid JSON"),
+            (b"[" * 200_000 + b"]" * 200_000, "not valid JSON"),
+            (b'{"seed": "\xff"}', "cannot read"),
+        ],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit", "not-utf8"],
+    )
+    def test_unparseable_file_is_schema_error(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match=message):
             parse_scenario(path)
 
     def test_missing_file(self, tmp_path):
@@ -77,6 +121,38 @@ class TestScenarioFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError, match="control_market_id"):
             parse_scenario(path)
+
+
+def _potential(data):
+    return data["markets"][0]["market"]["potential"]
+
+
+#: one edit each to a valid scenario document, and the field path the error must name
+MALFORMED = {
+    "missing S0": (lambda d: _potential(d).pop("S0"), "markets[0].market.potential.S0"),
+    "boost without column": (lambda d: d.update(moderator_boost={"multiplier": 1.5}), "moderator_boost.column"),
+    "string integer": (lambda d: d.update(workers_per_market="many"), "workers_per_market"),
+    "null number": (lambda d: d["markets"][0]["market"].update(c=None), "markets[0].market.c"),
+    "market not an object": (lambda d: d.update(markets=[1]), "markets[0]"),
+    "markets not an array": (lambda d: d.update(markets=5), "markets"),
+    "months not an array": (lambda d: d.update(months=5), "months"),
+    "fractional integer": (lambda d: d["markets"][0]["market"].update(n=30.7), "markets[0].market.n"),
+    "boost not an object": (lambda d: d.update(moderator_boost="us"), "moderator_boost"),
+    "unknown key": (lambda d: d.update(worker_fe_sigmaa=0.4), "worker_fe_sigmaa"),
+    "unknown family": (lambda d: _potential(d).update(family="cubic"), "markets[0].market.potential.family"),
+    "negative seed": (lambda d: d.update(seed=-1), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_exits_2_naming_field(tmp_path, capsys, case):
+    edit, field_path = MALFORMED[case]
+    data = config_to_dict(small_config())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert field_path in capsys.readouterr().err
 
 
 class TestPanelCsv:
