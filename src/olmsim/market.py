@@ -20,11 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .errors import BoundaryConditionError, ValidationError
 
-#: absolute tolerance on S'(a*) + c accepted from the root finder
+#: absolute tolerance on S'(a*) + c accepted from the closed-form root
 INFLECTION_TOL = 1e-10
 
 #: |a - a*| window treated as "exactly at the inflection point"
@@ -193,20 +191,24 @@ def cournot_equilibrium(market: MarketSpec, a: float) -> Equilibrium:
 
 
 def inflection_point(market: MarketSpec) -> float:
-    """The unique root a* of S'(a) + c = 0 in (0, 1).
+    """The unique root a* of S'(a) + c = 0 in (0, 1), in closed form.
 
-    S' is strictly decreasing (concavity), so the boundary conditions
-    checked at construction bracket the root; Brent iteration refines it
-    until ``|S'(a*) + c| < 1e-10``.
+    Quadratic family: ``a* = c / (2 kappa)``. Logistic family:
+    ``S'(a) = -(S0/s) L(1 - L)`` with ``L = L((a - mu)/s)``, so a* solves
+    ``L(1 - L) = c s / S0`` for the root ``L <= 1/2`` (``a <= 1 <= mu``)
+    and ``a* = mu + s logit(L)``. A root leaving ``|S'(a*) + c|`` at or
+    above :data:`INFLECTION_TOL` raises :class:`BoundaryConditionError`.
     """
     spec = market.potential
-
-    def gap(a: float) -> float:
-        return potential_slope(spec, a) + market.c
-
-    root = brentq(gap, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    residual = gap(root)
-    if abs(residual) >= INFLECTION_TOL:  # pragma: no cover - brentq is far tighter
+    if spec.family == PotentialFamily.QUADRATIC:
+        root = market.c / (2.0 * spec.kappa)
+    else:
+        r = market.c * spec.s / spec.S0
+        # the smaller root of L**2 - L + r, written without cancellation
+        level = 2.0 * r / (1.0 + math.sqrt(1.0 - 4.0 * r))
+        root = spec.mu + spec.s * math.log(level / (1.0 - level))
+    residual = potential_slope(spec, root) + market.c
+    if abs(residual) >= INFLECTION_TOL:
         raise BoundaryConditionError(
             f"inflection solve left residual {residual:.3e} >= {INFLECTION_TOL}"
         )

@@ -10,11 +10,11 @@ replacement. Tightening the caliper can only remove pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, stdtr
 
 from .errors import EmptySideError, SeparationError, ValidationError
 from .panel import PanelArrays
@@ -174,7 +174,7 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     each claiming the nearest remaining control if it lies within the
     caliper. Unit ids are positions in the input arrays.
     """
-    if caliper <= 0:
+    if not caliper > 0:
         raise ValidationError(f"caliper must be positive, got {caliper}")
     scores = np.asarray(scores, dtype=np.float64)
     treat = np.asarray(treat)
@@ -266,16 +266,30 @@ class BalanceTable:
         return max(abs(r.post.std_diff) for r in self.rows)
 
 
+def _sample_var(x: np.ndarray, mean: float) -> float:
+    """Variance with ``ddof=1`` as ``scipy.stats`` computes it (mean squared
+    deviation times ``n/(n-1)``); 0 for a single value."""
+    n = len(x)
+    return float(np.mean((x - mean) ** 2) * (n / (n - 1))) if n > 1 else 0.0
+
+
 def _balance_side(x_t: np.ndarray, x_c: np.ndarray) -> BalanceSide:
+    n_t, n_c = len(x_t), len(x_c)
     m_t, m_c = float(x_t.mean()), float(x_c.mean())
-    v_t = float(x_t.var(ddof=1)) if len(x_t) > 1 else 0.0
-    v_c = float(x_c.var(ddof=1)) if len(x_c) > 1 else 0.0
+    v_t, v_c = _sample_var(x_t, m_t), _sample_var(x_c, m_c)
     pooled = 0.5 * (v_t + v_c)
     if pooled == 0.0:
         return BalanceSide(m_t, m_c, p_value=1.0 if m_t == m_c else 0.0, std_diff=float("nan"), degenerate=True)
     d = (m_t - m_c) / np.sqrt(pooled)
-    t_res = stats.ttest_ind(x_t, x_c, equal_var=False)
-    return BalanceSide(m_t, m_c, p_value=float(t_res.pvalue), std_diff=float(d))
+    # Welch's t-test in the arithmetic of scipy.stats.ttest_ind(equal_var=False),
+    # whose variance of a single value, and so its p-value, is nan
+    p_value = math.nan
+    if min(n_t, n_c) > 1:
+        vn_t, vn_c = v_t / n_t, v_c / n_c
+        df = (vn_t + vn_c) ** 2 / (vn_t**2 / (n_t - 1) + vn_c**2 / (n_c - 1))
+        t = (m_t - m_c) / math.sqrt(vn_t + vn_c)
+        p_value = float(2.0 * stdtr(df, -abs(t)))
+    return BalanceSide(m_t, m_c, p_value=p_value, std_diff=float(d))
 
 
 def balance_table(

@@ -14,14 +14,19 @@ design. Every fit is a pure function of its inputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy import special
 
 from .errors import (
     ConvergenceError,
@@ -290,10 +295,57 @@ def _transform_outcome(values: np.ndarray, transform: str) -> tuple[np.ndarray, 
 def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
     """Two-sided t-test p-values; a zero SE gives 0 (nonzero beta) or 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = 2.0 * stats.t.sf(np.abs(beta / se), df)
+        p = 2.0 * special.stdtr(df, -np.abs(beta / se))
     return np.where(se == 0.0, np.where(beta != 0.0, 0.0, 1.0), p)
 
 
+#: the OpenBLAS builds bundled in the numpy and scipy wheels: (package,
+#: library path relative to the package's parent, thread-count symbol suffix)
+_OPENBLAS_LIBS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS already
+    loaded in this process; empty with another BLAS."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS_LIBS:
+        for path in sorted(Path(package.__file__).parent.parent.glob(pattern)):
+            try:  # RTLD_NOLOAD: a library not loaded yet stays unloaded
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    The fits are many small, tall least-squares problems, which one thread
+    solves faster than several. Each library gets its previous count back
+    on exit, also when the block raises.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
+@_one_blas_thread()
 def _fit_columns(
     outcomes: dict[str, np.ndarray], columns: dict[str, np.ndarray], designs: dict[str, Sequence[str]],
     unit_codes, time_codes, cluster_ids, rows_dropped: int = 0,
@@ -302,7 +354,8 @@ def _fit_columns(
     ``(design, outcome)``.
 
     ``outcomes`` and ``columns`` share one row set. They are absorbed
-    together once, and each design is factored once for all outcomes.
+    together once, and each design is factored once for all outcomes, on
+    one BLAS thread.
     """
     position = {name: i for i, name in enumerate([*outcomes, *columns])}
     stack = np.column_stack([np.asarray(v, dtype=np.float64) for v in [*outcomes.values(), *columns.values()]])
@@ -523,13 +576,13 @@ def tost_pretrends(fit: FitResult, bounds: float | None = None, alpha: float = 0
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     delta = TOST_SD_MULTIPLE * fit.outcome_sd if bounds is None else float(bounds)
-    if delta <= 0:
-        raise ValidationError(f"equivalence bound must be positive, got {delta}")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValidationError(f"equivalence bound `bounds` must be positive and finite, got {delta}")
     pre = pre_period_terms(fit)
     if not pre:
         raise ValidationError("fit has no pre-shock relative-time coefficients")
     df = fit.n_clusters - 1
-    t_crit = float(stats.t.ppf(1.0 - alpha, df))
+    t_crit = float(special.stdtrit(df, 1.0 - alpha))
     periods = []
     for sigma, term in pre:
         b = fit.coefficients[term]

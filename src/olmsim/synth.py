@@ -25,6 +25,7 @@ from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
+from scipy import special
 
 from .errors import ConvergenceError, SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, cournot_equilibrium
@@ -43,7 +44,8 @@ DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
 _MODERATOR_COLUMNS = ("us", "experienced")
 
 
-#: rates above this go through scipy's ppf instead of the term-by-term search
+#: rates above this invert through ``scipy.special.pdtrik`` instead of the
+#: term-by-term search
 _ICDF_RATE_CUTOFF = 60.0
 
 
@@ -54,7 +56,9 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
     which is what the common-random-number counterfactuals rely on. Small
     rates use a cumulative term search (an order of magnitude faster than
     the generic ppf at panel scale) that carries only the cells still below
-    their uniform; large rates defer to scipy.
+    their uniform; large rates take scipy's ``poisson.ppf`` recipe, the
+    ceiling of ``pdtrik`` stepped back one where the CDF already reaches
+    ``u``.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
@@ -64,9 +68,10 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
     k_flat, u, lam = k.reshape(-1), u.reshape(-1), lam.reshape(-1)
     big = lam > _ICDF_RATE_CUTOFF
     if big.any():
-        from scipy import stats
-
-        k_flat[big] = stats.poisson.ppf(u[big], lam[big]).astype(np.int64)
+        u_big, lam_big = u[big], lam[big]
+        upper = np.ceil(special.pdtrik(u_big, lam_big))
+        lower = np.maximum(upper - 1, 0)
+        k_flat[big] = np.where(special.pdtr(lower, lam_big) >= u_big, lower, upper).astype(np.int64)
     idx = np.flatnonzero(~big)
     u, lam = u[idx], lam[idx]
     p = np.exp(-lam)

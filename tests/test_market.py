@@ -9,9 +9,11 @@ from conftest import (
     random_market,
     random_quadratic_market,
 )
+from scipy.optimize import brentq
 
 from olmsim.errors import BoundaryConditionError, ValidationError
 from olmsim.market import (
+    INFLECTION_TOL,
     MarketPotentialSpec,
     MarketSpec,
     Phase,
@@ -197,6 +199,17 @@ class TestInflection:
             a_star = inflection_point(market)
             assert 0.0 < a_star < 1.0
             assert abs(potential_slope(market.potential, a_star) + market.c) < 1e-10
+
+    @pytest.mark.parametrize("draw", [random_quadratic_market, random_logistic_market])
+    def test_closed_form_matches_brentq(self, draw):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            market = draw(rng)
+            root = brentq(
+                lambda a: potential_slope(market.potential, a) + market.c, 0.0, 1.0,
+                xtol=1e-14, rtol=8.9e-16, maxiter=200,
+            )
+            assert abs(inflection_point(market) - root) < INFLECTION_TOL
 
     def test_derivative_sign_matches_slope_gap(self):
         # sign of dq/da equals sign of S'(a) + c away from a*

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import expit
 
 from olmsim.errors import EmptySideError, SeparationError, ValidationError
 from olmsim.matching import (
     NO_NEIGHBOR,
+    _balance_side,
     OFF_SUPPORT,
     balance_table,
     derive_worker_covariates,
@@ -113,6 +117,10 @@ class TestMatching:
         with pytest.raises(ValidationError):
             propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=0.0)
 
+    def test_nan_caliper_rejected(self):
+        with pytest.raises(ValidationError, match="caliper must be positive, got nan"):
+            propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=float("nan"))
+
     def test_without_replacement_fuzz(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
@@ -183,6 +191,25 @@ class TestBalance:
         res = propensity_match(np.full(6, 0.5), treat, caliper=0.01)
         row = balance_table(x, treat, res, names=("v",)).rows[0]
         assert row.pre.degenerate and np.isnan(row.pre.std_diff)
+
+    def test_welch_pvalue_equals_ttest_ind(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            n_t = int(rng.integers(2, 300))
+            n_c = n_t + int(rng.integers(1, 100))
+            x_t = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), n_t)
+            x_c = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), n_c)
+            if i % 3 == 0:  # tied values, as in count covariates
+                x_t, x_c = np.round(x_t, 1), np.round(x_c, 1)
+            for a, b in ((x_t, x_c), (x_c, x_t)):
+                assert _balance_side(a, b).p_value == stats.ttest_ind(a, b, equal_var=False).pvalue
+
+    def test_single_value_side_gives_nan_like_ttest_ind(self):
+        x_t, x_c = np.array([1.5]), np.array([1.0, 2.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.isnan(stats.ttest_ind(x_t, x_c, equal_var=False).pvalue)
+        assert np.isnan(_balance_side(x_t, x_c).p_value)
 
     def test_confounded_dgp_balance_restored(self):
         covariates, names, treat = simulate_confounded_workers(1500, seed=11)

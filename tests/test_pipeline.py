@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_same_columns, assert_same_fit, random_logistic_market
 
+import olmsim
 from olmsim.cli import BUILTIN_DEMO, _resolve_config, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
@@ -436,6 +441,24 @@ class TestCli:
         assert (out / "balance_treated.csv").exists()
         assert main(["tost", "--config", str(config_path), "--out", str(out), "--bounds", "0.3"]) == 0
         assert (out / "tost_treated_fjobnum.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, option, value", [("tost", "bounds", "nan"), ("tost", "bounds", "inf"), ("match", "caliper", "nan")]
+    )
+    def test_non_finite_option_exits_2_naming_it(self, tmp_path, capsys, command, option, value):
+        config_path = tmp_path / "scenario.json"
+        write_scenario(two_market_config(AiPath(0.2, 0.45, 0.6), workers=60, seed=4), config_path)
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"), f"--{option}", value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err and "must be positive" in err
+
+    def test_import_leaves_out_scipy_stats_and_optimize(self):
+        code = "import sys, olmsim.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_builtin_demo_resolves(self, tmp_path):
         # simulate only, small enough to run quickly

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from conftest import assert_same_fit
+from scipy import stats
 
+from olmsim import regression
 from olmsim.errors import (
+    ConvergenceError,
     RankDeficiencyError,
     SingleClusterError,
     ValidationError,
@@ -26,6 +29,8 @@ from olmsim.regression import (
     tost_pretrends,
 )
 from olmsim.panel import DemandArrays
+from olmsim.scenarios import substitution_config
+from olmsim.synth import generate_panel_arrays
 
 
 def toy_panel(y: np.ndarray, treat_workers, shock_month: int, shock2_month: int | None = None) -> PanelArrays:
@@ -518,6 +523,34 @@ class TestTost:
         with pytest.raises(ValidationError):
             tost_pretrends(fit, bounds=0.1)
 
+    @pytest.mark.parametrize("bounds", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_bound_must_be_positive_and_finite(self, bounds):
+        fit = self.fake_event_fit([0.0] * 3)
+        with pytest.raises(ValidationError, match="bounds"):
+            tost_pretrends(fit, bounds=bounds)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 29, 199, 4999])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.25])
+    def test_critical_value_equals_t_ppf(self, df, alpha):
+        # with estimate 0 and SE 1 a period passes iff delta > t_crit, so
+        # failing at t.ppf and passing at the next float up pins t_crit == t.ppf
+        t_ppf = float(stats.t.ppf(1.0 - alpha, df))
+        fit = self.fake_event_fit([0.0, 0.0], se=1.0, n_clusters=df + 1)
+        assert not tost_pretrends(fit, bounds=t_ppf, alpha=alpha).overall_pass
+        assert tost_pretrends(fit, bounds=float(np.nextafter(t_ppf, np.inf)), alpha=alpha).overall_pass
+
+
+class TestPvalues:
+    def test_equal_t_sf(self):
+        rng = np.random.default_rng(8)
+        stat = np.array([0.0, 1e-8, 0.3, 1.0, 1.96, 2.5, 4.0, 8.0, 40.0])
+        scale = rng.uniform(0.01, 5.0, size=stat.size)
+        beta = np.concatenate([stat * scale, -stat * scale])
+        se = np.concatenate([scale, scale])
+        for df in (1, 2, 3, 7, 29, 30, 199, 4999):
+            expected = 2.0 * stats.t.sf(np.abs(beta / se), df)
+            np.testing.assert_array_equal(regression._pvalues(beta, se, df), expected)
+
 
 class TestEffectSize:
     @pytest.mark.parametrize(
@@ -530,3 +563,79 @@ class TestEffectSize:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             coef_to_percent(float("nan"))
+
+
+blas_controls = regression._openblas_thread_controls()
+
+
+@pytest.mark.skipif(not blas_controls, reason="no bundled OpenBLAS loaded")
+class TestBlasThreads:
+    """``_fit_columns`` runs on one OpenBLAS thread and restores the count."""
+
+    @staticmethod
+    def counts() -> list[int]:
+        return [get() for get, _ in blas_controls]
+
+    @pytest.fixture
+    def two_threads(self):
+        previous = self.counts()
+        for _, set_threads in blas_controls:
+            set_threads(2)
+        yield
+        for (_, set_threads), count in zip(blas_controls, previous):
+            set_threads(count)
+
+    @staticmethod
+    def make_panel(workers: int) -> PanelArrays:
+        return generate_panel_arrays(substitution_config(workers=workers, seed=3))
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return self.make_panel(1000)
+
+    def spy_counts(self, monkeypatch) -> list[list[int]]:
+        seen = []
+        absorb = regression.absorb_two_way
+
+        def spy(*args, **kwargs):
+            seen.append(self.counts())
+            return absorb(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "absorb_two_way", spy)
+        return seen
+
+    def test_one_thread_inside_and_count_restored(self, two_threads, monkeypatch, panel):
+        seen = self.spy_counts(monkeypatch)
+        did_fit(panel)
+        assert seen == [[1] * len(blas_controls)]
+        assert self.counts() == [2] * len(blas_controls)
+
+    def test_count_restored_after_error(self, two_threads, monkeypatch, panel):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("stopped", iterations=0)
+
+        monkeypatch.setattr(regression, "absorb_two_way", fail)
+        with pytest.raises(ConvergenceError):
+            did_fit(panel)
+        assert self.counts() == [2] * len(blas_controls)
+
+    @pytest.mark.parametrize("workers", [200, 1000])
+    def test_fits_identical_on_two_threads(self, two_threads, monkeypatch, workers):
+        panel = self.make_panel(workers)
+        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn")]
+        limited = fit_designs(panel, specs)
+        seen = self.spy_counts(monkeypatch)
+        monkeypatch.setattr(regression, "_fit_columns", regression._fit_columns.__wrapped__)
+        unlimited = fit_designs(panel, specs)
+        assert seen == [[2] * len(blas_controls)]
+        assert limited.keys() == unlimited.keys()
+        n = panel.n_rows
+        for key in limited:
+            a, b = limited[key], unlimited[key]
+            if n > 10_000:
+                # OpenBLAS splits a dot product of more than 10,000 elements
+                # across its threads, so the sums of squares behind within R2
+                # add in another order; each sum is within n * eps of the other
+                assert a.within_r2 == pytest.approx(b.within_r2, rel=0, abs=2 * n * np.finfo(float).eps)
+                b.within_r2 = a.within_r2
+            assert_same_fit(a, b)

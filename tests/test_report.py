@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import random_logistic_market
 
 from olmsim.errors import ValidationError
 from olmsim.market import MarketPotentialSpec, MarketSpec, PotentialFamily, sweep_comparative_statics
@@ -95,6 +98,16 @@ class TestEmission:
         a, q, *_ = lines[2].split(",")
         assert a == "0.1"
         assert len(q.replace(".", "").replace("-", "").lstrip("0")) <= 6
+
+    def test_statics_csv_bytes_logistic_family(self):
+        # pins the phase labels of 20 logistic-family sweeps, whose a* the
+        # demo goldens (all quadratic) never reach
+        rng = np.random.default_rng(41)
+        digest = hashlib.sha256()
+        for _ in range(20):
+            lines = statics_csv_lines(sweep_comparative_statics(random_logistic_market(rng), 101))
+            digest.update(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == "0736c0c44bffed340acea511b90f539e3e7bf6a14e07bcb6e51d6bc0d303fdb6"
 
     def test_balance_tables(self):
         x = np.array([[1.0, 3.0], [2.0, 4.0], [3.0, 5.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0]])

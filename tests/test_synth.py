@@ -40,6 +40,22 @@ class TestPoissonIcdf:
     def test_high_rate_and_extreme_quantiles(self):
         u = np.array([0.0, 1e-12, 0.5, 0.999999, 0.9999999999])
         lam = np.full(5, 150.0)
+        got = poisson_icdf(u, lam)
+        # scipy's ppf returns its boundary value -1 at u = 0; the smallest k
+        # with CDF(k) >= 0 is 0
+        assert got[0] == 0
+        np.testing.assert_array_equal(got[1:], stats.poisson.ppf(u[1:], lam[1:]))
+
+    def test_zero_quantile_is_zero_on_both_sides_of_cutoff(self):
+        lam = np.array([synth._ICDF_RATE_CUTOFF - 1.0, synth._ICDF_RATE_CUTOFF + 1.0])
+        got = poisson_icdf(np.zeros(2), lam)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [0, 0])
+
+    def test_large_rates_match_scipy_ppf(self):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(size=20000)
+        lam = rng.uniform(synth._ICDF_RATE_CUTOFF, 5000.0, size=20000)
         np.testing.assert_array_equal(poisson_icdf(u, lam), stats.poisson.ppf(u, lam))
 
     def test_zero_rate(self):
