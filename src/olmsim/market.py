@@ -215,6 +215,11 @@ def inflection_point(market: MarketSpec) -> float:
     return float(root)
 
 
+def _phase(a: float, a_star: float) -> Phase:
+    """Honeymoon more than :data:`BOUNDARY_ATOL` below ``a_star``, else substitution."""
+    return Phase.HONEYMOON if a < a_star - BOUNDARY_ATOL else Phase.SUBSTITUTION
+
+
 def classify_phase(market: MarketSpec, a: float) -> PhaseResult:
     """Honeymoon below the inflection point, substitution at or above it.
 
@@ -223,11 +228,7 @@ def classify_phase(market: MarketSpec, a: float) -> PhaseResult:
     """
     a = _check_ai_level(a)
     a_star = inflection_point(market)
-    if abs(a - a_star) <= BOUNDARY_ATOL:
-        return PhaseResult(Phase.SUBSTITUTION, at_boundary=True)
-    if a < a_star:
-        return PhaseResult(Phase.HONEYMOON)
-    return PhaseResult(Phase.SUBSTITUTION)
+    return PhaseResult(_phase(a, a_star), at_boundary=abs(a - a_star) <= BOUNDARY_ATOL)
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,5 @@ def sweep_comparative_statics(market: MarketSpec, grid_size: int) -> list[Static
     for k in range(grid_size):
         a = k / (grid_size - 1)
         eq = cournot_equilibrium(market, a)
-        phase = Phase.HONEYMOON if a < a_star - BOUNDARY_ATOL else Phase.SUBSTITUTION
-        rows.append(StaticsRow(a=a, q=eq.q, p=eq.p, profit=eq.profit, revenue=eq.revenue, phase=phase))
+        rows.append(StaticsRow(a=a, q=eq.q, p=eq.p, profit=eq.profit, revenue=eq.revenue, phase=_phase(a, a_star)))
     return rows

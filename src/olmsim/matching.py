@@ -3,14 +3,19 @@ nearest-neighbor matching with caliper and common support, and balance
 diagnostics.
 
 Matching is deliberately sequential and deterministic: treated units are
-processed in descending propensity order, each taking the nearest control
-still available (ties resolve toward the lower-score control), without
-replacement. Tightening the caliper can only remove pairs.
+processed in descending propensity order (the lower id first on ties),
+each taking the nearest control still available, without replacement. A
+distance tie resolves toward the lower-score control, and controls with
+equal scores are taken in (score, id) order outward from the treated
+score. The free controls are kept sorted by (score, id); each treated unit
+bisects them, and a matched control leaves them. Tightening the caliper
+can only remove pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +177,9 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     Treated units outside the control score range are dropped first
     (common support); the rest are processed in descending score order,
     each claiming the nearest remaining control if it lies within the
-    caliper. Unit ids are positions in the input arrays.
+    caliper, by the tie rules of the module docstring. Once every control
+    is taken, the remaining treated units are dropped whatever the caliper.
+    Unit ids are positions in the input arrays.
     """
     if not caliper > 0:
         raise ValidationError(f"caliper must be positive, got {caliper}")
@@ -192,53 +199,26 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     if active.size == 0:
         raise EmptySideError("no treated units on common support")
 
-    # controls sorted by (score, id); lazy skip pointers give the nearest
-    # still-available neighbor on each side
+    # free controls sorted by (score, id); a matched control leaves both lists
     order = np.lexsort((control_ids, scores[control_ids]))
-    c_sorted = control_ids[order]
-    cs = scores[c_sorted]
-    n_c = len(c_sorted)
-    alive = np.ones(n_c, dtype=bool)
-    skip_r = np.arange(n_c, dtype=np.int64)
-    skip_l = np.arange(n_c, dtype=np.int64)
-
-    def alive_right(pos: int) -> int:
-        path = []
-        while 0 <= pos < n_c and not alive[pos]:
-            path.append(pos)
-            nxt = skip_r[pos]
-            pos = int(nxt) if nxt > pos else pos + 1
-        for q in path:
-            skip_r[q] = pos
-        return pos
-
-    def alive_left(pos: int) -> int:
-        path = []
-        while 0 <= pos < n_c and not alive[pos]:
-            path.append(pos)
-            prv = skip_l[pos]
-            pos = int(prv) if prv < pos else pos - 1
-        for q in path:
-            skip_l[q] = pos
-        return pos
-
+    free_ids = control_ids[order].tolist()
+    free_scores = scores[free_ids].tolist()
     # descending score; ties resolve to the lower unit id for determinism
-    t_order = np.lexsort((active, -scores[active]))
+    active = active[np.lexsort((active, -scores[active]))]
     pairs: list[MatchedPair] = []
-    for tid in active[t_order]:
-        s = scores[tid]
-        ins = int(np.searchsorted(cs, s))
-        right = alive_right(ins)
-        left = alive_left(ins - 1)
-        d_right = cs[right] - s if right < n_c else np.inf
-        d_left = s - cs[left] if left >= 0 else np.inf
-        pos = left if d_left <= d_right else right
-        dist = min(d_left, d_right)
-        if dist <= caliper:
-            alive[pos] = False
-            pairs.append(MatchedPair(int(tid), int(c_sorted[pos]), float(dist)))
+    for tid, s in zip(active.tolist(), scores[active].tolist()):
+        pos = bisect_left(free_scores, s)
+        d_left = s - free_scores[pos - 1] if pos > 0 else math.inf
+        d_right = free_scores[pos] - s if pos < len(free_scores) else math.inf
+        if d_left <= d_right:
+            pos, dist = pos - 1, d_left
         else:
-            dropped_treated.append(DroppedUnit(int(tid), NO_NEIGHBOR))
+            dist = d_right
+        if dist <= caliper and free_ids:
+            free_scores.pop(pos)
+            pairs.append(MatchedPair(tid, free_ids.pop(pos), dist))
+        else:
+            dropped_treated.append(DroppedUnit(tid, NO_NEIGHBOR))
     return MatchResult(pairs=pairs, dropped_treated=dropped_treated)
 
 

@@ -34,7 +34,7 @@ from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, derive_worker_covariates, logit_fit, propensity_match
 from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
-from .regression import RegressionSpec, demand_did_fit, fit_designs, tost_pretrends
+from .regression import OUTCOME_TRANSFORMS, RegressionSpec, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
     balance_text_table,
@@ -46,6 +46,7 @@ from .report import (
     tost_as_dict,
 )
 from .synth import (
+    DEFAULT_WEEKS,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
@@ -55,16 +56,15 @@ from .synth import (
 
 DEFAULT_CALIPER = 0.02
 DEFAULT_ALPHA = 0.05
-DEFAULT_WEEKS = 95
 STATICS_GRID = 101
 
 #: rows the CSV writer formats at a time; whole-column formatting holds
 #: every cell's string at once and raises peak memory
 _CSV_BLOCK_ROWS = 4096
 
-#: the three outcome/transform pairs every estimation stage reports
-OUTCOMES = (("fjobnum", "log1p"), ("fjobratio", "identity"), ("fjobearn", "log1p"))
-OUTCOME_SPECS = tuple(RegressionSpec(outcome=o, transform=t, controls=("tenure",)) for o, t in OUTCOMES)
+OUTCOME_SPECS = tuple(
+    RegressionSpec(outcome=o, transform=t, controls=("tenure",)) for o, t in OUTCOME_TRANSFORMS.items()
+)
 
 #: table titles of the fit kinds fitted on the matched samples, in the
 #: order every estimation stage emits them
@@ -279,7 +279,7 @@ class _Run:
 
     @cached_property
     def demand(self) -> DemandArrays:
-        return generate_demand_arrays(self.config, weeks=DEFAULT_WEEKS)
+        return generate_demand_arrays(self.config)
 
     @cached_property
     def matches(self) -> dict:
@@ -326,7 +326,7 @@ class _Run:
 
     def _sample_fits(self, kind: str) -> list[tuple[str, str, object]]:
         """(market, outcome, fit) of one kind, sorted by market and outcome."""
-        return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(o for o, _ in OUTCOMES)]
+        return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(OUTCOME_TRANSFORMS)]
 
     def simulate(self, kinds: tuple[str, ...]) -> None:
         self._emit("panel.csv", "\n".join(panel_csv_lines(self.panel)) + "\n")
@@ -351,7 +351,7 @@ class _Run:
         sample_kinds = [kind for kind in FIT_TITLES if kind in kinds]
         if sample_kinds:
             for market_id, fits in self.fits.items():
-                for outcome, transform in OUTCOMES:
+                for outcome, transform in OUTCOME_TRANSFORMS.items():
                     label = f"{market_id}_{outcome}"
                     for kind in sample_kinds:
                         title = f"{FIT_TITLES[kind]}: {label} ({transform})"

@@ -20,7 +20,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -51,6 +51,11 @@ TOST_SD_MULTIPLE = 0.36
 
 TRANSFORMS = ("log1p", "identity", "log")
 
+#: the outcomes every estimation stage reports, in report order, and the
+#: transform each is fitted on; the ground-truth oracle averages the same
+#: transformed outcomes
+OUTCOME_TRANSFORMS = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
+
 _REL_TERM = re.compile(r"^treat_rel\[(-?\d+)\]$")
 
 
@@ -66,12 +71,8 @@ class AbsorbResult:
     column_iterations: np.ndarray = field(repr=False, default=None)
 
 
-def absorb_two_way(
-    matrix: np.ndarray,
-    unit_codes: np.ndarray | None = None,
-    time_codes: np.ndarray | None = None,
-) -> AbsorbResult:
-    """Residualize the columns of ``matrix`` on unit and/or time effects.
+def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.ndarray) -> AbsorbResult:
+    """Residualize the columns of ``matrix`` on unit and time effects.
 
     Alternates group demeaning over the two dimensions. Each column stops
     once a pass moves none of its cells by more than :data:`ABSORB_TOL`
@@ -87,12 +88,11 @@ def absorb_two_way(
         m = m[:, None]
     dims = []
     for codes in (unit_codes, time_codes):
-        if codes is not None:
-            codes = np.asarray(codes)
-            if codes.shape != (m.shape[0],):
-                raise ValidationError(f"fixed-effect codes have shape {codes.shape}, expected ({m.shape[0]},)")
-            compact = np.unique(codes, return_inverse=True)[1]
-            dims.append((compact, np.bincount(compact).astype(np.float64)))
+        codes = np.asarray(codes)
+        if codes.shape != (m.shape[0],):
+            raise ValidationError(f"fixed-effect codes have shape {codes.shape}, expected ({m.shape[0]},)")
+        compact = np.unique(codes, return_inverse=True)[1]
+        dims.append((compact, np.bincount(compact).astype(np.float64)))
     k = m.shape[1]
     column_iterations = np.zeros(k, dtype=np.int64)
 
@@ -103,10 +103,6 @@ def absorb_two_way(
 
     for j in range(k):
         col = m[:, j]
-        if len(dims) < 2:  # one pass is exact for a single dimension
-            demean(col)
-            column_iterations[j] = len(dims)
-            continue
         bound = ABSORB_TOL * np.abs(col).max()
         for it in range(1, ABSORB_MAX_ITER + 1):
             before = col.copy()
@@ -219,17 +215,17 @@ def coef_to_percent(beta: float) -> float:
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """Shared settings for the panel fits.
+    """Outcome, transform and controls of a panel fit.
 
     ``transform`` is applied to the outcome column: ``log1p`` (default,
     keeps zero-count months), ``identity``, or ``log`` which drops rows
-    with a nonpositive outcome.
+    with a nonpositive outcome. ``controls`` name panel columns that
+    follow the interest terms in every design.
     """
 
     outcome: str = "fjobnum"
     transform: str = "log1p"
     controls: tuple[str, ...] = ("tenure",)
-    market_trend: bool = False
 
     def __post_init__(self):
         if self.transform not in TRANSFORMS:
@@ -279,7 +275,7 @@ class TostResult:
     alpha: float
 
 
-def _transform_outcome(values: np.ndarray, transform: str) -> tuple[np.ndarray, np.ndarray]:
+def transform_outcome(values: np.ndarray, transform: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (transformed outcome, keep mask)."""
     values = np.asarray(values, dtype=np.float64)
     if transform == "log1p":
@@ -390,15 +386,6 @@ def _fit_columns(
     return fits
 
 
-def _control_columns(arrays: PanelArrays, spec: RegressionSpec) -> dict[str, np.ndarray]:
-    cols: dict[str, np.ndarray] = {}
-    if spec.market_trend:
-        cols["treat_x_trend"] = arrays.treat * arrays.month_index
-    for name in spec.controls:
-        cols[name] = arrays.column(name).astype(np.float64)
-    return cols
-
-
 def _did_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
     return {"treat_x_post35": arrays.treat * arrays.post35}
 
@@ -433,12 +420,9 @@ def _heterogeneity_terms(arrays: PanelArrays, moderator: str) -> dict[str, np.nd
     mod = arrays.column(moderator)
     if np.any((mod != 0) & (mod != 1)):
         raise ValidationError(f"moderator {moderator!r} must be binary")
-    order = np.argsort(arrays.worker_id, kind="stable")
-    wid, first = np.unique(arrays.worker_id[order], return_index=True)
-    per_worker = mod[order]
-    varies = np.minimum.reduceat(per_worker, first) != np.maximum.reduceat(per_worker, first)
-    if varies.any():
-        raise ValidationError(f"moderator {moderator!r} varies within worker {wid[np.argmax(varies)]}")
+    mixed = np.intersect1d(arrays.worker_id[mod == 0], arrays.worker_id[mod == 1])
+    if mixed.size:
+        raise ValidationError(f"moderator {moderator!r} varies within worker {mixed[0]}")
     gpt = arrays.treat * arrays.post35
     return {f"{moderator}_x_treat_x_post35": mod * gpt, "treat_x_post35": gpt,
             f"{moderator}_x_post35": mod * arrays.post35}
@@ -468,17 +452,17 @@ def fit_designs(
     base = specs[0]
     if len({spec.outcome for spec in specs}) != len(specs):
         raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
-    if any(replace(spec, outcome=base.outcome, transform=base.transform) != base for spec in specs):
+    if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
     groups: dict[bytes, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
     for spec in specs:
-        y, keep = _transform_outcome(panel.column(spec.outcome), spec.transform)
+        y, keep = transform_outcome(panel.column(spec.outcome), spec.transform)
         groups.setdefault(keep.tobytes(), (keep, {}))[1][spec.outcome] = y
     fits: dict[tuple[str, str], FitResult] = {}
     for keep, ys in groups.values():
         sample = panel if keep.all() else panel.subset(keep)
         ys = {outcome: y[keep] for outcome, y in ys.items()} if sample is not panel else ys
-        controls = _control_columns(sample, base)
+        controls = {name: sample.column(name).astype(np.float64) for name in base.controls}
         columns: dict[str, np.ndarray] = {}
         terms: dict[str, list[str]] = {}
         for kind, build in designs.items():
@@ -499,8 +483,7 @@ def did_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult
     """Two-way fixed-effects difference-in-differences.
 
     The interest term ``treat_x_post35`` is the interaction of the treated
-    flag with the first-shock post indicator; with ``market_trend`` set, a
-    treated-group linear time trend is added.
+    flag with the first-shock post indicator; the spec's controls follow it.
     """
     return _fit_one(panel, spec, "did", _did_terms)
 

@@ -30,6 +30,7 @@ from scipy import special
 from .errors import ConvergenceError, SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, cournot_equilibrium
 from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
+from .regression import OUTCOME_TRANSFORMS, transform_outcome
 
 #: months covered by the default panel window: six pre-shock months, a
 #: two-month gap around the first release, ten post-shock months
@@ -40,6 +41,9 @@ DEFAULT_MONTHS = (
 )
 DEFAULT_SHOCK1_INDEX = 6   # first post-release month
 DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
+
+#: weeks in the default market-week demand window
+DEFAULT_WEEKS = 95
 
 _MODERATOR_COLUMNS = ("us", "experienced")
 
@@ -58,12 +62,15 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
     the generic ppf at panel scale) that carries only the cells still below
     their uniform; large rates take scipy's ``poisson.ppf`` recipe, the
     ceiling of ``pdtrik`` stepped back one where the CDF already reaches
-    ``u``.
+    ``u``. A uniform outside [0, 1), or nan, raises :class:`ValidationError`.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
     if np.any(lam < 0):
         raise ValidationError("poisson rate must be nonnegative")
+    valid = (u >= 0) & (u < 1)  # false for nan
+    if not valid.all():
+        raise ValidationError(f"poisson uniform must lie in [0, 1), got {u[~valid][0]}")
     k = np.zeros(u.shape, dtype=np.int64)
     k_flat, u, lam = k.reshape(-1), u.reshape(-1), lam.reshape(-1)
     big = lam > _ICDF_RATE_CUTOFF
@@ -396,13 +403,6 @@ def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
     return _assemble(config, _draw(config, config.seed), counterfactual=False)
 
 
-_TRANSFORMS = {
-    "fjobnum": np.log1p,
-    "fjobearn": np.log1p,
-    "fjobratio": lambda x: x,
-}
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Monte Carlo estimate of the treated-post average treatment effect."""
@@ -431,9 +431,9 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     """
     if reps < 1:
         raise ValidationError("reps must be positive")
-    if outcome not in _TRANSFORMS:
-        raise ValidationError(f"outcome must be one of {sorted(_TRANSFORMS)}, got {outcome!r}")
-    transform = _TRANSFORMS[outcome]
+    if outcome not in OUTCOME_TRANSFORMS:
+        raise ValidationError(f"outcome must be one of {sorted(OUTCOME_TRANSFORMS)}, got {outcome!r}")
+    transform = OUTCOME_TRANSFORMS[outcome]
     treated = []  # (market index, [(q, p) factual, (q, p) frozen])
     for idx, scenario in enumerate(config.markets):
         if scenario.market_id != config.control_market_id:
@@ -447,14 +447,14 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
         draws = _draw(config, config.seed ^ r)
         for k, (idx, levels) in enumerate(treated):
             cells = _MarketCells(config, draws, idx, cols)
-            y1, y0 = (transform(cells.outcome(outcome, q, p)) for q, p in levels)
+            y1, y0 = (transform_outcome(cells.outcome(outcome, q, p), transform)[0] for q, p in levels)
             cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
         diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps, outcome=outcome)
 
 
-def generate_demand_arrays(config: ScenarioConfig, weeks: int = 95) -> DemandArrays:
+def generate_demand_arrays(config: ScenarioConfig, weeks: int = DEFAULT_WEEKS) -> DemandArrays:
     """Market-week fulfilled-posting counts; deterministic given the seed.
 
     The weekly rate is the market-level transaction volume ``n * q`` at

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import expit
 from olmsim.errors import EmptySideError, SeparationError, ValidationError
 from olmsim.matching import (
     NO_NEIGHBOR,
+    DroppedUnit,
     _balance_side,
     OFF_SUPPORT,
     balance_table,
@@ -19,6 +21,38 @@ from olmsim.matching import (
 )
 from olmsim.scenarios import substitution_config
 from olmsim.synth import generate_panel_arrays
+
+
+def reference_match(scores: list[float], treat: list[int], caliper: float):
+    """Greedy matching by brute force, as ``propensity_match`` documents it.
+
+    Treated units off the control score range are dropped first. The rest,
+    in descending score with the lower id first on ties, each scan every
+    free control: the nearest one below the treated score and the nearest
+    at or above it, equal scores taken in (score, id) order outward from
+    the treated score. A distance tie goes to the lower-score side.
+    Returns ``(pairs, drops)`` as tuples.
+    """
+    n = len(scores)
+    controls = [i for i in range(n) if treat[i] == 0]
+    lo, hi = min(scores[c] for c in controls), max(scores[c] for c in controls)
+    drops = [(i, OFF_SUPPORT) for i in range(n) if treat[i] == 1 and not lo <= scores[i] <= hi]
+    active = [i for i in range(n) if treat[i] == 1 and lo <= scores[i] <= hi]
+    free = set(controls)
+    pairs = []
+    for t in sorted(active, key=lambda i: (-scores[i], i)):
+        s = scores[t]
+        left = max(((scores[c], c) for c in free if scores[c] < s), default=None)
+        right = min(((scores[c], c) for c in free if scores[c] >= s), default=None)
+        d_left = s - left[0] if left else math.inf
+        d_right = right[0] - s if right else math.inf
+        chosen, dist = (left, d_left) if d_left <= d_right else (right, d_right)
+        if chosen is not None and dist <= caliper:
+            free.remove(chosen[1])
+            pairs.append((t, chosen[1], dist))
+        else:
+            drops.append((t, NO_NEIGHBOR))
+    return pairs, drops
 
 
 class TestLogit:
@@ -156,6 +190,35 @@ class TestMatching:
             except EmptySideError:
                 continue
             assert counts == sorted(counts)
+
+    def test_equals_brute_force_reference(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for case in range(300):
+            n = int(rng.integers(2, 60))
+            if case % 3 == 0:  # scores on a grid of eighths: equal scores and exactly equal distances
+                scores = rng.integers(0, 9, size=n) / 8.0
+                caliper = float(rng.choice([0.125, 0.25, rng.uniform(0.01, 0.5)]))
+            else:
+                scores = rng.uniform(size=n)
+                caliper = float(rng.uniform(0.01, 0.5))
+            treat = rng.integers(0, 2, size=n)
+            if treat.min() == treat.max():
+                continue
+            try:
+                res = propensity_match(scores, treat, caliper)
+            except EmptySideError:  # every treated unit off support
+                continue
+            pairs, drops = reference_match(scores.tolist(), treat.tolist(), caliper)
+            assert [(p.treated_id, p.control_id, p.distance) for p in res.pairs] == pairs
+            assert [(d.unit_id, d.reason) for d in res.dropped_treated] == drops
+            checked += 1
+        assert checked > 250
+
+    def test_infinite_caliper_never_reuses_a_control(self):
+        res = propensity_match(np.full(4, 0.5), np.array([1, 1, 1, 0]), caliper=math.inf)
+        assert [(p.treated_id, p.control_id, p.distance) for p in res.pairs] == [(0, 3, 0.0)]
+        assert res.dropped_treated == [DroppedUnit(1, NO_NEIGHBOR), DroppedUnit(2, NO_NEIGHBOR)]
 
     def test_matching_respects_distance_to_available_controls(self):
         # highest-score treated goes first and takes the closest control

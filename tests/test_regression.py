@@ -62,18 +62,6 @@ IDENTITY_SPEC = RegressionSpec(outcome="fjobearn", transform="identity", control
 
 
 class TestAbsorb:
-    def test_single_fe_equals_group_demeaning(self):
-        rng = np.random.default_rng(0)
-        codes = rng.integers(0, 5, size=60)
-        x = rng.standard_normal((60, 3))
-        res = absorb_two_way(x, unit_codes=codes)
-        assert res.iterations == 1
-        expected = x.copy()
-        for g in range(5):
-            mask = codes == g
-            expected[mask] -= expected[mask].mean(axis=0)
-        np.testing.assert_allclose(res.values, expected, atol=1e-12)
-
     def test_balanced_matches_dummy_regression_oracle(self):
         rng = np.random.default_rng(1)
         w, t = 4, 4
@@ -261,13 +249,6 @@ class TestDid:
         assert fit.coefficients["treat_x_post35"] == pytest.approx(
             base.coefficients["treat_x_post35"], abs=1e-8
         )
-
-    def test_market_trend_column_present(self):
-        rng = np.random.default_rng(11)
-        y = rng.standard_normal((10, 8))
-        spec = RegressionSpec(outcome="fjobearn", transform="identity", controls=(), market_trend=True)
-        fit = did_fit(toy_panel(y, set(range(5)), shock_month=4), spec)
-        assert "treat_x_trend" in fit.coefficients
 
     def test_pvalues_in_unit_interval(self):
         rng = np.random.default_rng(12)

@@ -85,6 +85,14 @@ class TestPoissonIcdf:
         assert (lam > synth._ICDF_RATE_CUTOFF).any() and (lam <= synth._ICDF_RATE_CUTOFF).any()
         np.testing.assert_array_equal(poisson_icdf(u, lam), stats.poisson.ppf(u, lam))
 
+    @pytest.mark.parametrize("lam", [10.0, 100.0])
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, float("nan")])
+    def test_uniform_outside_unit_interval_rejected(self, bad, lam):
+        # rates 10 and 100 lie on either side of the cutoff
+        assert 10.0 < synth._ICDF_RATE_CUTOFF < 100.0
+        with pytest.raises(ValidationError, match=f"must lie in \\[0, 1\\), got {bad}"):
+            poisson_icdf(np.array([0.5, bad]), np.array([lam, lam]))
+
     def test_max_count_exceeded_raises(self):
         with pytest.raises(ConvergenceError, match="exceeded 5 terms") as info:
             poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]), max_count=5)
