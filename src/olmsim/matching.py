@@ -71,16 +71,17 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
 def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] | None = None) -> PropensityModel:
     """Fit the propensity model by Newton-Raphson (IRLS).
 
-    Converges when the largest coefficient update falls below 1e-8.
-    Divergence (any |coefficient| above 30, a singular Hessian, or hitting
-    the iteration cap) is reported as separation.
+    ``covariates`` holds one row per label. Converges when the largest
+    coefficient update falls below 1e-8. Divergence (any |coefficient|
+    above 30, a singular Hessian, or hitting the iteration cap) is reported
+    as separation.
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[1] == 0:
-        x = np.empty((len(treat), 0))
     y = np.asarray(treat, dtype=np.float64)
+    if x.shape[0] != len(y):
+        raise ValidationError(f"got {len(y)} treatment labels for {x.shape[0]} covariate rows")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValidationError("treatment labels must be 0/1")
     if y.min() == y.max():
@@ -241,9 +242,6 @@ class BalanceRow:
 @dataclass
 class BalanceTable:
     rows: list[BalanceRow]
-
-    def max_abs_post_diff(self) -> float:
-        return max(abs(r.post.std_diff) for r in self.rows)
 
 
 def _sample_var(x: np.ndarray, mean: float) -> float:

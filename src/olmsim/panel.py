@@ -25,6 +25,35 @@ def _binary(name: str, arr: np.ndarray, where) -> None:
         raise ValidationError(f"{where(bad[0])}: {name} must be 0/1, got {arr[bad[0]]}")
 
 
+def _check_columns(arrays) -> None:
+    """Make every field of a container an array as long as its first field."""
+    columns = fields(arrays)
+    n = len(getattr(arrays, columns[0].name))
+    for f in columns:
+        arr = np.asarray(getattr(arrays, f.name))
+        if arr.shape != (n,):
+            raise ValidationError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
+        object.__setattr__(arrays, f.name, arr)
+
+
+#: columns that must take one value per worker, and one value per month
+_WORKER_CONSTANT = ("treat", "market_id", "us", "experienced")
+_MONTH_CONSTANT = ("post35", "post40")
+
+
+def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row in row order with the same key values."""
+    order = np.lexsort(keys[::-1])  # stable: rows with equal keys keep their order
+    new_group = np.zeros(len(order), dtype=bool)
+    new_group[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new_group[1:] |= ordered[1:] != ordered[:-1]
+    first = np.empty_like(order)
+    first[order] = order[new_group][np.cumsum(new_group) - 1]
+    return first
+
+
 @dataclass
 class PanelArrays:
     """Columnar worker-month panel."""
@@ -43,12 +72,7 @@ class PanelArrays:
     experienced: np.ndarray
 
     def __post_init__(self):
-        n = len(self.worker_id)
-        for f in fields(self):
-            arr = np.asarray(getattr(self, f.name))
-            if arr.shape != (n,):
-                raise ValidationError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
-            object.__setattr__(self, f.name, arr)
+        _check_columns(self)
 
     @property
     def n_rows(self) -> int:
@@ -60,7 +84,15 @@ class PanelArrays:
         return getattr(self, name)
 
     def validate(self, where=_row_label) -> None:
-        """Check the per-row invariants, naming the first offending row by ``where(index)``."""
+        """Check every invariant of a panel, naming the first offending row by ``where(index)``.
+
+        The row checks come first: 0/1 flags, nonnegative counts, finite
+        earnings and ratios, ``fjobratio`` in [0, 1], no earnings without
+        jobs, and ``post40`` nested in ``post35``. Then the panel-level
+        ones: each (worker, month) cell appears once, ``treat``,
+        ``market_id``, ``us`` and ``experienced`` are fixed within a worker,
+        and ``post35`` and ``post40`` within a month.
+        """
         for name in ("fjobearn", "fjobratio"):
             values = self.column(name)
             bad = np.flatnonzero(~np.isfinite(values))
@@ -83,6 +115,26 @@ class PanelArrays:
         bad = np.nonzero((self.post40 == 1) & (self.post35 == 0))[0]
         if bad.size:
             raise ValidationError(f"{where(bad[0])}: post40=1 requires post35=1")
+        first = _group_first_rows(self.worker_id, self.month_index)
+        dup = np.flatnonzero(first != np.arange(self.n_rows))
+        if dup.size:
+            i = dup[0]
+            raise ValidationError(
+                f"{where(i)}: duplicate worker_id,month_index cell ({self.worker_id[i]}, "
+                f"{self.month_index[i]}), first at {where(first[i])}"
+            )
+        for key, names in (("worker_id", _WORKER_CONSTANT), ("month_index", _MONTH_CONSTANT)):
+            groups = self.column(key)
+            first = _group_first_rows(groups)
+            for name in names:
+                values = self.column(name)
+                bad = np.flatnonzero(values != values[first])
+                if bad.size:
+                    i = bad[0]
+                    raise ValidationError(
+                        f"{where(i)}: {name} must be the same on every row of {key} {groups[i]}, "
+                        f"got {values[i]} here and {values[first[i]]} at {where(first[i])}"
+                    )
 
     def subset(self, mask: np.ndarray) -> "PanelArrays":
         return PanelArrays(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
@@ -97,6 +149,9 @@ class DemandArrays:
     postnum: np.ndarray
     treat: np.ndarray
     post: np.ndarray
+
+    def __post_init__(self):
+        _check_columns(self)
 
     @property
     def n_rows(self) -> int:

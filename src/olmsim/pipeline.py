@@ -119,24 +119,6 @@ _PANEL_DTYPES = {name: np.int64 for name in PANEL_COLUMNS} | {
 }
 
 
-#: columns that must take one value per worker, and one value per month
-_WORKER_CONSTANT = ("treat", "market_id", "us", "experienced")
-_MONTH_CONSTANT = ("post35", "post40")
-
-
-def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row in file order with the same key values."""
-    order = np.lexsort(keys[::-1])  # stable: rows with equal keys keep their file order
-    new_group = np.zeros(len(order), dtype=bool)
-    new_group[0] = True
-    for key in keys:
-        ordered = key[order]
-        new_group[1:] |= ordered[1:] != ordered[:-1]
-    first = np.empty_like(order)
-    first[order] = order[new_group][np.cumsum(new_group) - 1]
-    return first
-
-
 def _csv_line(i: int) -> str:
     """The CSV line of data row ``i``: the header is line 1."""
     return f"line {i + 2}"
@@ -158,36 +140,10 @@ def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
         raise
 
 
-def _check_panel_invariants(arrays: PanelArrays) -> None:
-    """Cross-row invariants of a panel, naming the first offending CSV line."""
-    first = _group_first_rows(arrays.worker_id, arrays.month_index)
-    dup = np.flatnonzero(first != np.arange(arrays.n_rows))
-    if dup.size:
-        i = dup[0]
-        raise ValidationError(
-            f"{_csv_line(i)}: duplicate worker_id,month_index cell ({arrays.worker_id[i]}, "
-            f"{arrays.month_index[i]}), first at {_csv_line(first[i])}"
-        )
-    for key, names in (("worker_id", _WORKER_CONSTANT), ("month_index", _MONTH_CONSTANT)):
-        groups = arrays.column(key)
-        first = _group_first_rows(groups)
-        for name in names:
-            values = arrays.column(name)
-            bad = np.flatnonzero(values != values[first])
-            if bad.size:
-                i = bad[0]
-                raise ValidationError(
-                    f"{_csv_line(i)}: {name} must be the same on every row of {key} {groups[i]}, "
-                    f"got {values[i]} here and {values[first[i]]} at {_csv_line(first[i])}"
-                )
-
-
 def ingest_panel_csv(path: str | Path) -> PanelArrays:
-    """Read a panel CSV into columns, enforcing the exact schema and every row invariant.
+    """Read a panel CSV into columns, enforcing the exact schema and every
+    invariant of :meth:`PanelArrays.validate`, row and panel level alike.
 
-    Panel-level invariants are checked too: each (worker, month) cell
-    appears once, ``treat``, ``market_id``, ``us`` and ``experienced`` are
-    fixed within a worker, and ``post35`` and ``post40`` within a month.
     An error in a data row names its CSV line.
     """
     with open(path, newline="") as handle:
@@ -204,7 +160,6 @@ def ingest_panel_csv(path: str | Path) -> PanelArrays:
             raise SchemaError(f"{path} {_csv_line(i)}: expected {len(PANEL_COLUMNS)} fields, got {len(row)}")
     arrays = PanelArrays(**{name: _parse_column(name, cells) for name, cells in zip(PANEL_COLUMNS, zip(*rows))})
     arrays.validate(where=_csv_line)
-    _check_panel_invariants(arrays)
     return arrays
 
 

@@ -2,9 +2,9 @@
 event studies, dual-shock designs, demand regressions, moderation, and
 pre-trend equivalence testing.
 
-Every fit runs through one path: stack the transformed outcomes that keep
-the same rows with the union of the columns of every requested design,
-absorb the fixed effects of that stack once by alternating demeaning,
+Every fit runs through one path: stack the transformed outcomes with the
+union of the columns of every requested design, all on the sample's own
+rows, absorb the fixed effects of that stack once by alternating demeaning,
 factor each design once by pivoted QR, then solve and compute a clustered
 sandwich covariance per outcome. :func:`fit_designs` fits several outcomes
 and designs of one sample this way, as the pipeline does for each matched
@@ -49,7 +49,7 @@ EVENT_BASELINE = -1
 #: outcome standard deviation
 TOST_SD_MULTIPLE = 0.36
 
-TRANSFORMS = ("log1p", "identity", "log")
+TRANSFORMS = ("log1p", "identity")
 
 #: the outcomes every estimation stage reports, in report order, and the
 #: transform each is fitted on; the ground-truth oracle averages the same
@@ -218,9 +218,11 @@ class RegressionSpec:
     """Outcome, transform and controls of a panel fit.
 
     ``transform`` is applied to the outcome column: ``log1p`` (default,
-    keeps zero-count months), ``identity``, or ``log`` which drops rows
-    with a nonpositive outcome. ``controls`` name panel columns that
-    follow the interest terms in every design.
+    keeps zero-count months) or ``identity``. Neither drops a row, so every
+    fit runs on every row of its panel; to fit the log of a positive
+    outcome, subset the panel to its positive rows, replace the outcome
+    column by its log and fit that with ``identity``. ``controls`` name
+    panel columns that follow the interest terms in every design.
     """
 
     outcome: str = "fjobnum"
@@ -246,9 +248,6 @@ class FitResult:
     outcome_sd: float
     vcov: np.ndarray = field(repr=False, default=None)
     terms: tuple[str, ...] = ()
-    #: rows the outcome transform dropped before fitting (``log`` drops
-    #: nonpositive outcomes)
-    rows_dropped: int = 0
 
     def tstat(self, term: str) -> float:
         s = self.se[term]
@@ -275,17 +274,12 @@ class TostResult:
     alpha: float
 
 
-def transform_outcome(values: np.ndarray, transform: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (transformed outcome, keep mask)."""
+def transform_outcome(values: np.ndarray, transform: str) -> np.ndarray:
+    """The outcome under ``transform`` (one of :data:`TRANSFORMS`), row for row."""
+    if transform not in TRANSFORMS:
+        raise ValidationError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     values = np.asarray(values, dtype=np.float64)
-    if transform == "log1p":
-        return np.log1p(values), np.ones(len(values), dtype=bool)
-    if transform == "identity":
-        return values, np.ones(len(values), dtype=bool)
-    keep = values > 0
-    out = np.zeros(len(values))
-    out[keep] = np.log(values[keep])
-    return out, keep
+    return np.log1p(values) if transform == "log1p" else values
 
 
 def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
@@ -344,7 +338,7 @@ def _one_blas_thread():
 @_one_blas_thread()
 def _fit_columns(
     outcomes: dict[str, np.ndarray], columns: dict[str, np.ndarray], designs: dict[str, Sequence[str]],
-    unit_codes, time_codes, cluster_ids, rows_dropped: int = 0,
+    unit_codes, time_codes, cluster_ids,
 ) -> dict[tuple[str, str], FitResult]:
     """Fit every design (a list of regressor names) on every outcome, keyed
     ``(design, outcome)``.
@@ -381,7 +375,7 @@ def _fit_columns(
                 within_r2=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
                 converged_fe_iterations=int(iterations[[j, *idx]].max()),
                 outcome_sd=float(np.std(y, ddof=1)) if len(y) > 1 else 0.0,
-                vcov=vcov, terms=terms, rows_dropped=rows_dropped,
+                vcov=vcov, terms=terms,
             )
     return fits
 
@@ -439,9 +433,10 @@ def fit_designs(
     """Fit each design on each outcome of ``specs``, keyed ``(design, outcome)``.
 
     ``designs`` names entries of :data:`DESIGNS` or maps names to term
-    builders. The specs may differ only in outcome and transform; outcomes
-    whose transform keeps the same rows are absorbed together, once. Every
-    fit absorbs worker and month effects and clusters on workers.
+    builders. The specs may differ only in outcome and transform. Every
+    fit runs on all of the panel's rows: the outcomes and the design
+    columns are absorbed together, once, with worker and month effects,
+    and every fit clusters on workers.
     """
     if not isinstance(designs, dict):
         if unknown := [kind for kind in designs if kind not in DESIGNS]:
@@ -454,24 +449,16 @@ def fit_designs(
         raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
     if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
-    groups: dict[bytes, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
-    for spec in specs:
-        y, keep = transform_outcome(panel.column(spec.outcome), spec.transform)
-        groups.setdefault(keep.tobytes(), (keep, {}))[1][spec.outcome] = y
-    fits: dict[tuple[str, str], FitResult] = {}
-    for keep, ys in groups.values():
-        sample = panel if keep.all() else panel.subset(keep)
-        ys = {outcome: y[keep] for outcome, y in ys.items()} if sample is not panel else ys
-        controls = {name: sample.column(name).astype(np.float64) for name in base.controls}
-        columns: dict[str, np.ndarray] = {}
-        terms: dict[str, list[str]] = {}
-        for kind, build in designs.items():
-            cols = {**build(sample), **controls}
-            terms[kind] = list(cols)
-            columns.update((name, v) for name, v in cols.items() if name not in columns)
-        wid = sample.worker_id  # the unit effects and the clusters
-        fits.update(_fit_columns(ys, columns, terms, wid, sample.month_index, wid, rows_dropped=int((~keep).sum())))
-    return fits
+    ys = {spec.outcome: transform_outcome(panel.column(spec.outcome), spec.transform) for spec in specs}
+    controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
+    columns: dict[str, np.ndarray] = {}
+    terms: dict[str, list[str]] = {}
+    for kind, build in designs.items():
+        cols = {**build(panel), **controls}
+        terms[kind] = list(cols)
+        columns.update((name, v) for name, v in cols.items() if name not in columns)
+    wid = panel.worker_id  # the unit effects and the clusters
+    return _fit_columns(ys, columns, terms, wid, panel.month_index, wid)
 
 
 def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str, build) -> FitResult:

@@ -52,8 +52,11 @@ _MODERATOR_COLUMNS = ("us", "experienced")
 #: term-by-term search
 _ICDF_RATE_CUTOFF = 60.0
 
+#: terms the small-rate search may add before it raises ConvergenceError
+ICDF_MAX_TERMS = 2000
 
-def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.ndarray:
+
+def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Vectorized Poisson inverse CDF: smallest k with CDF(k) >= u.
 
     Drawing counts through a uniform keeps them a pure function of ``u``,
@@ -62,12 +65,16 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
     the generic ppf at panel scale) that carries only the cells still below
     their uniform; large rates take scipy's ``poisson.ppf`` recipe, the
     ceiling of ``pdtrik`` stepped back one where the CDF already reaches
-    ``u``. A uniform outside [0, 1), or nan, raises :class:`ValidationError`.
+    ``u``. A rate that is negative, infinite or nan, or a uniform outside
+    [0, 1) or nan, raises :class:`ValidationError` naming the value; a
+    small-rate search past :data:`ICDF_MAX_TERMS` terms raises
+    :class:`ConvergenceError`.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
-    if np.any(lam < 0):
-        raise ValidationError("poisson rate must be nonnegative")
+    good = (lam >= 0) & (lam < np.inf)  # false for nan
+    if not good.all():
+        raise ValidationError(f"poisson rate must be finite and nonnegative, got {lam[~good][0]}")
     valid = (u >= 0) & (u < 1)  # false for nan
     if not valid.all():
         raise ValidationError(f"poisson uniform must lie in [0, 1), got {u[~valid][0]}")
@@ -90,8 +97,8 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray, max_count: int = 2000) -> np.nd
             return k
         idx, u, lam, p, cum = idx[live], u[live], lam[live], p[live], cum[live]
         i += 1
-        if i > max_count:
-            raise ConvergenceError(f"poisson inverse CDF exceeded {max_count} terms", iterations=i)
+        if i > ICDF_MAX_TERMS:
+            raise ConvergenceError(f"poisson inverse CDF exceeded {ICDF_MAX_TERMS} terms", iterations=i)
         p = p * (lam / i)
         cum = cum + p
         k_flat[idx] = i
@@ -447,7 +454,7 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
         draws = _draw(config, config.seed ^ r)
         for k, (idx, levels) in enumerate(treated):
             cells = _MarketCells(config, draws, idx, cols)
-            y1, y0 = (transform_outcome(cells.outcome(outcome, q, p), transform)[0] for q, p in levels)
+            y1, y0 = (transform_outcome(cells.outcome(outcome, q, p), transform) for q, p in levels)
             cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
         diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

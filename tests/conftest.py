@@ -94,7 +94,7 @@ def assert_same_fit(a, b) -> None:
     assert np.array_equal(a.vcov, b.vcov)
     assert a.within_r2 == b.within_r2
     assert a.converged_fe_iterations == b.converged_fe_iterations
-    assert (a.n_obs, a.n_clusters, a.outcome_sd, a.rows_dropped) == (b.n_obs, b.n_clusters, b.outcome_sd, b.rows_dropped)
+    assert (a.n_obs, a.n_clusters, a.outcome_sd) == (b.n_obs, b.n_clusters, b.outcome_sd)
 
 
 def assert_same_columns(a, b, columns) -> None:

@@ -104,6 +104,13 @@ class TestLogit:
         with pytest.raises(ValidationError):
             logit_fit(np.ones((5, 1)), np.ones(5))
 
+    @pytest.mark.parametrize("covariates", [np.zeros((10, 1)), np.empty((3, 0))])
+    def test_row_count_mismatch_rejected(self, covariates):
+        # 12 labels against 10 covariate rows, and 12 against 3 rows of no covariates
+        y = np.array([0, 1] * 6)
+        with pytest.raises(ValidationError, match=f"got 12 treatment labels for {len(covariates)} covariate rows"):
+            logit_fit(covariates, y)
+
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((200, 2))

@@ -266,7 +266,7 @@ class TestCsvWriter:
 
 
 class TestPanelInvariants:
-    """Cross-row invariants of an ingested panel, each naming the first bad line."""
+    """Cross-row invariants of a panel, each naming the first bad CSV line or row."""
 
     @staticmethod
     def write(tmp_path, lines):
@@ -299,6 +299,20 @@ class TestPanelInvariants:
         message = rf"line {row + 2}: {column} must be the same on every row of month_index {month}"
         with pytest.raises(ValidationError, match=message):
             ingest_panel_csv(self.write(tmp_path, panel_csv_lines(arrays)))
+
+    def test_validate_names_duplicate_cell_row(self):
+        arrays = generate_panel_arrays(small_config())
+        panel = arrays.subset(np.r_[np.arange(arrays.n_rows), 19])  # row 19 again, last
+        message = rf"row {arrays.n_rows}: duplicate worker_id,month_index cell .*first at row 19"
+        with pytest.raises(ValidationError, match=message):
+            panel.validate()
+
+    def test_validate_names_row_where_treat_varies_within_worker(self):
+        arrays = generate_panel_arrays(small_config())
+        row = 3 * 16 + 9  # worker 3, month 9
+        arrays.treat[row] = 1 - arrays.treat[row]
+        with pytest.raises(ValidationError, match=rf"row {row}: treat must be the same on every row of worker_id 3"):
+            arrays.validate()
 
 
 class TestRunPipeline:

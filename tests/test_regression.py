@@ -27,6 +27,7 @@ from olmsim.regression import (
     heterogeneity_fit,
     ols_fit,
     tost_pretrends,
+    transform_outcome,
 )
 from olmsim.panel import DemandArrays
 from olmsim.scenarios import substitution_config
@@ -259,18 +260,12 @@ class TestDid:
         for s in fit.se.values():
             assert s > 0
 
-    def test_log_transform_drops_zero_outcomes(self):
-        rng = np.random.default_rng(13)
-        y = np.abs(rng.standard_normal((20, 8))) + 0.1
-        y[0, 0] = 0.0
-        y[3, 2] = 0.0
-        panel = toy_panel(y, set(range(10)), shock_month=4)
-        spec = RegressionSpec(outcome="fjobearn", transform="log", controls=())
-        fit = did_fit(panel, spec)
-        assert fit.n_obs == 20 * 8 - 2
-        assert fit.rows_dropped == 2
-        assert np.isfinite(fit.coefficients["treat_x_post35"])
-        assert did_fit(panel, IDENTITY_SPEC).rows_dropped == 0
+    @pytest.mark.parametrize("transform", ["log", "bogus"])
+    def test_unknown_transform_rejected(self, transform):
+        with pytest.raises(ValidationError, match=f"got '{transform}'"):
+            RegressionSpec(transform=transform)
+        with pytest.raises(ValidationError, match=f"got '{transform}'"):
+            transform_outcome(np.ones(3), transform)
 
 
 class TestDualShock:
@@ -399,17 +394,13 @@ class TestFitDesigns:
         specs = [
             RegressionSpec(outcome="fjobnum", transform="log1p", controls=controls),
             RegressionSpec(outcome="fjobratio", transform="identity", controls=controls),
-            RegressionSpec(outcome="fjobearn", transform="log", controls=controls),
+            RegressionSpec(outcome="fjobearn", transform="log1p", controls=controls),
         ]
         fits = fit_designs(panel, specs)
         assert set(fits) == {(kind, s.outcome) for kind in self.SINGLE for s in specs}
         for (kind, outcome), fit in fits.items():
             spec = next(s for s in specs if s.outcome == outcome)
             assert_same_fit(fit, self.SINGLE[kind](panel, spec))
-        # the log outcome dropped its zero rows; the others kept every row
-        assert fits[("did", "fjobearn")].rows_dropped == int((panel.fjobearn <= 0).sum()) > 0
-        assert fits[("did", "fjobnum")].rows_dropped == 0
-        assert fits[("did", "fjobearn")].n_obs + fits[("did", "fjobearn")].rows_dropped == panel.n_rows
 
     def test_ols_fit_and_cluster_vcov_equal_did_fit(self):
         # the public solve and covariance run the same steps as the fit path
@@ -453,6 +444,11 @@ class TestDemandDid:
         fit = demand_did_fit(series)
         expected = (math.log1p(8) - math.log1p(3)) - (math.log1p(4) - math.log1p(3))
         assert fit.coefficients["treat_x_post"] == pytest.approx(expected, abs=1e-10)
+
+    def test_columns_of_different_lengths_rejected(self):
+        series = self.demand(np.array([[3, 3, 8, 8], [3, 3, 4, 4]]), {0}, shock_week=2)
+        with pytest.raises(ValidationError, match=r"column postnum has shape \(7,\), expected \(8,\)"):
+            DemandArrays(series.market_id, series.week_index, series.postnum[:-1], series.treat, series.post)
 
     def test_needs_two_markets(self):
         counts = np.array([[3, 3, 8, 8]])

@@ -66,6 +66,14 @@ class TestPoissonIcdf:
         with pytest.raises(ValidationError):
             poisson_icdf(np.array([0.5]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("good", [10.0, 100.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rate_not_finite_and_nonnegative_rejected(self, bad, good):
+        # a good rate on either side of the cutoff sits next to the bad one
+        assert 10.0 < synth._ICDF_RATE_CUTOFF < 100.0
+        with pytest.raises(ValidationError, match=f"must be finite and nonnegative, got {bad}"):
+            poisson_icdf(np.array([0.5, 0.5]), np.array([good, bad]))
+
     def test_non_contiguous_slice_matches_contiguous_copy(self):
         rng = np.random.default_rng(1)
         u = rng.uniform(size=(40, 30))
@@ -93,9 +101,10 @@ class TestPoissonIcdf:
         with pytest.raises(ValidationError, match=f"must lie in \\[0, 1\\), got {bad}"):
             poisson_icdf(np.array([0.5, bad]), np.array([lam, lam]))
 
-    def test_max_count_exceeded_raises(self):
+    def test_max_count_exceeded_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "ICDF_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError, match="exceeded 5 terms") as info:
-            poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]), max_count=5)
+            poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]))
         assert info.value.iterations == 6
 
 
