@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import OlmsimError, PipelineError, ValidationError
-from .pipeline import DEFAULT_ALPHA, DEFAULT_CALIPER, STAGES, run_pipeline, selftest
+from .pipeline import DEFAULT_ALPHA, DEFAULT_CALIPER, STAGES, run_pipeline
 
 BUILTIN_DEMO = "builtin:demo"
 
@@ -62,16 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="write the quadrant classification report")
     p.add_argument("kind", choices=["quadrant"])
     _add_common(p)
-
-    sub.add_parser("selftest", help="run fast internal consistency checks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return 0 if selftest() else 3
-
     # ``run`` runs every stage; any other subcommand names its stage's token
     token = f"estimate_{args.kind}" if args.command == "estimate" else args.command
     stages = None if token == "run" else [token]

@@ -31,16 +31,6 @@ SEPARATION_COEF_BOUND = 30.0
 OFF_SUPPORT = "off-support"
 NO_NEIGHBOR = "no-neighbor-within-caliper"
 
-#: worker-level covariates used by the validation generator, mirroring the
-#: pre-shock activity summaries a platform panel supports
-CONFOUNDED_COVARIATES = (
-    "log_acc_jobs",
-    "log_experience",
-    "log_avg_price",
-    "log_hourly_price",
-    "avg_rating",
-)
-
 
 @dataclass
 class PropensityModel:
@@ -342,26 +332,3 @@ def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray
     treat[codes[panel.treat == 1]] = 1
     return ids, covariates, names, treat
 
-
-def simulate_confounded_workers(
-    n_workers: int, seed: int, confound: float = 1.0
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Cross-section of workers whose treatment odds rise with latent skill.
-
-    Skill loads on all five covariates, so every one of them is imbalanced
-    before matching; the strength scales with ``confound``. Used to
-    validate that matching restores balance.
-    """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_workers)
-    covariates = np.column_stack(
-        [
-            2.2 + 0.85 * z + 0.55 * rng.standard_normal(n_workers),
-            3.1 + 0.60 * z + 0.50 * rng.standard_normal(n_workers),
-            5.6 + 0.75 * z + 0.65 * rng.standard_normal(n_workers),
-            2.8 + 0.40 * z + 0.35 * rng.standard_normal(n_workers),
-            np.clip(4.78 + 0.09 * z + 0.08 * rng.standard_normal(n_workers), 1.0, 5.0),
-        ]
-    )
-    treat = (rng.uniform(size=n_workers) < expit(-0.8 + confound * 0.9 * z)).astype(np.int64)
-    return covariates, CONFOUNDED_COVARIATES, treat

@@ -54,6 +54,17 @@ def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _one_row_per(arrays, keys: tuple[str, ...], where) -> None:
+    """Reject the first row whose ``keys`` values an earlier row already holds."""
+    values = [getattr(arrays, key) for key in keys]
+    first = _group_first_rows(*values)
+    dup = np.flatnonzero(first != np.arange(len(first)))
+    if dup.size:
+        i = dup[0]
+        cell = ", ".join(str(v[i]) for v in values)
+        raise ValidationError(f"{where(i)}: duplicate {','.join(keys)} cell ({cell}), first at {where(first[i])}")
+
+
 @dataclass
 class PanelArrays:
     """Columnar worker-month panel."""
@@ -115,14 +126,7 @@ class PanelArrays:
         bad = np.nonzero((self.post40 == 1) & (self.post35 == 0))[0]
         if bad.size:
             raise ValidationError(f"{where(bad[0])}: post40=1 requires post35=1")
-        first = _group_first_rows(self.worker_id, self.month_index)
-        dup = np.flatnonzero(first != np.arange(self.n_rows))
-        if dup.size:
-            i = dup[0]
-            raise ValidationError(
-                f"{where(i)}: duplicate worker_id,month_index cell ({self.worker_id[i]}, "
-                f"{self.month_index[i]}), first at {where(first[i])}"
-            )
+        _one_row_per(self, ("worker_id", "month_index"), where)
         for key, names in (("worker_id", _WORKER_CONSTANT), ("month_index", _MONTH_CONSTANT)):
             groups = self.column(key)
             first = _group_first_rows(groups)
@@ -156,6 +160,20 @@ class DemandArrays:
     @property
     def n_rows(self) -> int:
         return len(self.market_id)
+
+    def validate(self) -> None:
+        """Check every invariant of a demand series, naming the first offending row.
+
+        ``postnum`` is a nonnegative integer, ``treat`` and ``post`` are
+        0/1, and each (market_id, week_index) cell appears once.
+        """
+        postnum = self.postnum
+        bad = np.flatnonzero(~(np.isfinite(postnum) & (postnum >= 0) & (np.floor(postnum) == postnum)))
+        if bad.size:
+            raise ValidationError(f"{_row_label(bad[0])}: postnum must be a nonnegative integer, got {postnum[bad[0]]}")
+        for name in ("treat", "post"):
+            _binary(name, getattr(self, name), _row_label)
+        _one_row_per(self, ("market_id", "week_index"), _row_label)
 
     def subset(self, mask: np.ndarray) -> "DemandArrays":
         return DemandArrays(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})

@@ -412,71 +412,3 @@ def run_pipeline(
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return manifest
 
-
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def selftest(verbose: bool = True) -> bool:
-    """Fast internal consistency checks; returns True when all pass."""
-    from .market import MarketPotentialSpec, MarketSpec, PotentialFamily, cournot_equilibrium, eval_potential, inflection_point
-    from .regression import absorb_two_way, coef_to_percent
-
-    checks: list[tuple[str, bool]] = []
-
-    def log(name: str, ok: bool):
-        checks.append((name, ok))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-    ok = abs(coef_to_percent(-0.094) + 0.0897) < 1e-4 and abs(coef_to_percent(0.062) - 0.0640) < 1e-4
-    log("log-coefficient percent identities", ok)
-
-    rng = np.random.default_rng(0)
-    ok = True
-    for _ in range(20):
-        c = rng.uniform(0.5, 3.0)
-        kappa = 0.5 * c * rng.uniform(1.4, 3.0)
-        s0 = max(kappa, c) + rng.uniform(0.3, 2.5)
-        market = MarketSpec(
-            n=int(rng.integers(1, 9)), c=c, b=rng.uniform(0.2, 2.0),
-            potential=MarketPotentialSpec(PotentialFamily.QUADRATIC, S0=s0, kappa=kappa),
-        )
-        a = rng.uniform(0, 1)
-        eq = cournot_equilibrium(market, a)
-        s = eval_potential(market.potential, a)
-        mc = market.marginal_cost(a)
-        q = np.full(market.n, max(s, 1.0) * 0.1)
-        omega = 2.0 / (market.n + 1)
-        for _ in range(400):
-            br = np.maximum(0.0, (s - mc - market.b * (q.sum() - q)) / (2 * market.b))
-            q = (1 - omega) * q + omega * br
-        ok = ok and np.allclose(q, eq.q, atol=1e-9)
-        ok = ok and abs(inflection_point(market) - c / (2 * kappa)) < 1e-8
-    log("cournot closed form vs best-response iteration; analytic inflection", ok)
-
-    ok = True
-    for _ in range(3):
-        unit = np.repeat(np.arange(5), 4)
-        tme = np.tile(np.arange(4), 5)
-        x = rng.standard_normal((20, 2))
-        absorbed = absorb_two_way(x, unit, tme).values
-        d = np.column_stack(
-            [np.ones(20)]
-            + [(unit == i).astype(float) for i in range(1, 5)]
-            + [(tme == j).astype(float) for j in range(1, 4)]
-        )
-        beta, *_ = np.linalg.lstsq(d, x, rcond=None)
-        ok = ok and np.allclose(absorbed, x - d @ beta, atol=1e-8)
-    log("two-way absorption vs explicit dummies", ok)
-
-    from .scenarios import demo_config
-
-    cfg = demo_config().with_seed(3)
-    small = cfg.__class__(**{**cfg.__dict__, "workers_per_market": 8})
-    a = generate_panel_arrays(small)
-    b = generate_panel_arrays(small)
-    ok = all(np.array_equal(a.column(n), b.column(n)) for n in PANEL_COLUMNS)
-    log("panel generation deterministic", ok)
-
-    return all(flag for _, flag in checks)

@@ -347,8 +347,14 @@ def _fit_columns(
     together once, and each design is factored once for all outcomes, on
     one BLAS thread.
     """
-    position = {name: i for i, name in enumerate([*outcomes, *columns])}
+    names = [*outcomes, *columns]
+    position = {name: i for i, name in enumerate(names)}
     stack = np.column_stack([np.asarray(v, dtype=np.float64) for v in [*outcomes.values(), *columns.values()]])
+    # absorption cannot settle a non-finite column: it would run every pass, then fail as numeric
+    finite = np.isfinite(stack)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValidationError(f"fit column {names[j]} must be finite, got {stack[i, j]} at row {i} of the sample")
     codes, g = _cluster_codes(cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     values, iterations = absorbed.values, absorbed.column_iterations
@@ -507,8 +513,10 @@ def demand_did_fit(series: DemandArrays) -> FitResult:
     """Market-week DiD on log1p fulfilled postings with market and week effects.
 
     The one term is ``treat_x_post``. Inference clusters on rows: the
-    generating process draws every market-week cell independently.
+    generating process draws every market-week cell independently. The
+    series is checked with :meth:`DemandArrays.validate` first.
     """
+    series.validate()
     if len(np.unique(series.market_id)) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
     if series.post.min() == series.post.max():

@@ -103,7 +103,7 @@ def sweep_config(workers: int = 400, seed: int = 7, treated_fe_shift: float = 0.
 
 
 def demo_config() -> ScenarioConfig:
-    """The bundled demonstration scenario used by the CLI and selftest.
+    """The bundled demonstration scenario used by the CLI.
 
     Earnings noise is set high enough that worker-level price dispersion
     dwarfs the cross-market price gaps (mirroring the heavy-tailed job

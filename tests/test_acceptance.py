@@ -12,9 +12,10 @@ from conftest import (
     best_response_equilibrium,
     random_logistic_market,
     random_quadratic_market,
+    simulate_confounded_workers,
 )
 
-from olmsim.matching import balance_table, logit_fit, propensity_match, simulate_confounded_workers
+from olmsim.matching import balance_table, logit_fit, propensity_match
 from olmsim.pipeline import run_pipeline
 from olmsim.regression import (
     RegressionSpec,

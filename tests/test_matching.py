@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import simulate_confounded_workers
 from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -17,7 +18,6 @@ from olmsim.matching import (
     derive_worker_covariates,
     logit_fit,
     propensity_match,
-    simulate_confounded_workers,
 )
 from olmsim.scenarios import substitution_config
 from olmsim.synth import generate_panel_arrays

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from conftest import assert_same_columns, assert_same_fit, random_logistic_market
 
 import olmsim
-from olmsim.cli import BUILTIN_DEMO, _resolve_config, main
+from olmsim.cli import BUILTIN_DEMO, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
@@ -25,7 +26,6 @@ from olmsim.pipeline import (
     panel_csv_lines,
     parse_scenario,
     run_pipeline,
-    selftest,
     write_scenario,
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
@@ -483,7 +483,10 @@ class TestCli:
         config = parse_scenario(path)
         assert len(config.markets) == 10
 
-    def test_selftest_passes(self, capsys):
-        assert selftest(verbose=True)
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+    def test_subcommands_are_the_stages(self, capsys):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"simulate", "match", "estimate", "tost", "report", "run"}
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err

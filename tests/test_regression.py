@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -260,6 +261,17 @@ class TestDid:
         for s in fit.se.values():
             assert s > 0
 
+    @pytest.mark.parametrize("column, spec", [("fjobearn", IDENTITY_SPEC), ("tenure", RegressionSpec("fjobearn"))])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fit_column_rejected_naming_it(self, column, spec, value):
+        # absorption never settles on a non-finite column: the input is at fault, not the numerics
+        panel = toy_panel(np.ones((4, 4)), {0, 1}, shock_month=2)
+        values = panel.column(column).astype(np.float64)
+        values[5] = value
+        panel = dataclasses.replace(panel, **{column: values})
+        with pytest.raises(ValidationError, match=rf"fit column {column} must be finite, got {value} at row 5"):
+            did_fit(panel, spec)
+
     @pytest.mark.parametrize("transform", ["log", "bogus"])
     def test_unknown_transform_rejected(self, transform):
         with pytest.raises(ValidationError, match=f"got '{transform}'"):
@@ -449,6 +461,28 @@ class TestDemandDid:
         series = self.demand(np.array([[3, 3, 8, 8], [3, 3, 4, 4]]), {0}, shock_week=2)
         with pytest.raises(ValidationError, match=r"column postnum has shape \(7,\), expected \(8,\)"):
             DemandArrays(series.market_id, series.week_index, series.postnum[:-1], series.treat, series.post)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [("postnum", -1, "postnum must be a nonnegative integer, got -1"),
+         ("postnum", 1.5, "postnum must be a nonnegative integer, got 1.5"),
+         ("postnum", math.nan, "postnum must be a nonnegative integer, got nan"),
+         ("treat", 2, "treat must be 0/1, got 2"), ("post", -1, "post must be 0/1, got -1")],
+    )
+    def test_bad_value_rejected_naming_row(self, column, value, message):
+        # a negative count reaches the fit as log1p(-1) = -inf, which absorption cannot settle
+        series = self.demand(np.array([[3, 3, 8, 8], [3, 3, 4, 4]]), {0}, shock_week=2)
+        values = getattr(series, column).astype(type(value))
+        values[5] = value
+        with pytest.raises(ValidationError, match=f"row 5: {message}"):
+            demand_did_fit(dataclasses.replace(series, **{column: values}))
+
+    def test_duplicate_market_week_rejected_naming_rows(self):
+        # a repeated cell would otherwise be fitted as a second observation
+        series = self.demand(np.array([[3, 3, 8, 8], [3, 3, 4, 4]]), {0}, shock_week=2)
+        series = DemandArrays(*(np.append(col, col[2]) for col in dataclasses.astuple(series)))
+        with pytest.raises(ValidationError, match=r"row 8: duplicate market_id,week_index cell \(m0, 2\), first at row 2"):
+            demand_did_fit(series)
 
     def test_needs_two_markets(self):
         counts = np.array([[3, 3, 8, 8]])
