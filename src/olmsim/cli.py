@@ -6,8 +6,12 @@ Stage-oriented subcommands over one scenario file::
     olmsim estimate did --config scenario.json --out runs/demo
     olmsim run --config scenario.json --out runs/demo --seed 11
 
-``--config builtin:demo`` (the default) loads the bundled demonstration
-scenario. Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Each subcommand takes ``--config``, ``--out`` and ``--seed``, plus the
+options its stage reads: ``--caliper`` from ``match`` on, ``--alpha``
+for ``tost``, ``report`` and ``run``, and ``--bounds`` for ``tost`` and
+``run``. ``--config builtin:demo`` (the default) loads the bundled
+demonstration scenario. Exit codes: 0 success, 2 validation error
+(including an ``--out`` that cannot be written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,39 +33,37 @@ def _resolve_config(token: str) -> Path:
     return Path(token)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=BUILTIN_DEMO,
-                        help=f"scenario JSON path (default: {BUILTIN_DEMO})")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
-    parser.add_argument("--caliper", type=float, default=DEFAULT_CALIPER,
-                        help="matching caliper on the propensity scale")
-    parser.add_argument("--bounds", type=float, default=None,
-                        help="TOST equivalence bound (default: 0.36 x outcome SD)")
+#: the options a stage may read, beyond --config, --out and --seed
+_OPTIONS = {
+    "caliper": {"type": float, "default": DEFAULT_CALIPER, "help": "matching caliper on the propensity scale"},
+    "bounds": {"type": float, "default": None, "help": "TOST equivalence bound (default: 0.36 x outcome SD)"},
+    "alpha": {"type": float, "default": DEFAULT_ALPHA, "help": "significance level"},
+}
+
+#: subcommand -> (help, the ``_OPTIONS`` its stage reads)
+SUBCOMMANDS = {
+    "simulate": ("write the panel, demand series, and comparative-statics tables", ()),
+    "match": ("run propensity matching and write balance tables", ("caliper",)),
+    "estimate": ("fit one family of regressions", ("caliper",)),
+    "tost": ("pre-trend equivalence tests from the event-study fits", ("caliper", "bounds", "alpha")),
+    "report": ("write the quadrant classification report", ("caliper", "alpha")),
+    "run": ("run every stage", ("caliper", "bounds", "alpha")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="olmsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("simulate", "write the panel, demand series, and comparative-statics tables"),
-        ("match", "run propensity matching and write balance tables"),
-        ("tost", "pre-trend equivalence tests from the event-study fits"),
-        ("run", "run every stage"),
-    ):
+    for name, (help_text, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-
-    p = sub.add_parser("estimate", help="fit one family of regressions")
-    p.add_argument("kind", choices=[t.removeprefix("estimate_") for t in STAGES if t.startswith("estimate_")])
-    _add_common(p)
-
-    p = sub.add_parser("report", help="write the quadrant classification report")
-    p.add_argument("kind", choices=["quadrant"])
-    _add_common(p)
+        if name == "estimate":
+            p.add_argument("kind", choices=[t.removeprefix("estimate_") for t in STAGES if t.startswith("estimate_")])
+        p.add_argument("--config", default=BUILTIN_DEMO, help=f"scenario JSON path (default: {BUILTIN_DEMO})")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -77,9 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out,
             seed=args.seed,
             stages=stages,
-            alpha=args.alpha,
-            caliper=args.caliper,
-            bounds=args.bounds,
+            **{option: getattr(args, option) for option in SUBCOMMANDS[args.command][1]},
         )
     except OlmsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

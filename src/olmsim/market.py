@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from scipy.special import expit
+
 from .errors import BoundaryConditionError, ValidationError
 
 #: absolute tolerance on S'(a*) + c accepted from the closed-form root
@@ -39,19 +41,6 @@ class PotentialFamily(str, Enum):
 class Phase(str, Enum):
     HONEYMOON = "honeymoon"
     SUBSTITUTION = "substitution"
-
-
-def _logistic_cdf(z: float) -> float:
-    # stable for large |z|
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
-def _logistic_pdf(z: float) -> float:
-    l = _logistic_cdf(z)
-    return l * (1.0 - l)
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,7 @@ class MarketPotentialSpec:
                 raise ValidationError(
                     f"logistic family needs adoption midpoint mu >= 1 for concavity on [0, 1], got {self.mu}"
                 )
-        else:  # pragma: no cover - enum is exhaustive
+        else:  # a family given as a string that names no member, e.g. "cubic"
             raise ValidationError(f"unknown potential family {self.family!r}")
 
 
@@ -105,7 +94,7 @@ def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
     a = _check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return spec.S0 - spec.kappa * a * a
-    return spec.S0 * (1.0 - _logistic_cdf((a - spec.mu) / spec.s))
+    return spec.S0 * (1.0 - float(expit((a - spec.mu) / spec.s)))
 
 
 def potential_slope(spec: MarketPotentialSpec, a: float) -> float:
@@ -113,7 +102,8 @@ def potential_slope(spec: MarketPotentialSpec, a: float) -> float:
     a = _check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return -2.0 * spec.kappa * a
-    return -(spec.S0 / spec.s) * _logistic_pdf((a - spec.mu) / spec.s)
+    level = float(expit((a - spec.mu) / spec.s))
+    return -(spec.S0 / spec.s) * (level * (1.0 - level))
 
 
 @dataclass(frozen=True)

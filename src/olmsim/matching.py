@@ -45,33 +45,23 @@ class PropensityModel:
         x = _with_intercept(np.asarray(covariates, dtype=np.float64))
         return expit(x @ self.coefficients)
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.names.index(name)])
-
-    def standard_error(self, name: str) -> float:
-        return float(self.se[self.names.index(name)])
-
 
 def _with_intercept(x: np.ndarray) -> np.ndarray:
-    if x.ndim == 1:
-        x = x[:, None]
     return np.column_stack([np.ones(len(x)), x])
 
 
 def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] | None = None) -> PropensityModel:
     """Fit the propensity model by Newton-Raphson (IRLS).
 
-    ``covariates`` holds one row per label. Converges when the largest
-    coefficient update falls below 1e-8. Divergence (any |coefficient|
-    above 30, a singular Hessian, or hitting the iteration cap) is reported
-    as separation.
+    ``covariates`` holds one row per label; a 1-D array is one covariate.
+    Converges when the largest coefficient update falls below 1e-8.
+    Divergence (any |coefficient| above 30, a singular Hessian, or hitting
+    the iteration cap) is reported as separation.
     """
     x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     y = np.asarray(treat, dtype=np.float64)
-    if x.shape[0] != len(y):
-        raise ValidationError(f"got {len(y)} treatment labels for {x.shape[0]} covariate rows")
+    if len(x) != len(y):
+        raise ValidationError(f"got {len(y)} treatment labels for {len(x)} covariate rows")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValidationError("treatment labels must be 0/1")
     if y.min() == y.max():

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -208,6 +209,15 @@ def config_hash(config: ScenarioConfig) -> str:
 # pipeline
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report an ``OSError`` of the block as a ``ValidationError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 @dataclass
 class _Run:
     """One run: its settings, the products its stages share, and the stages.
@@ -236,43 +246,38 @@ class _Run:
     def demand(self) -> DemandArrays:
         return generate_demand_arrays(self.config)
 
+    def _pair(self, arrays, market_id: str):
+        """The rows of one treated market and of the control market, in their order."""
+        return arrays.subset((arrays.market_id == market_id) | (arrays.market_id == self.config.control_market_id))
+
     @cached_property
     def matches(self) -> dict:
-        """Per treated market: matching against the control-market pool."""
-        panel = self.panel
-        control_id = self.config.control_market_id
+        """Per treated market: the match against the control market, its
+        balance table, and the matched sample (every row of a matched worker)."""
         matches = {}
         for market_id in self.config.treated_ids():
-            pair_mask = (panel.market_id == market_id) | (panel.market_id == control_id)
-            pair = panel.subset(pair_mask)
+            pair = self._pair(self.panel, market_id)
             ids, covariates, names, treat = derive_worker_covariates(pair)
             model = logit_fit(covariates, treat, names=names)
             scores = model.predict_proba(covariates)
             result = propensity_match(scores, treat, self.caliper)
             balance = balance_table(covariates, treat, result, names=names)
-            matched_workers = np.concatenate(
-                [ids[result.treated_ids], ids[result.control_ids]]
-            )
+            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
             matches[market_id] = {
                 "result": result,
                 "balance": balance,
-                "worker_ids": matched_workers,
+                "sample": pair.subset(np.isin(pair.worker_id, matched)),
             }
         return matches
 
     @cached_property
-    def samples(self) -> dict:
-        """Matched estimation panel per treated market."""
-        panel = self.panel
-        return {m: panel.subset(np.isin(panel.worker_id, match["worker_ids"])) for m, match in self.matches.items()}
-
-    @cached_property
     def fits(self) -> dict:
         """Per treated market: the ``fit_kinds`` fits of every outcome, keyed ``(kind, outcome)``."""
-        return {m: fit_designs(sample, OUTCOME_SPECS, self.fit_kinds) for m, sample in self.samples.items()}
+        return {m: fit_designs(match["sample"], OUTCOME_SPECS, self.fit_kinds) for m, match in self.matches.items()}
 
     def _emit(self, name: str, text: str) -> None:
-        (self.out / name).write_text(text)
+        with _writing(self.out / name):
+            (self.out / name).write_text(text)
         self.manifest.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
     def _emit_fit(self, name: str, fit, title: str) -> None:
@@ -312,10 +317,8 @@ class _Run:
                         title = f"{FIT_TITLES[kind]}: {label} ({transform})"
                         self._emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
         if "demand" in kinds:
-            control_id = self.config.control_market_id
             for market_id in self.config.treated_ids():
-                mask = (self.demand.market_id == market_id) | (self.demand.market_id == control_id)
-                fit = demand_did_fit(self.demand.subset(mask))
+                fit = demand_did_fit(self._pair(self.demand, market_id))
                 self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
 
     def tost(self, kinds: tuple[str, ...]) -> None:
@@ -339,17 +342,17 @@ class _Run:
             self._emit("tables.txt", "\n\n".join(self.tables) + "\n")
 
 
-#: the stages in run order: token -> (stage method, fit kinds it reads). All
-#: kinds but ``demand`` are fitted on the matched samples; ``estimate_KIND``
-#: is the ``estimate`` stage restricted to one kind.
+#: the fit kinds of the ``estimate`` stage: all but ``demand`` are fitted on
+#: the matched samples
+_ESTIMATE_KINDS = (*FIT_TITLES, "demand")
+
+#: the stages in run order: token -> (stage method, fit kinds it reads);
+#: ``estimate_KIND`` is the ``estimate`` stage restricted to one kind
 STAGES = {
     "simulate": (_Run.simulate, ()),
     "match": (_Run.match, ()),
-    "estimate": (_Run.estimate, ("did", "event", "dual", "demand")),
-    "estimate_did": (_Run.estimate, ("did",)),
-    "estimate_event": (_Run.estimate, ("event",)),
-    "estimate_dual": (_Run.estimate, ("dual",)),
-    "estimate_demand": (_Run.estimate, ("demand",)),
+    "estimate": (_Run.estimate, _ESTIMATE_KINDS),
+    **{f"estimate_{kind}": (_Run.estimate, (kind,)) for kind in _ESTIMATE_KINDS},
     "tost": (_Run.tost, ("event",)),
     "report": (_Run.report, ("dual",)),
 }
@@ -384,7 +387,8 @@ def run_pipeline(
             raise ValidationError(f"unknown stage {token!r}; valid stages: {', '.join(STAGES)}")
     ran = [token for token in STAGES if token in requested]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(
         config_hash=config_hash(config),
@@ -409,6 +413,7 @@ def run_pipeline(
             raise PipelineError(token, exc) from exc
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
-    (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    with _writing(out / "manifest.json"):
+        (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
     return manifest
 

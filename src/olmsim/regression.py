@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import re
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +35,7 @@ from .errors import (
     SingleClusterError,
     ValidationError,
 )
-from .panel import DemandArrays, PanelArrays
+from .panel import DemandArrays, PanelArrays, _one_row_per, _row_label
 
 #: a column stops absorbing once no cell moves by more than this fraction
 #: of the column's largest absolute input value
@@ -122,7 +123,6 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
 class OlsResult:
     coefficients: np.ndarray
     residuals: np.ndarray
-    fitted: np.ndarray
 
 
 def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
@@ -171,8 +171,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
     if names is not None and len(names) != X.shape[1]:
         raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
     beta = _solve(*_pivoted_qr(X, names), y)
-    fitted = X @ beta
-    return OlsResult(coefficients=beta, residuals=y - fitted, fitted=fitted)
+    return OlsResult(coefficients=beta, residuals=y - X @ beta)
 
 
 def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np.ndarray) -> np.ndarray:
@@ -316,23 +315,40 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+#: how many blocks are inside ``_one_blas_thread``, and the thread counts
+#: the first of them saved; the counts are process-wide, so their users are
+#: too, and ``_blas_lock`` guards both
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved: list[int] = []
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block with every loaded OpenBLAS on one thread.
 
     The fits are many small, tall least-squares problems, which one thread
-    solves faster than several. Each library gets its previous count back
-    on exit, also when the block raises.
+    solves faster than several. Blocks that overlap, in one thread or in
+    several, share the pinned count: the first one in saves each library's
+    count and sets it to 1, and the last one out restores it, also when a
+    block raises.
     """
+    global _blas_users, _blas_saved
     controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, set_threads in controls:
+                set_threads(1)
+        _blas_users += 1
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(controls, previous):
-            set_threads(count)
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for (_, set_threads), count in zip(controls, _blas_saved):
+                    set_threads(count)
 
 
 @_one_blas_thread()
@@ -440,9 +456,10 @@ def fit_designs(
 
     ``designs`` names entries of :data:`DESIGNS` or maps names to term
     builders. The specs may differ only in outcome and transform. Every
-    fit runs on all of the panel's rows: the outcomes and the design
-    columns are absorbed together, once, with worker and month effects,
-    and every fit clusters on workers.
+    fit runs on all of the panel's rows, which must hold each (worker,
+    month) cell once: the outcomes and the design columns are absorbed
+    together, once, with worker and month effects, and every fit clusters
+    on workers.
     """
     if not isinstance(designs, dict):
         if unknown := [kind for kind in designs if kind not in DESIGNS]:
@@ -455,6 +472,7 @@ def fit_designs(
         raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
     if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
+    _one_row_per(panel, ("worker_id", "month_index"), _row_label)
     ys = {spec.outcome: transform_outcome(panel.column(spec.outcome), spec.transform) for spec in specs}
     controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
     columns: dict[str, np.ndarray] = {}

@@ -82,6 +82,8 @@ class TestPotential:
             MarketPotentialSpec(PotentialFamily.LOGISTIC_ADOPTION, S0=10.0, mu=0.5, s=0.3)
         with pytest.raises(ValidationError):
             MarketPotentialSpec(PotentialFamily.LOGISTIC_ADOPTION, S0=-1.0, mu=1.5, s=0.3)
+        with pytest.raises(ValidationError, match="unknown potential family 'cubic'"):
+            MarketPotentialSpec("cubic", S0=1.0)
 
     def test_ai_level_range_checked(self):
         with pytest.raises(ValidationError):

@@ -91,8 +91,8 @@ class TestLogit:
         x = rng.standard_normal(500)
         y = rng.permutation(np.repeat([0, 1], 250))
         model = logit_fit(x, y, names=("noise",))
-        slope = model.coefficient("noise")
-        assert abs(slope) < 2 * model.standard_error("noise") + 1e-9
+        j = model.names.index("noise")
+        assert abs(model.coefficients[j]) < 2 * model.se[j] + 1e-9
 
     def test_perfect_separation_detected(self):
         x = np.linspace(-2, 2, 40)

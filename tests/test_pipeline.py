@@ -352,7 +352,7 @@ class TestRunPipeline:
         single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
         run = _Run(small_config(), tmp_path, None, DEFAULT_ALPHA, 0.02, None, fit_kinds=tuple(single))
         for market_id, fits in run.fits.items():
-            sample = run.samples[market_id]
+            sample = run.matches[market_id]["sample"]
             for spec in OUTCOME_SPECS:
                 for kind, fit_fn in single.items():
                     assert_same_fit(fits[(kind, spec.outcome)], fit_fn(sample, spec))
@@ -424,8 +424,54 @@ class TestCli:
         config_path = tmp_path / "scenario.json"
         write_scenario(two_market_config(AiPath(0.2, 0.45, 0.6), workers=60, seed=9), config_path)
         out = tmp_path / "out"
-        assert main(["report", "quadrant", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["report", "--config", str(config_path), "--out", str(out)]) == 0
         assert (out / "quadrant.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("simulate", set()),
+            ("match", {"--caliper"}),
+            ("estimate", {"--caliper"}),
+            ("tost", {"--caliper", "--bounds", "--alpha"}),
+            ("report", {"--caliper", "--alpha"}),
+            ("run", {"--caliper", "--bounds", "--alpha"}),
+        ],
+    )
+    def test_each_subcommand_takes_the_options_its_stage_reads(self, command, options):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[command]
+        taken = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert taken == {"--config", "--out", "--seed"} | options
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        assert positionals == (["kind"] if command == "estimate" else [])
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [(["simulate", "--alpha", "0.1"], "--alpha 0.1"), (["match", "--bounds", "0.3"], "--bounds 0.3"),
+         (["report", "quadrant"], "quadrant")],
+    )
+    def test_argument_its_stage_does_not_read_exits_2(self, tmp_path, capsys, argv, unread):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("blocked", ["out", "out/panel.csv", "out/manifest.json"])
+    def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys, blocked):
+        # a file where the output directory goes, or a directory where a file goes
+        config_path = tmp_path / "scenario.json"
+        write_scenario(small_config(), config_path)
+        path = tmp_path / blocked
+        if blocked == "out":
+            path.write_text("")
+        else:
+            path.mkdir(parents=True)
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {path}: " in err
+        assert ("stage 'simulate'" in err) == (blocked == "out/panel.csv")
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

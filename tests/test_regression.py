@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from olmsim.regression import (
     transform_outcome,
 )
 from olmsim.panel import DemandArrays
-from olmsim.scenarios import substitution_config
+from olmsim.scenarios import SUBSTITUTION_PATH, substitution_config, two_market_config
 from olmsim.synth import generate_panel_arrays
 
 
@@ -425,6 +428,20 @@ class TestFitDesigns:
         assert ols.coefficients.tolist() == [fit.coefficients[t] for t in fit.terms]
         assert np.array_equal(cluster_vcov(X, ols.residuals, panel.worker_id), fit.vcov)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [did_fit, dual_shock_fit, event_study_fit, heterogeneity_fit,
+         lambda panel: fit_designs(panel, [RegressionSpec(), RegressionSpec(outcome="fjobearn")])],
+    )
+    def test_duplicate_worker_month_rejected_naming_rows(self, fit):
+        # a repeated cell would otherwise be fitted as a second observation
+        panel = generate_panel_arrays(two_market_config(SUBSTITUTION_PATH, workers=3, seed=2))
+        i = 29
+        repeated = PanelArrays(*(np.append(col, col[i]) for col in dataclasses.astuple(panel)))
+        cell = rf"\({panel.worker_id[i]}, {panel.month_index[i]}\)"
+        with pytest.raises(ValidationError, match=rf"row 96: duplicate worker_id,month_index cell {cell}, first at row {i}"):
+            fit(repeated)
+
     def test_specs_must_share_settings(self):
         specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn", controls=())]
         with pytest.raises(ValidationError, match="differ only"):
@@ -619,6 +636,55 @@ class TestBlasThreads:
         seen = self.spy_counts(monkeypatch)
         did_fit(panel)
         assert seen == [[1] * len(blas_controls)]
+        assert self.counts() == [2] * len(blas_controls)
+
+    def test_overlapping_blocks_share_one_pinned_count(self):
+        # two fits overlapping in two threads can exit in the order they entered
+        previous = self.counts()
+        for _, set_threads in blas_controls:
+            set_threads(3)
+        first, second = regression._one_blas_thread(), regression._one_blas_thread()
+        try:
+            first.__enter__()
+            second.__enter__()
+            try:
+                first.__exit__(None, None, None)
+                between = self.counts()
+            finally:
+                second.__exit__(None, None, None)
+            after = self.counts()
+        finally:
+            for (_, set_threads), count in zip(blas_controls, previous):
+                set_threads(count)
+        assert between == [1] * len(blas_controls)
+        assert after == [3] * len(blas_controls)
+
+    def test_threads_overlapping_at_random_keep_one_thread_inside(self, two_threads):
+        # more threads than cores, switching often: a lost update of the user
+        # count would restore the count while a block is still inside
+        seen = []
+        start = threading.Barrier(4)
+
+        def work():
+            start.wait(timeout=60)
+            for _ in range(200):
+                with regression._one_blas_thread():
+                    time.sleep(0)  # let another thread enter or leave here
+                    seen.append(self.counts())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 800
+        assert all(counts == [1] * len(blas_controls) for counts in seen)
         assert self.counts() == [2] * len(blas_controls)
 
     def test_count_restored_after_error(self, two_threads, monkeypatch, panel):
