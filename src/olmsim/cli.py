@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import OlmsimError, PipelineError, ValidationError
-from .pipeline import DEFAULT_ALPHA, DEFAULT_CALIPER, STAGES, run_pipeline
+from .pipeline import STAGES, run_pipeline
 
 BUILTIN_DEMO = "builtin:demo"
 
@@ -33,11 +33,12 @@ def _resolve_config(token: str) -> Path:
     return Path(token)
 
 
-#: the options a stage may read, beyond --config, --out and --seed
+#: the options a stage may read, beyond --config, --out and --seed, with
+#: their help; an option not given is left to ``run_pipeline``'s default
 _OPTIONS = {
-    "caliper": {"type": float, "default": DEFAULT_CALIPER, "help": "matching caliper on the propensity scale"},
-    "bounds": {"type": float, "default": None, "help": "TOST equivalence bound (default: 0.36 x outcome SD)"},
-    "alpha": {"type": float, "default": DEFAULT_ALPHA, "help": "significance level"},
+    "caliper": "matching caliper on the propensity scale",
+    "bounds": "TOST equivalence bound (default: 0.36 x outcome SD)",
+    "alpha": "significance level",
 }
 
 #: subcommand -> (help, the ``_OPTIONS`` its stage reads)
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         for option in options:
-            p.add_argument(f"--{option}", **_OPTIONS[option])
+            p.add_argument(f"--{option}", type=float, default=argparse.SUPPRESS, help=_OPTIONS[option])
     return parser
 
 
@@ -79,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out,
             seed=args.seed,
             stages=stages,
-            **{option: getattr(args, option) for option in SUBCOMMANDS[args.command][1]},
+            **{option: value for option, value in vars(args).items() if option in _OPTIONS},
         )
     except OlmsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,6 +152,11 @@ class MatchResult:
         return np.array([p.control_id for p in self.pairs], dtype=np.int64)
 
 
+def check_caliper(caliper: float) -> None:
+    if not caliper > 0:
+        raise ValidationError(f"caliper must be positive, got {caliper}")
+
+
 def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> MatchResult:
     """Greedy 1:1 nearest-neighbor matching without replacement.
 
@@ -162,8 +167,7 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     is taken, the remaining treated units are dropped whatever the caliper.
     Unit ids are positions in the input arrays.
     """
-    if not caliper > 0:
-        raise ValidationError(f"caliper must be positive, got {caliper}")
+    check_caliper(caliper)
     scores = np.asarray(scores, dtype=np.float64)
     treat = np.asarray(treat)
     if scores.shape != treat.shape:
@@ -254,7 +258,7 @@ def balance_table(
     covariates: np.ndarray,
     treat: np.ndarray,
     result: MatchResult,
-    names: tuple[str, ...] | None = None,
+    names: tuple[str, ...],
 ) -> BalanceTable:
     """Pre- and post-matching covariate balance.
 
@@ -268,8 +272,6 @@ def balance_table(
     treat = np.asarray(treat)
     if not result.pairs:
         raise ValidationError("balance table needs at least one matched pair")
-    if names is None:
-        names = tuple(f"x{j}" for j in range(x.shape[1]))
     t_all = x[treat == 1]
     c_all = x[treat == 0]
     t_post = x[result.treated_ids]

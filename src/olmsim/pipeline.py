@@ -10,11 +10,15 @@ A run executes stages from one table, ``STAGES``: simulate -> match ->
 estimate -> tost -> report, each token naming a method of the private
 run object and the fit kinds it reads. The run object computes the
 panel, the matches and the fits once, on first use, and the stages write
-every artifact into one output directory. All file contents are pure
-functions of (config, seed, package version); the manifest lists the
-stages that ran, in table order, and its hash covers the config hash,
-stages, options, and output file hashes, so two identical runs produce
-identical manifests (timings are recorded but excluded from the hash).
+every artifact into one output directory. A stage reads each run option
+through the run object, which records it in the manifest, so the manifest
+holds exactly the options the stages that ran read. Every file's contents
+depend only on the config, the seed, the options read and the package
+version, except ``tables.txt``, which holds the tables of the stages that
+ran in that call. The manifest lists the stages that ran, in table order,
+and its hash covers the config hash, stages, options, and output file
+hashes, so two identical runs produce identical manifests (timings are
+recorded but excluded from the hash).
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ import numpy as np
 from . import __version__
 from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
-from .matching import balance_table, derive_worker_covariates, logit_fit, propensity_match
+from .matching import balance_table, check_caliper, derive_worker_covariates, logit_fit, propensity_match
 from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
-from .regression import OUTCOME_TRANSFORMS, RegressionSpec, demand_did_fit, fit_designs, tost_pretrends
+from .regression import (OUTCOME_TRANSFORMS, RegressionSpec, check_alpha, check_bounds, demand_did_fit,
+                         fit_designs, tost_pretrends)
 from .report import (
     balance_csv_lines,
     balance_text_table,
@@ -55,8 +60,6 @@ from .synth import (
     generate_panel_arrays,
 )
 
-DEFAULT_CALIPER = 0.02
-DEFAULT_ALPHA = 0.05
 STATICS_GRID = 101
 
 #: rows the CSV writer formats at a time; whole-column formatting holds
@@ -230,13 +233,17 @@ class _Run:
     config: ScenarioConfig
     out: Path
     manifest: RunManifest
-    alpha: float
-    caliper: float
-    bounds: float | None
+    #: every run option by name; stages read them through ``option``
+    options: dict
     #: designs fitted on each matched sample, together, once per run
     fit_kinds: tuple[str, ...]
     #: text tables of the stages that ran, written by ``report``
     tables: list[str] = field(default_factory=list, init=False)
+
+    def option(self, name: str):
+        """The run option ``name``, recorded in the manifest as read."""
+        self.manifest.options[name] = self.options[name]
+        return self.options[name]
 
     @cached_property
     def panel(self) -> PanelArrays:
@@ -244,7 +251,7 @@ class _Run:
 
     @cached_property
     def demand(self) -> DemandArrays:
-        return generate_demand_arrays(self.config)
+        return generate_demand_arrays(self.config, weeks=self.option("weeks"))
 
     def _pair(self, arrays, market_id: str):
         """The rows of one treated market and of the control market, in their order."""
@@ -260,7 +267,7 @@ class _Run:
             ids, covariates, names, treat = derive_worker_covariates(pair)
             model = logit_fit(covariates, treat, names=names)
             scores = model.predict_proba(covariates)
-            result = propensity_match(scores, treat, self.caliper)
+            result = propensity_match(scores, treat, self.option("caliper"))
             balance = balance_table(covariates, treat, result, names=names)
             matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
             matches[market_id] = {
@@ -323,7 +330,7 @@ class _Run:
 
     def tost(self, kinds: tuple[str, ...]) -> None:
         for market_id, outcome, fit in self._sample_fits("event"):
-            result = tost_pretrends(fit, bounds=self.bounds, alpha=self.alpha)
+            result = tost_pretrends(fit, bounds=self.option("bounds"), alpha=self.option("alpha"))
             self._emit(
                 f"tost_{market_id}_{outcome}.json",
                 json.dumps(tost_as_dict(result), indent=2, sort_keys=True) + "\n",
@@ -336,7 +343,7 @@ class _Run:
             p1 = fit.pvalues["treat_x_post35"]
             b2 = fit.coefficients["treat_x_post40"]
             p2 = fit.pvalues["treat_x_post40"]
-            rows.append((market_id, outcome, b1, p1, b2, p2, classify_quadrant(b1, p1, b2, p2, self.alpha)))
+            rows.append((market_id, outcome, b1, p1, b2, p2, classify_quadrant(b1, p1, b2, p2, self.option("alpha"))))
         self._emit("quadrant.csv", "\n".join(quadrant_csv_lines(rows)) + "\n")
         if self.tables:
             self._emit("tables.txt", "\n\n".join(self.tables) + "\n")
@@ -363,8 +370,8 @@ def run_pipeline(
     out_dir: str | Path,
     seed: int | None = None,
     stages=None,
-    alpha: float = DEFAULT_ALPHA,
-    caliper: float = DEFAULT_CALIPER,
+    alpha: float = 0.05,
+    caliper: float = 0.02,
     bounds: float | None = None,
 ) -> RunManifest:
     """Run the requested stages and write their artifacts plus a manifest.
@@ -375,7 +382,8 @@ def run_pipeline(
     ``STAGES`` order, and the ``estimate*`` tokens requested together run
     as one ``estimate`` call over the union of their kinds, timed under
     the first of them. Upstream products are computed as needed but only
-    the requested stages write files.
+    the requested stages write files. A bad ``alpha``, ``caliper`` or
+    given ``bounds`` is rejected before ``out_dir`` is created.
     """
     if not isinstance(config, ScenarioConfig):
         config = parse_scenario(config)
@@ -386,6 +394,10 @@ def run_pipeline(
         if token not in STAGES:
             raise ValidationError(f"unknown stage {token!r}; valid stages: {', '.join(STAGES)}")
     ran = [token for token in STAGES if token in requested]
+    check_alpha(alpha)
+    check_caliper(caliper)
+    if bounds is not None:
+        check_bounds(bounds)
     out = Path(out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -395,10 +407,11 @@ def run_pipeline(
         seed=config.seed,
         version=__version__,
         stages=ran,
-        options={"alpha": alpha, "caliper": caliper, "bounds": bounds, "weeks": DEFAULT_WEEKS},
+        options={},
     )
+    options = {"alpha": alpha, "caliper": caliper, "bounds": bounds, "weeks": DEFAULT_WEEKS}
     needed = {kind for token in ran for kind in STAGES[token][1]}
-    run = _Run(config, out, manifest, alpha, caliper, bounds, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
+    run = _Run(config, out, manifest, options, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
     # stage method -> (first token that runs it, kinds): tokens sharing a method run it once
     calls: dict = {}
     for token in ran:

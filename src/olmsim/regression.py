@@ -248,12 +248,6 @@ class FitResult:
     vcov: np.ndarray = field(repr=False, default=None)
     terms: tuple[str, ...] = ()
 
-    def tstat(self, term: str) -> float:
-        s = self.se[term]
-        if s == 0.0:
-            return math.inf if self.coefficients[term] != 0 else 0.0
-        return self.coefficients[term] / s
-
 
 @dataclass(frozen=True)
 class TostPeriod:
@@ -561,6 +555,16 @@ def pre_period_terms(fit: FitResult) -> list[tuple[int, str]]:
     return sorted(out)
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def check_bounds(delta: float) -> None:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValidationError(f"equivalence bound `bounds` must be positive and finite, got {delta}")
+
+
 def tost_pretrends(fit: FitResult, bounds: float | None = None, alpha: float = 0.05) -> TostResult:
     """Two one-sided tests of equivalence on every pre-shock coefficient.
 
@@ -569,11 +573,9 @@ def tost_pretrends(fit: FitResult, bounds: float | None = None, alpha: float = 0
     coefficient is bounded inside ``(-delta, +delta)`` at level ``alpha``.
     The default ``delta`` is 0.36 times the outcome standard deviation.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     delta = TOST_SD_MULTIPLE * fit.outcome_sd if bounds is None else float(bounds)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValidationError(f"equivalence bound `bounds` must be positive and finite, got {delta}")
+    check_bounds(delta)
     pre = pre_period_terms(fit)
     if not pre:
         raise ValidationError("fit has no pre-shock relative-time coefficients")

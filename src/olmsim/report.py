@@ -8,7 +8,7 @@ from enum import Enum
 from .errors import ValidationError
 from .market import StaticsRow
 from .matching import BalanceTable
-from .regression import FitResult, TostResult
+from .regression import FitResult, TostResult, check_alpha
 
 
 class QuadrantLabel(str, Enum):
@@ -34,8 +34,7 @@ def classify_quadrant(
     A coefficient whose p-value is at or above ``alpha`` is gated to zero;
     any gated (or exactly zero) coefficient makes the pair inconclusive.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     for v in (beta11, p11, beta12, p12):
         if not math.isfinite(v):
             raise ValidationError("coefficients and p-values must be finite")

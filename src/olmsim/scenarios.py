@@ -33,11 +33,11 @@ SWEEP_PATHS = (
 )
 
 
-def reference_market(n: int = 30, c: float = 2.0, b: float = 0.05) -> MarketSpec:
+def reference_market() -> MarketSpec:
     return MarketSpec(
-        n=n,
-        c=c,
-        b=b,
+        n=30,
+        c=2.0,
+        b=0.05,
         potential=MarketPotentialSpec(PotentialFamily.QUADRATIC, S0=2.5, kappa=2.0),
     )
 

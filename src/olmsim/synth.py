@@ -368,7 +368,9 @@ class _MarketCells:
         return self.earn(jobs, p) if name == "fjobearn" else self.ratio(jobs)
 
 
-def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> PanelArrays:
+def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
+    """Columnar panel for one scenario; deterministic given the config seed."""
+    draws = _draw(config, config.seed)
     w, t = config.workers_per_market, config.n_months
     day_offsets = _month_day_offsets(config.months)
     months = np.arange(t)
@@ -377,8 +379,7 @@ def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> Pa
     pieces = []
     for idx, scenario in enumerate(config.markets):
         d = draws.per_market[idx]
-        path = scenario.a_path.frozen_at_pre() if counterfactual else scenario.a_path
-        q, p = _equilibrium_levels(scenario, config, path)
+        q, p = _equilibrium_levels(scenario, config, scenario.a_path)
         cells = _MarketCells(config, draws, idx, slice(None))
         jobs = cells.jobs(q)
         earn = cells.earn(jobs, p)
@@ -403,11 +404,6 @@ def _assemble(config: ScenarioConfig, draws: _Draws, counterfactual: bool) -> Pa
             )
         )
     return PanelArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in PANEL_COLUMNS})
-
-
-def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
-    """Columnar panel for one scenario; deterministic given the config seed."""
-    return _assemble(config, _draw(config, config.seed), counterfactual=False)
 
 
 @dataclass(frozen=True)

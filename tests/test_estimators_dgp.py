@@ -88,7 +88,7 @@ class TestEventStudyDgp:
             for sigma in range(-6, -1):
                 term = f"treat_rel[{sigma}]"
                 hits.setdefault(sigma, 0)
-                if abs(fit.tstat(term)) < 1.96:
+                if abs(fit.coefficients[term] / fit.se[term]) < 1.96:
                     hits[sigma] += 1
         for sigma, count in hits.items():
             assert count / reps >= 0.90, (sigma, count / reps)

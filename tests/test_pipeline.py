@@ -16,9 +16,9 @@ from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
-    DEFAULT_ALPHA,
     OUTCOME_SPECS,
     STAGES,
+    RunManifest,
     _Run,
     config_hash,
     demand_csv_lines,
@@ -350,7 +350,8 @@ class TestRunPipeline:
 
     def test_batched_fits_equal_single_fits(self, tmp_path):
         single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
-        run = _Run(small_config(), tmp_path, None, DEFAULT_ALPHA, 0.02, None, fit_kinds=tuple(single))
+        manifest = RunManifest(config_hash="", seed=5, version="", stages=[], options={})
+        run = _Run(small_config(), tmp_path, manifest, {"caliper": 0.02}, fit_kinds=tuple(single))
         for market_id, fits in run.fits.items():
             sample = run.matches[market_id]["sample"]
             for spec in OUTCOME_SPECS:
@@ -398,6 +399,44 @@ class TestRunPipeline:
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown stage"):
             run_pipeline(small_config(), tmp_path / "x", stages=["compile"])
+
+    @pytest.mark.parametrize(
+        "token, read",
+        [
+            ("simulate", {"weeks"}),
+            ("match", {"caliper"}),
+            ("estimate", {"caliper", "weeks"}),
+            ("estimate_did", {"caliper"}),
+            ("estimate_event", {"caliper"}),
+            ("estimate_dual", {"caliper"}),
+            ("estimate_demand", {"weeks"}),
+            ("tost", {"alpha", "bounds", "caliper"}),
+            ("report", {"alpha", "caliper"}),
+            (None, {"alpha", "bounds", "caliper", "weeks"}),
+        ],
+    )
+    def test_manifest_records_the_options_its_stages_read(self, tmp_path, token, read):
+        manifest = run_pipeline(small_config(), tmp_path, stages=None if token is None else [token])
+        assert set(manifest.options) == read
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(on_disk["options"]) == read
+
+    def test_option_no_stage_reads_leaves_the_hash(self, tmp_path):
+        default = run_pipeline(small_config(), tmp_path / "a", stages=["simulate"])
+        unread = run_pipeline(small_config(), tmp_path / "b", stages=["simulate"], alpha=0.1, bounds=0.3)
+        assert unread.options == default.options == {"weeks": 95}
+        assert unread.manifest_hash == default.manifest_hash
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("alpha", 2.0, "alpha must lie in"), ("alpha", 0.0, "alpha must lie in"),
+         ("bounds", float("inf"), "`bounds` must be positive"), ("bounds", -1.0, "`bounds` must be positive"),
+         ("caliper", 0.0, "caliper must be positive"), ("caliper", float("nan"), "caliper must be positive")],
+    )
+    def test_bad_option_rejected_before_out_is_created(self, tmp_path, option, value, message):
+        with pytest.raises(ValidationError, match=message):
+            run_pipeline(small_config(), tmp_path / "out", stages=["simulate"], **{option: value})
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_json_matches_object(self, tmp_path):
         out = tmp_path / "m"
@@ -473,6 +512,23 @@ class TestCli:
         assert f"cannot write {path}: " in err
         assert ("stage 'simulate'" in err) == (blocked == "out/panel.csv")
 
+    @pytest.mark.parametrize("option, value", [("alpha", "2"), ("bounds", "inf"), ("caliper", "0")])
+    def test_bad_option_exits_2_before_writing(self, tmp_path, capsys, option, value):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), f"--{option}", value]) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_its_stage_does_not_read_leaves_the_hash(self, tmp_path):
+        config_path = tmp_path / "scenario.json"
+        write_scenario(small_config(), config_path)
+        argv = ["estimate", "demand", "--config", str(config_path)]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b"), "--caliper", "0.5"]) == 0
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab")
+        assert a["options"] == b["options"] == {"weeks": 95}
+        assert a["manifest_hash"] == b["manifest_hash"]
+
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -512,6 +568,17 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert option in err and "must be positive" in err
+
+    def test_package_import_loads_no_numerics_and_exports_only_the_version(self):
+        code = (
+            "import sys, olmsim; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
+            "print(sorted(n for n in vars(olmsim) if not n.startswith('_')))"
+        )
+        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.split("\n")[:2] == ["[]", "[]"]
 
     def test_import_leaves_out_scipy_stats_and_optimize(self):
         code = "import sys, olmsim.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import assert_same_columns
@@ -298,13 +300,15 @@ class TestGroundTruth:
 
 
 def _reference_att(config, outcome, reps):
-    """The oracle spelled out on full panels: both paths assembled, treated post cells masked."""
+    """The oracle spelled out on full panels: the factual panel and the panel of
+    every market's path frozen at its pre level, treated post cells masked."""
     transform = np.log1p if outcome in ("fjobnum", "fjobearn") else (lambda x: x)
+    markets = tuple(dataclasses.replace(m, a_path=m.a_path.frozen_at_pre()) for m in config.markets)
+    frozen_config = dataclasses.replace(config, markets=markets)
     diffs = np.empty(reps)
     for r in range(reps):
-        draws = synth._draw(config, config.seed ^ r)
-        factual = synth._assemble(config, draws, counterfactual=False)
-        frozen = synth._assemble(config, draws, counterfactual=True)
+        factual = generate_panel_arrays(config.with_seed(config.seed ^ r))
+        frozen = generate_panel_arrays(frozen_config.with_seed(config.seed ^ r))
         cells = (factual.treat == 1) & (factual.post35 == 1)
         y1 = transform(factual.column(outcome).astype(np.float64))
         y0 = transform(frozen.column(outcome).astype(np.float64))
