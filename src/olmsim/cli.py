@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except OlmsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
         return 2 if isinstance(cause, ValidationError) else 3
     print(f"wrote {len(manifest.outputs)} files to {args.out} (manifest {manifest.manifest_hash[:12]})")
     return 0

@@ -56,9 +56,5 @@ class EmptySideError(NumericError):
 
 
 class PipelineError(OlmsimError):
-    """A pipeline stage failed; carries the stage name and the cause."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r}: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A pipeline stage failed; the message names the stage and
+    ``__cause__`` holds the error it raised."""

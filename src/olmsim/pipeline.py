@@ -28,7 +28,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -49,7 +49,6 @@ from .report import (
     fit_text_table,
     quadrant_csv_lines,
     statics_csv_lines,
-    tost_as_dict,
 )
 from .synth import (
     DEFAULT_WEEKS,
@@ -66,9 +65,7 @@ STATICS_GRID = 101
 #: every cell's string at once and raises peak memory
 _CSV_BLOCK_ROWS = 4096
 
-OUTCOME_SPECS = tuple(
-    RegressionSpec(outcome=o, transform=t, controls=("tenure",)) for o, t in OUTCOME_TRANSFORMS.items()
-)
+OUTCOME_SPECS = tuple(RegressionSpec(outcome=o, transform=t) for o, t in OUTCOME_TRANSFORMS.items())
 
 #: table titles of the fit kinds fitted on the matched samples, in the
 #: order every estimation stage emits them
@@ -79,12 +76,20 @@ FIT_TITLES = {"did": "did", "event": "event study", "dual": "dual shock"}
 # scenario and CSV files
 
 
+@contextmanager
+def _reading(path: str | Path):
+    """Report a missing, unopenable or non-UTF-8 input file read in the block
+    as a ``SchemaError`` naming ``path``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load and fully validate a scenario JSON file."""
-    try:
+    with _reading(path):
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -148,9 +153,10 @@ def ingest_panel_csv(path: str | Path) -> PanelArrays:
     """Read a panel CSV into columns, enforcing the exact schema and every
     invariant of :meth:`PanelArrays.validate`, row and panel level alike.
 
-    An error in a data row names its CSV line.
+    An error in a data row names its CSV line; an unreadable file is a
+    ``SchemaError``.
     """
-    with open(path, newline="") as handle:
+    with _reading(path), open(path, newline="") as handle:
         lines = list(csv.reader(handle))
     if not lines:
         raise SchemaError(f"{path} is empty")
@@ -331,10 +337,7 @@ class _Run:
     def tost(self, kinds: tuple[str, ...]) -> None:
         for market_id, outcome, fit in self._sample_fits("event"):
             result = tost_pretrends(fit, bounds=self.option("bounds"), alpha=self.option("alpha"))
-            self._emit(
-                f"tost_{market_id}_{outcome}.json",
-                json.dumps(tost_as_dict(result), indent=2, sort_keys=True) + "\n",
-            )
+            self._emit(f"tost_{market_id}_{outcome}.json", json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
 
     def report(self, kinds: tuple[str, ...]) -> None:
         rows = []
@@ -423,7 +426,7 @@ def run_pipeline(
         try:
             stage(run, kinds)
         except OlmsimError as exc:
-            raise PipelineError(token, exc) from exc
+            raise PipelineError(f"stage {token!r}: {exc}") from exc
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
     with _writing(out / "manifest.json"):

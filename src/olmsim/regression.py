@@ -67,9 +67,8 @@ _REL_TERM = re.compile(r"^treat_rel\[(-?\d+)\]$")
 @dataclass
 class AbsorbResult:
     values: np.ndarray
-    iterations: int
-    #: passes each column took; ``iterations`` is their maximum
-    column_iterations: np.ndarray = field(repr=False, default=None)
+    #: passes each column took
+    column_iterations: np.ndarray = field(repr=False)
 
 
 def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.ndarray) -> AbsorbResult:
@@ -116,7 +115,7 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
                 f"two-way absorption of column {j} did not converge within {ABSORB_MAX_ITER} iterations",
                 iterations=ABSORB_MAX_ITER,
             )
-    return AbsorbResult(np.ascontiguousarray(m), int(column_iterations.max(initial=0)), column_iterations)
+    return AbsorbResult(np.ascontiguousarray(m), column_iterations)
 
 
 @dataclass
@@ -451,9 +450,9 @@ def fit_designs(
     ``designs`` names entries of :data:`DESIGNS` or maps names to term
     builders. The specs may differ only in outcome and transform. Every
     fit runs on all of the panel's rows, which must hold each (worker,
-    month) cell once: the outcomes and the design columns are absorbed
-    together, once, with worker and month effects, and every fit clusters
-    on workers.
+    month) cell once, and whose ``log1p`` outcomes must exceed -1: the
+    outcomes and the design columns are absorbed together, once, with
+    worker and month effects, and every fit clusters on workers.
     """
     if not isinstance(designs, dict):
         if unknown := [kind for kind in designs if kind not in DESIGNS]:
@@ -467,6 +466,10 @@ def fit_designs(
     if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
     _one_row_per(panel, ("worker_id", "month_index"), _row_label)
+    for spec in specs:  # log1p is nan or -inf at or below -1
+        y = panel.column(spec.outcome)
+        if spec.transform == "log1p" and (low := np.flatnonzero(y <= -1)).size:
+            raise ValidationError(f"{_row_label(low[0])}: {spec.outcome} must exceed -1 for log1p, got {y[low[0]]}")
     ys = {spec.outcome: transform_outcome(panel.column(spec.outcome), spec.transform) for spec in specs}
     controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
     columns: dict[str, np.ndarray] = {}
@@ -529,12 +532,12 @@ def demand_did_fit(series: DemandArrays) -> FitResult:
     series is checked with :meth:`DemandArrays.validate` first.
     """
     series.validate()
-    if len(np.unique(series.market_id)) < 2:
+    markets, market_codes = np.unique(series.market_id, return_inverse=True)
+    if len(markets) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
     if series.post.min() == series.post.max():
         raise ValidationError("demand window must span the shock (post must vary)")
     y = np.log1p(series.postnum.astype(np.float64))
-    market_codes = np.unique(series.market_id, return_inverse=True)[1]
     cols = {"treat_x_post": series.treat * series.post}
     rows = np.arange(series.n_rows)
     fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, series.week_index, rows)

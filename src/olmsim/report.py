@@ -8,7 +8,7 @@ from enum import Enum
 from .errors import ValidationError
 from .market import StaticsRow
 from .matching import BalanceTable
-from .regression import FitResult, TostResult, check_alpha
+from .regression import FitResult, check_alpha
 
 
 class QuadrantLabel(str, Enum):
@@ -92,18 +92,6 @@ def balance_csv_lines(table: BalanceTable) -> list[str]:
             f"{r.post.p_value:.10g},{r.post.std_diff:.10g}"
         )
     return lines
-
-
-def tost_as_dict(result: TostResult) -> dict:
-    return {
-        "alpha": result.alpha,
-        "delta": result.delta,
-        "overall_pass": result.overall_pass,
-        "periods": [
-            {"sigma": p.sigma, "estimate": p.estimate, "se": p.se, "passed": p.passed}
-            for p in result.periods
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

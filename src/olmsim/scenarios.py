@@ -54,7 +54,7 @@ def two_market_config(
     return ScenarioConfig(
         markets=(
             MarketScenario("treated", market, a_path),
-            MarketScenario("control", market, AiPath(a_path.a_pre, a_path.a_pre, a_path.a_pre)),
+            MarketScenario("control", market, a_path.frozen_at_pre()),
         ),
         control_market_id="control",
         workers_per_market=workers,
@@ -81,35 +81,20 @@ def null_config(workers: int = 800, seed: int = 0, a_level: float = 0.3, **kw) -
     return two_market_config(AiPath(a_level, a_level, a_level), workers=workers, seed=seed, **kw)
 
 
-def sweep_config(workers: int = 400, seed: int = 7, treated_fe_shift: float = 0.0, **kw) -> ScenarioConfig:
+def sweep_config(workers: int = 400, seed: int = 7, **kw) -> ScenarioConfig:
     """Control plus nine treated markets whose paths straddle the inflection point.
 
-    ``treated_fe_shift`` moves the treated workers' mean activity level,
-    creating the pre-shock imbalance that the matching stage then corrects.
     The control sits at the middle of the treated pre-shock range so that
     matching selects on worker traits rather than market-level gaps.
     """
     market = reference_market()
     markets = [MarketScenario("control", market, AiPath(0.40, 0.40, 0.40))]
     for i, path in enumerate(SWEEP_PATHS):
-        markets.append(MarketScenario(f"olm{i + 1:02d}", market, path, worker_fe_mean=treated_fe_shift))
+        markets.append(MarketScenario(f"olm{i + 1:02d}", market, path))
     return ScenarioConfig(
         markets=tuple(markets),
         control_market_id="control",
         workers_per_market=workers,
         seed=seed,
         **kw,
-    )
-
-
-def demo_config() -> ScenarioConfig:
-    """The bundled demonstration scenario used by the CLI.
-
-    Earnings noise is set high enough that worker-level price dispersion
-    dwarfs the cross-market price gaps (mirroring the heavy-tailed job
-    prices real panels show), and worker heterogeneity dominates count
-    noise so that matching selects on persistent traits rather than luck.
-    """
-    return sweep_config(
-        workers=400, seed=7, treated_fe_shift=0.15, worker_fe_sigma=0.7, noise_sigma=0.8
     )

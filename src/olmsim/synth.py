@@ -313,7 +313,7 @@ def _equilibrium_levels(scenario: MarketScenario, config: ScenarioConfig, path: 
     """Per-month (q, p) for the base path and, if boosted, the scaled path."""
     base = [path.level_at(month, config.shock1_index, config.shock2_index) for month in range(config.n_months)]
     boost = config.moderator_boost
-    scaled = base if boost is None else [min(1.0, _boost_level(a, path.a_pre, boost.multiplier)) for a in base]
+    scaled = base if boost is None else [_boost_level(a, path.a_pre, boost.multiplier) for a in base]
     eqs = _equilibria(scenario.market, base + scaled)
     q = np.array([eq.q for eq in eqs]).reshape(2, -1)
     p = np.array([eq.p for eq in eqs]).reshape(2, -1)
@@ -413,7 +413,6 @@ class GroundTruth:
     att: float
     mc_se: float
     reps: int
-    outcome: str
 
 
 def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int = 200) -> GroundTruth:
@@ -454,7 +453,7 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
             cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
         diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps, outcome=outcome)
+    return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps)
 
 
 def generate_demand_arrays(config: ScenarioConfig, weeks: int = DEFAULT_WEEKS) -> DemandArrays:

@@ -11,7 +11,7 @@ import pytest
 from conftest import assert_same_columns, assert_same_fit, random_logistic_market
 
 import olmsim
-from olmsim.cli import BUILTIN_DEMO, _resolve_config, build_parser, main
+from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.pipeline import (
@@ -29,7 +29,7 @@ from olmsim.pipeline import (
     write_scenario,
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
-from olmsim.scenarios import demo_config, honeymoon_config, two_market_config
+from olmsim.scenarios import honeymoon_config, two_market_config
 from olmsim.synth import (
     AiPath,
     MarketScenario,
@@ -44,6 +44,29 @@ from olmsim.synth import (
 
 def small_config(seed=5):
     return two_market_config(AiPath(0.2, 0.45, 0.6), workers=40, seed=seed)
+
+
+#: the run options each stage token reads, as the manifest records them;
+#: ``None`` is a full run
+OPTIONS_READ = {
+    "simulate": {"weeks"},
+    "match": {"caliper"},
+    "estimate": {"caliper", "weeks"},
+    "estimate_did": {"caliper"},
+    "estimate_event": {"caliper"},
+    "estimate_dual": {"caliper"},
+    "estimate_demand": {"weeks"},
+    "tost": {"alpha", "bounds", "caliper"},
+    "report": {"alpha", "caliper"},
+    None: {"alpha", "bounds", "caliper", "weeks"},
+}
+
+
+def subcommand_flags(command: str) -> set[str]:
+    """The option flags of ``command``: what the tokens it may run read,
+    except ``weeks``, which no subcommand sets."""
+    tokens = {"estimate": [t for t in STAGES if t.startswith("estimate_")], "run": [None]}.get(command, [command])
+    return {f"--{option}" for token in tokens for option in OPTIONS_READ[token] - {"weeks"}}
 
 
 class TestScenarioFiles:
@@ -72,10 +95,12 @@ class TestScenarioFiles:
 
     def test_demo_scenario_bytes_pinned(self, tmp_path):
         # the encoder's output is hashed into every manifest: pin its bytes
+        bundled = _resolve_config(BUILTIN_DEMO)
+        demo = parse_scenario(bundled)
         path = tmp_path / "demo.json"
-        write_scenario(demo_config(), path)
-        assert path.read_bytes() == _resolve_config(BUILTIN_DEMO).read_bytes()
-        assert config_hash(demo_config()) == "b5b791ecfaaf0dfe76098afbb07a4f870d0d3d1c129094cd3438e36ac77c9643"
+        write_scenario(demo, path)
+        assert path.read_bytes() == bundled.read_bytes()
+        assert config_hash(demo) == "b5b791ecfaaf0dfe76098afbb07a4f870d0d3d1c129094cd3438e36ac77c9643"
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -208,6 +233,20 @@ class TestPanelCsv:
         path = tmp_path / "panel.csv"
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SchemaError, match=message):
+            ingest_panel_csv(path)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda path: None, "No such file", id="missing"),
+            pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+            pytest.param(lambda path: path.write_bytes(b"worker_id\xff\n"), "can't decode", id="not-utf8"),
+        ],
+    )
+    def test_unreadable_file_is_schema_error(self, tmp_path, make, message):
+        path = tmp_path / "panel.csv"
+        make(path)
+        with pytest.raises(SchemaError, match=rf"^cannot read {path}: .*{message}"):
             ingest_panel_csv(path)
 
     @pytest.mark.parametrize(
@@ -400,21 +439,7 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="unknown stage"):
             run_pipeline(small_config(), tmp_path / "x", stages=["compile"])
 
-    @pytest.mark.parametrize(
-        "token, read",
-        [
-            ("simulate", {"weeks"}),
-            ("match", {"caliper"}),
-            ("estimate", {"caliper", "weeks"}),
-            ("estimate_did", {"caliper"}),
-            ("estimate_event", {"caliper"}),
-            ("estimate_dual", {"caliper"}),
-            ("estimate_demand", {"weeks"}),
-            ("tost", {"alpha", "bounds", "caliper"}),
-            ("report", {"alpha", "caliper"}),
-            (None, {"alpha", "bounds", "caliper", "weeks"}),
-        ],
-    )
+    @pytest.mark.parametrize("token, read", OPTIONS_READ.items())
     def test_manifest_records_the_options_its_stages_read(self, tmp_path, token, read):
         manifest = run_pipeline(small_config(), tmp_path, stages=None if token is None else [token])
         assert set(manifest.options) == read
@@ -466,17 +491,7 @@ class TestCli:
         assert main(["report", "--config", str(config_path), "--out", str(out)]) == 0
         assert (out / "quadrant.csv").exists()
 
-    @pytest.mark.parametrize(
-        "command, options",
-        [
-            ("simulate", set()),
-            ("match", {"--caliper"}),
-            ("estimate", {"--caliper"}),
-            ("tost", {"--caliper", "--bounds", "--alpha"}),
-            ("report", {"--caliper", "--alpha"}),
-            ("run", {"--caliper", "--bounds", "--alpha"}),
-        ],
-    )
+    @pytest.mark.parametrize("command, options", [(command, subcommand_flags(command)) for command in SUBCOMMANDS])
     def test_each_subcommand_takes_the_options_its_stage_reads(self, command, options):
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         parser = sub.choices[command]
