@@ -47,6 +47,7 @@ from .report import (
     classify_quadrant,
     fit_csv_lines,
     fit_text_table,
+    match_csv_lines,
     quadrant_csv_lines,
     statics_csv_lines,
 )
@@ -105,7 +106,8 @@ def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 def _csv_lines(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> list[str]:
     """Header plus one line per row, formatted ``_CSV_BLOCK_ROWS`` rows at a time."""
-    # str of a Python float is its repr: the shortest form that reads back exactly
+    # the data CSVs' own writer, apart from ``report.csv_lines``: they must read
+    # back exactly, and str of a Python float is its repr, the shortest such form
     values = [getattr(arrays, name) for name in columns]
     lines = [",".join(columns)]
     for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
@@ -153,11 +155,15 @@ def ingest_panel_csv(path: str | Path) -> PanelArrays:
     """Read a panel CSV into columns, enforcing the exact schema and every
     invariant of :meth:`PanelArrays.validate`, row and panel level alike.
 
-    An error in a data row names its CSV line; an unreadable file is a
-    ``SchemaError``.
+    An error in a data row names its CSV line; an unreadable file, or one
+    the csv module cannot split into fields, is a ``SchemaError``.
     """
     with _reading(path), open(path, newline="") as handle:
-        lines = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:
+            lines = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
     if not lines:
         raise SchemaError(f"{path} is empty")
     header, rows = lines[0], lines[1:]
@@ -288,13 +294,15 @@ class _Run:
         """Per treated market: the ``fit_kinds`` fits of every outcome, keyed ``(kind, outcome)``."""
         return {m: fit_designs(match["sample"], OUTCOME_SPECS, self.fit_kinds) for m, match in self.matches.items()}
 
-    def _emit(self, name: str, text: str) -> None:
+    def _emit(self, name: str, lines: list[str]) -> None:
+        """Write ``lines`` as the file ``name``, each ending in a newline."""
+        text = "\n".join(lines) + "\n"
         with _writing(self.out / name):
             (self.out / name).write_text(text)
         self.manifest.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
     def _emit_fit(self, name: str, fit, title: str) -> None:
-        self._emit(name, "\n".join(fit_csv_lines(fit)) + "\n")
+        self._emit(name, fit_csv_lines(fit))
         self.tables.append(fit_text_table(fit, title))
 
     def _sample_fits(self, kind: str) -> list[tuple[str, str, object]]:
@@ -302,22 +310,16 @@ class _Run:
         return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(OUTCOME_TRANSFORMS)]
 
     def simulate(self, kinds: tuple[str, ...]) -> None:
-        self._emit("panel.csv", "\n".join(panel_csv_lines(self.panel)) + "\n")
-        self._emit("demand.csv", "\n".join(demand_csv_lines(self.demand)) + "\n")
+        self._emit("panel.csv", panel_csv_lines(self.panel))
+        self._emit("demand.csv", demand_csv_lines(self.demand))
         for scenario in self.config.markets:
             rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
-            self._emit(f"statics_{scenario.market_id}.csv", "\n".join(statics_csv_lines(rows)) + "\n")
+            self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))
 
     def match(self, kinds: tuple[str, ...]) -> None:
         for market_id, match in self.matches.items():
-            result = match["result"]
-            pair_lines = ["treated_id,control_id,distance"]
-            for p in result.pairs:
-                pair_lines.append(f"{p.treated_id},{p.control_id},{p.distance:.10g}")
-            for d in result.dropped_treated:
-                pair_lines.append(f"{d.unit_id},,{d.reason}")
-            self._emit(f"match_{market_id}.csv", "\n".join(pair_lines) + "\n")
-            self._emit(f"balance_{market_id}.csv", "\n".join(balance_csv_lines(match["balance"])) + "\n")
+            self._emit(f"match_{market_id}.csv", match_csv_lines(match["result"]))
+            self._emit(f"balance_{market_id}.csv", balance_csv_lines(match["balance"]))
             self.tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
 
     def estimate(self, kinds: tuple[str, ...]) -> None:
@@ -337,7 +339,7 @@ class _Run:
     def tost(self, kinds: tuple[str, ...]) -> None:
         for market_id, outcome, fit in self._sample_fits("event"):
             result = tost_pretrends(fit, bounds=self.option("bounds"), alpha=self.option("alpha"))
-            self._emit(f"tost_{market_id}_{outcome}.json", json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
+            self._emit(f"tost_{market_id}_{outcome}.json", [json.dumps(asdict(result), indent=2, sort_keys=True)])
 
     def report(self, kinds: tuple[str, ...]) -> None:
         rows = []
@@ -347,9 +349,9 @@ class _Run:
             b2 = fit.coefficients["treat_x_post40"]
             p2 = fit.pvalues["treat_x_post40"]
             rows.append((market_id, outcome, b1, p1, b2, p2, classify_quadrant(b1, p1, b2, p2, self.option("alpha"))))
-        self._emit("quadrant.csv", "\n".join(quadrant_csv_lines(rows)) + "\n")
+        self._emit("quadrant.csv", quadrant_csv_lines(rows))
         if self.tables:
-            self._emit("tables.txt", "\n\n".join(self.tables) + "\n")
+            self._emit("tables.txt", ["\n\n".join(self.tables)])
 
 
 #: the fit kinds of the ``estimate`` stage: all but ``demand`` are fitted on

@@ -245,7 +245,11 @@ class FitResult:
     converged_fe_iterations: int
     outcome_sd: float
     vcov: np.ndarray = field(repr=False, default=None)
-    terms: tuple[str, ...] = ()
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        """The coefficient names, in design order."""
+        return tuple(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -369,7 +373,7 @@ def _fit_columns(
     values, iterations = absorbed.values, absorbed.column_iterations
     fits: dict[tuple[str, str], FitResult] = {}
     for kind, terms in designs.items():
-        terms, idx = tuple(terms), [position[t] for t in terms]
+        idx = [position[t] for t in terms]
         # a C-ordered copy: on the F-ordered ``values[:, idx]``, ``X @ beta``
         # sums in another order
         X = np.take(values, idx, axis=1)
@@ -390,7 +394,7 @@ def _fit_columns(
                 within_r2=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
                 converged_fe_iterations=int(iterations[[j, *idx]].max()),
                 outcome_sd=float(np.std(y, ddof=1)) if len(y) > 1 else 0.0,
-                vcov=vcov, terms=terms,
+                vcov=vcov,
             )
     return fits
 

@@ -1,4 +1,11 @@
-"""Quadrant classification and text/CSV emission of results tables."""
+"""Quadrant classification and the text of every result table a run writes.
+
+Every result CSV (fits, statics, matches, balance, quadrants) is rendered
+through ``csv_lines``, floats to 10 significant digits (6 for statics),
+and the aligned text tables of ``tables.txt`` are rendered here too. The
+data CSVs (panel, demand), which hold exact floats, and the TOST JSON,
+which is a ``TostResult``'s own fields, are written by ``olmsim.pipeline``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .market import StaticsRow
-from .matching import BalanceTable
+from .matching import BalanceTable, MatchResult
 from .regression import FitResult, check_alpha
 
 
@@ -61,37 +68,37 @@ def significance_stars(p: float) -> str:
 # CSV emission (deterministic formatting)
 
 
+def csv_lines(header: str, rows, digits: int = 10) -> list[str]:
+    """``header``, then one comma-joined line per row: each float (numpy's
+    included) to ``digits`` significant digits, any other value as ``str``."""
+    spec = f".{digits}g"
+    return [header, *(",".join([format(v, spec) if isinstance(v, float) else str(v) for v in row]) for row in rows)]
+
+
 def fit_csv_lines(fit: FitResult) -> list[str]:
-    lines = ["term,estimate,se,p"]
-    for term in fit.terms:
-        lines.append(
-            f"{term},{fit.coefficients[term]:.10g},{fit.se[term]:.10g},{fit.pvalues[term]:.10g}"
-        )
-    return lines
+    rows = ((t, fit.coefficients[t], fit.se[t], fit.pvalues[t]) for t in fit.terms)
+    return csv_lines("term,estimate,se,p", rows)
 
 
 def statics_csv_lines(rows: list[StaticsRow]) -> list[str]:
-    lines = ["a,q,p,profit,revenue,phase"]
-    for r in rows:
-        lines.append(
-            f"{r.a:.6g},{r.q:.6g},{r.p:.6g},{r.profit:.6g},{r.revenue:.6g},{r.phase.value}"
-        )
-    return lines
+    cells = ((r.a, r.q, r.p, r.profit, r.revenue, r.phase.value) for r in rows)
+    return csv_lines("a,q,p,profit,revenue,phase", cells, digits=6)
 
 
 def balance_csv_lines(table: BalanceTable) -> list[str]:
-    lines = [
-        "covariate,mean_treated_pre,mean_control_pre,p_pre,std_diff_pre,"
-        "mean_treated_post,mean_control_post,p_post,std_diff_post"
-    ]
-    for r in table.rows:
-        lines.append(
-            f"{r.covariate},{r.pre.mean_treated:.10g},{r.pre.mean_control:.10g},"
-            f"{r.pre.p_value:.10g},{r.pre.std_diff:.10g},"
-            f"{r.post.mean_treated:.10g},{r.post.mean_control:.10g},"
-            f"{r.post.p_value:.10g},{r.post.std_diff:.10g}"
-        )
-    return lines
+    header = ("covariate,mean_treated_pre,mean_control_pre,p_pre,std_diff_pre,"
+              "mean_treated_post,mean_control_post,p_post,std_diff_post")
+    rows = ((r.covariate, r.pre.mean_treated, r.pre.mean_control, r.pre.p_value, r.pre.std_diff,
+             r.post.mean_treated, r.post.mean_control, r.post.p_value, r.post.std_diff) for r in table.rows)
+    return csv_lines(header, rows)
+
+
+def match_csv_lines(result: MatchResult) -> list[str]:
+    """The matched pairs, then one line per dropped treated unit: no
+    ``control_id``, and the drop reason in the ``distance`` column."""
+    rows = [(p.treated_id, p.control_id, p.distance) for p in result.pairs]
+    rows += [(d.unit_id, "", d.reason) for d in result.dropped_treated]
+    return csv_lines("treated_id,control_id,distance", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +145,5 @@ def balance_text_table(table: BalanceTable, title: str) -> str:
 
 def quadrant_csv_lines(rows: list[tuple[str, str, float, float, float, float, QuadrantLabel]]) -> list[str]:
     """Rows are (market_id, outcome, beta35, p35, beta40, p40, label)."""
-    lines = ["market_id,outcome,beta_post35,p_post35,beta_post40,p_post40,label"]
-    for market_id, outcome, b1, p1, b2, p2, label in rows:
-        lines.append(
-            f"{market_id},{outcome},{b1:.10g},{p1:.10g},{b2:.10g},{p2:.10g},{label.value}"
-        )
-    return lines
+    header = "market_id,outcome,beta_post35,p_post35,beta_post40,p_post40,label"
+    return csv_lines(header, ((m, o, b1, p1, b2, p2, label.value) for m, o, b1, p1, b2, p2, label in rows))

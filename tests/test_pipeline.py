@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -249,6 +250,12 @@ class TestPanelCsv:
         with pytest.raises(SchemaError, match=rf"^cannot read {path}: .*{message}"):
             ingest_panel_csv(path)
 
+    def test_field_past_csv_limit_is_schema_error_naming_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(",".join(PANEL_COLUMNS) + "\n" + "9" * 200_000 + "\n")
+        with pytest.raises(SchemaError, match=rf"^{path} line 2: field larger than field limit"):
+            ingest_panel_csv(path)
+
     @pytest.mark.parametrize(
         "column, cell, message",
         [
@@ -364,6 +371,15 @@ class TestRunPipeline:
         # and the files themselves are byte-identical
         for name in m1.outputs:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_demo_seed_0_writes_the_golden_bytes(self, tmp_path):
+        # the hashes CI's golden step compares with; perfbench/record_golden.py alone writes them
+        golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())["demo"]["0"]
+        manifest = run_pipeline(_resolve_config(BUILTIN_DEMO), tmp_path, seed=0)
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir() if path.name != "manifest.json"}
+        assert written == golden["outputs"]
+        assert manifest.manifest_hash == golden["manifest_hash"]
 
     def test_seed_override_changes_hash(self, tmp_path):
         config = small_config()

@@ -533,7 +533,6 @@ class TestTost:
             within_r2=0.1,
             converged_fe_iterations=2,
             outcome_sd=sd,
-            terms=terms,
         )
 
     def test_tight_zeros_pass(self):

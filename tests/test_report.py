@@ -13,8 +13,10 @@ from olmsim.report import (
     balance_csv_lines,
     balance_text_table,
     classify_quadrant,
+    csv_lines,
     fit_csv_lines,
     fit_text_table,
+    match_csv_lines,
     quadrant_csv_lines,
     significance_stars,
     statics_csv_lines,
@@ -56,7 +58,6 @@ class TestStars:
 
 
 def make_fit() -> FitResult:
-    terms = ("treat_x_post35", "tenure")
     return FitResult(
         coefficients={"treat_x_post35": -0.094, "tenure": 0.001},
         se={"treat_x_post35": 0.014, "tenure": 0.0005},
@@ -66,11 +67,16 @@ def make_fit() -> FitResult:
         within_r2=0.469,
         converged_fe_iterations=2,
         outcome_sd=1.0,
-        terms=terms,
     )
 
 
 class TestEmission:
+    def test_csv_lines_formats_floats_to_digits_and_the_rest_as_str(self):
+        rows = [(float("nan"), 3, "", np.float64(2 / 3)), (1e-7, -1, "x", 12345678.0)]
+        assert csv_lines("a,b,c,d", rows, digits=6) == ["a,b,c,d", "nan,3,,0.666667", "1e-07,-1,x,1.23457e+07"]
+        assert csv_lines("a,b", [(2 / 3, 12345678901)]) == ["a,b", "0.6666666667,12345678901"]
+        assert csv_lines("a", []) == ["a"]
+
     def test_fit_csv(self):
         lines = fit_csv_lines(make_fit())
         assert lines[0] == "term,estimate,se,p"
@@ -119,6 +125,16 @@ class TestEmission:
         assert len(lines) == 3
         text = balance_text_table(table, "balance demo")
         assert "pre-matching" in text and "post-matching" in text and "alpha" in text
+
+    def test_match_csv_lists_pairs_then_drops(self):
+        treat = np.array([1, 1, 1, 0, 0])
+        res = propensity_match(np.array([0.3, 0.5, 0.9, 0.2, 0.5]), treat, caliper=0.05)
+        assert match_csv_lines(res) == [
+            "treated_id,control_id,distance",
+            "1,4,0",
+            "2,,off-support",
+            "0,,no-neighbor-within-caliper",
+        ]
 
     def test_quadrant_csv(self):
         rows = [("olm01", "fjobnum", 0.1, 0.001, -0.05, 0.2, QuadrantLabel.INCONCLUSIVE)]
