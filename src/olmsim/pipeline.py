@@ -4,7 +4,13 @@ reproducibility manifests.
 Panels and demand series stay columnar (``PanelArrays``, ``DemandArrays``)
 from generation to output: ``ingest_panel_csv`` returns the validated
 columns it parsed, and the CSV writer formats blocks of rows column by
-column.
+column. A numeric column with few distinct values in a block goes through
+a value table (each distinct value, floats keyed by bit pattern, is
+formatted once); every cell is ``str`` of its value either way. Market
+ids, which are CSV cells and parts of file names, are limited to
+``[A-Za-z0-9_.-]`` by ``MarketScenario``. Every file is read and written
+as UTF-8, whatever the locale, and each output's manifest hash is of the
+bytes written.
 
 A run executes stages from one table, ``STAGES``: simulate -> match ->
 estimate -> tost -> report, each token naming a method of the private
@@ -27,6 +33,7 @@ import csv
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -90,7 +97,7 @@ def _reading(path: str | Path):
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load and fully validate a scenario JSON file."""
     with _reading(path):
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -101,7 +108,26 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _cells(column: np.ndarray) -> Iterable[str]:
+    """``str`` of each value of ``column`` as a Python scalar.
+
+    A bool, integer or float64 column with at most half its cells distinct
+    formats each distinct value once, through a value table. Floats are
+    keyed by bit pattern: ``-0.0 == 0.0``, but their strings differ.
+    """
+    if column.dtype.kind in "biu" or column.dtype == np.float64:
+        keys = column.view(np.int64) if column.dtype.kind == "f" else column
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if 2 * len(distinct) <= len(keys):
+            table = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
+            return table[inverse].tolist()
+    # strings, and blocks of mostly distinct values: a table saves nothing.
+    # Lazily, each cell's string is freed once its line is built; holding a
+    # block's strings in a list raised the demo's peak RSS by 2-3 MB.
+    return map(str, column.tolist())
 
 
 def _csv_lines(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> list[str]:
@@ -112,7 +138,7 @@ def _csv_lines(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> 
     lines = [",".join(columns)]
     for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        lines.extend(map(",".join, zip(*(map(str, column[block].tolist()) for column in values))))
+        lines.extend(map(",".join, zip(*(_cells(column[block]) for column in values))))
     return lines
 
 
@@ -158,7 +184,7 @@ def ingest_panel_csv(path: str | Path) -> PanelArrays:
     An error in a data row names its CSV line; an unreadable file, or one
     the csv module cannot split into fields, is a ``SchemaError``.
     """
-    with _reading(path), open(path, newline="") as handle:
+    with _reading(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             lines = list(reader)
@@ -295,11 +321,11 @@ class _Run:
         return {m: fit_designs(match["sample"], OUTCOME_SPECS, self.fit_kinds) for m, match in self.matches.items()}
 
     def _emit(self, name: str, lines: list[str]) -> None:
-        """Write ``lines`` as the file ``name``, each ending in a newline."""
-        text = "\n".join(lines) + "\n"
+        """Write ``lines`` as the file ``name`` in UTF-8, each ending in a newline."""
+        data = "\n".join([*lines, ""]).encode()
         with _writing(self.out / name):
-            (self.out / name).write_text(text)
-        self.manifest.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
+            (self.out / name).write_bytes(data)
+        self.manifest.outputs[name] = hashlib.sha256(data).hexdigest()
 
     def _emit_fit(self, name: str, fit, title: str) -> None:
         self._emit(name, fit_csv_lines(fit))
@@ -432,6 +458,7 @@ def run_pipeline(
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
     with _writing(out / "manifest.json"):
-        (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+        (out / "manifest.json").write_text(text, encoding="utf-8")
     return manifest
 

@@ -371,6 +371,7 @@ def _fit_columns(
     codes, g = _cluster_codes(cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     values, iterations = absorbed.values, absorbed.column_iterations
+    outcome_sds = [float(np.std(y, ddof=1)) if len(y) > 1 else 0.0 for y in outcomes.values()]
     fits: dict[tuple[str, str], FitResult] = {}
     for kind, terms in designs.items():
         idx = [position[t] for t in terms]
@@ -393,7 +394,7 @@ def _fit_columns(
                 n_obs=len(y), n_clusters=g,
                 within_r2=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
                 converged_fe_iterations=int(iterations[[j, *idx]].max()),
-                outcome_sd=float(np.std(y, ddof=1)) if len(y) > 1 else 0.0,
+                outcome_sd=outcome_sds[j],
                 vcov=vcov,
             )
     return fits

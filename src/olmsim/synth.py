@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -46,6 +47,9 @@ DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
 DEFAULT_WEEKS = 95
 
 _MODERATOR_COLUMNS = ("us", "experienced")
+
+#: a market id: it is a cell of the data CSVs and part of output file names
+_MARKET_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 #: rates above this invert through ``scipy.special.pdtrik`` instead of the
@@ -145,6 +149,12 @@ class MarketScenario:
     market: MarketSpec
     a_path: AiPath
     worker_fe_mean: float = 0.0
+
+    def __post_init__(self):
+        if not (isinstance(self.market_id, str) and _MARKET_ID.fullmatch(self.market_id)):
+            raise ValidationError(
+                f"market id must be one or more of A-Z, a-z, 0-9, '_', '.' and '-', got {self.market_id!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from conftest import assert_same_columns, assert_same_fit, random_logistic_marke
 import olmsim
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
-from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
+from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
     OUTCOME_SPECS,
@@ -172,6 +172,7 @@ MALFORMED = {
     "unknown key": (lambda d: d.update(worker_fe_sigmaa=0.4), "worker_fe_sigmaa"),
     "unknown family": (lambda d: _potential(d).update(family="cubic"), "markets[0].market.potential.family"),
     "negative seed": (lambda d: d.update(seed=-1), "seed"),
+    "comma in market id": (lambda d: d["markets"][0].update(market_id="olm,01"), "markets[0]: market id"),
 }
 
 
@@ -309,6 +310,54 @@ class TestCsvWriter:
         demand = generate_demand_arrays(self.CONFIG, weeks=4200)  # 8,400 rows
         part = demand.subset(np.arange(demand.n_rows) < n)
         assert demand_csv_lines(part) == reference_csv_lines(part, DEMAND_COLUMNS)
+
+
+def edge_panel(n: int) -> PanelArrays:
+    """``n`` rows whose columns reach every path of the writer: few and many
+    distinct values per block, signed zeros, non-finite floats, integers past
+    2**53 and a string column."""
+    rows = np.arange(n)
+    rng = np.random.default_rng(n)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, -2.5e-300, 1e16])
+    return PanelArrays(
+        worker_id=2**53 + 1 + rows // 16,
+        market_id=np.array(["olm01", "control"], dtype=object)[rows // 7 % 2],
+        month_index=rows % 16,
+        treat=rows // 7 % 2,
+        post35=rows % 16 >= 6,
+        post40=np.zeros(n, dtype=np.int64),
+        fjobnum=rng.integers(0, 2**62, n),
+        fjobearn=rng.normal(size=n),
+        fjobratio=specials[rows % len(specials)],
+        tenure=2**63 - 1 - rows,
+        us=np.ones(n, dtype=np.int64),
+        experienced=rows % 3 == 0,
+    )
+
+
+class TestCsvWriterEdgeValues:
+    """The value-table writer against the per-row formatter on values a table can get wrong."""
+
+    SIZES = (0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_panel_lines_match_per_row_reference(self, n):
+        panel = edge_panel(n)
+        assert panel_csv_lines(panel) == reference_csv_lines(panel, PANEL_COLUMNS)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_demand_lines_match_per_row_reference(self, n):
+        panel = edge_panel(n)
+        demand = DemandArrays(
+            market_id=panel.market_id, week_index=panel.worker_id, postnum=panel.fjobratio,
+            treat=panel.treat, post=panel.fjobearn,
+        )
+        assert demand_csv_lines(demand) == reference_csv_lines(demand, DEMAND_COLUMNS)
+
+    def test_signed_zeros_keep_their_sign(self):
+        lines = panel_csv_lines(edge_panel(_CSV_BLOCK_ROWS))
+        ratios = [line.split(",")[PANEL_COLUMNS.index("fjobratio")] for line in lines[1:9]]
+        assert ratios == ["0.0", "-0.0", "nan", "inf", "-inf", "0.1", "-2.5e-300", "1e+16"]
 
 
 class TestPanelInvariants:
@@ -617,6 +666,15 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    def test_run_opens_no_file_in_the_locale_encoding(self, tmp_path):
+        # the default-encoding warning, raised as an error, fails any open that leaves the encoding to the locale
+        argv = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "olmsim.cli", "run",
+                "--config", BUILTIN_DEMO, "--out", str(tmp_path / "out")]
+        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_builtin_demo_resolves(self, tmp_path):
         # simulate only, small enough to run quickly

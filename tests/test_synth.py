@@ -138,6 +138,15 @@ class TestConfigValidation:
                 control_market_id="zzz",
             )
 
+    @pytest.mark.parametrize("market_id", ["olm,01", 'olm"01', "olm\n01", "olm/01", ""])
+    def test_market_id_outside_the_csv_and_file_name_characters_rejected(self, market_id):
+        with pytest.raises(ValidationError, match="market id") as info:
+            MarketScenario(market_id, reference_market(), AiPath(0.1, 0.1, 0.1))
+        assert repr(market_id) in str(info.value)
+
+    def test_market_id_of_allowed_characters_accepted(self):
+        assert MarketScenario("Olm_0.1-b", reference_market(), AiPath(0.1, 0.1, 0.1)).market_id == "Olm_0.1-b"
+
     def test_duplicate_ids_rejected(self):
         market = reference_market()
         with pytest.raises(ValidationError, match="unique"):
