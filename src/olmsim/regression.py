@@ -175,7 +175,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
 
 def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np.ndarray) -> np.ndarray:
     n, k = X.shape
-    xe = X * e[:, None]
+    # column-major, so each column ``bincount`` weights by is contiguous
+    xe = np.multiply(X, e[:, None], order="F")
     scores = np.empty((g, k))
     for j in range(k):
         scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
@@ -362,7 +363,11 @@ def _fit_columns(
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
-    stack = np.column_stack([np.asarray(v, dtype=np.float64) for v in [*outcomes.values(), *columns.values()]])
+    # filled column by column in the column-major layout absorption works in,
+    # so ``absorb_two_way`` copies it without reordering
+    stack = np.empty((len(cluster_ids), len(names)), order="F")
+    for j, v in enumerate([*outcomes.values(), *columns.values()]):
+        stack[:, j] = v
     # absorption cannot settle a non-finite column: it would run every pass, then fail as numeric
     finite = np.isfinite(stack)
     if not finite.all():

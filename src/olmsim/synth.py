@@ -11,6 +11,10 @@ Counts are drawn by inverse CDF from pre-drawn uniforms. That makes the
 whole simulation a deterministic function of ``(config, seed)`` and lets
 ``ground_truth_att`` rerun the same draws under a counterfactual AI path
 (common random numbers), which removes Monte Carlo bias from the oracle.
+The draws follow one fixed stream order, so the oracle draws only the
+prefix of the stream that its outcome reads, and it inverts the counts of
+both paths of every treated market in one inverse-CDF call per
+replication.
 """
 
 from __future__ import annotations
@@ -66,13 +70,14 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Drawing counts through a uniform keeps them a pure function of ``u``,
     which is what the common-random-number counterfactuals rely on. Small
     rates use a cumulative term search (an order of magnitude faster than
-    the generic ppf at panel scale) that carries only the cells still below
-    their uniform; large rates take scipy's ``poisson.ppf`` recipe, the
-    ceiling of ``pdtrik`` stepped back one where the CDF already reaches
-    ``u``. A rate that is negative, infinite or nan, or a uniform outside
-    [0, 1) or nan, raises :class:`ValidationError` naming the value; a
-    small-rate search past :data:`ICDF_MAX_TERMS` terms raises
-    :class:`ConvergenceError`.
+    the generic ppf at panel scale) that adds each term in place over whole
+    arrays and counts the terms each cell needed, dropping the cells already
+    done only once fewer than half are still below their uniform; large
+    rates take scipy's ``poisson.ppf`` recipe, the ceiling of ``pdtrik``
+    stepped back one where the CDF already reaches ``u``. A rate that is
+    negative, infinite or nan, or a uniform outside [0, 1) or nan, raises
+    :class:`ValidationError` naming the value; a small-rate search past
+    :data:`ICDF_MAX_TERMS` terms raises :class:`ConvergenceError`.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
@@ -82,30 +87,54 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     valid = (u >= 0) & (u < 1)  # false for nan
     if not valid.all():
         raise ValidationError(f"poisson uniform must lie in [0, 1), got {u[~valid][0]}")
-    k = np.zeros(u.shape, dtype=np.int64)
-    k_flat, u, lam = k.reshape(-1), u.reshape(-1), lam.reshape(-1)
+    shape = u.shape
+    u, lam = u.reshape(-1), lam.reshape(-1)
     big = lam > _ICDF_RATE_CUTOFF
-    if big.any():
-        u_big, lam_big = u[big], lam[big]
-        upper = np.ceil(special.pdtrik(u_big, lam_big))
-        lower = np.maximum(upper - 1, 0)
-        k_flat[big] = np.where(special.pdtr(lower, lam_big) >= u_big, lower, upper).astype(np.int64)
-    idx = np.flatnonzero(~big)
-    u, lam = u[idx], lam[idx]
+    if not big.any():
+        return _term_search(u, lam).reshape(shape)
+    k = np.empty(u.shape, dtype=np.int64)
+    u_big, lam_big = u[big], lam[big]
+    upper = np.ceil(special.pdtrik(u_big, lam_big))
+    lower = np.maximum(upper - 1, 0)
+    k[big] = np.where(special.pdtr(lower, lam_big) >= u_big, lower, upper).astype(np.int64)
+    small = ~big
+    k[small] = _term_search(u[small], lam[small])
+    return k.reshape(shape)
+
+
+def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest k with ``sum_{i <= k} exp(-lam) lam^i / i! >= u``, cell by cell.
+
+    Each cell's cumulative sum only grows, so once it reaches ``u`` the cell
+    stays reached and its count stops; the cells still below add their next
+    term, in place. Once fewer than half the carried cells are still below,
+    the search carries only those.
+    """
+    # ``counts`` belongs to the carried cells: ``k`` itself until the first
+    # drop, then a gathered copy written back to ``k`` at each later drop
+    k = counts = np.zeros(u.shape, dtype=np.int64)
+    carried = None  # positions in ``k`` of the carried cells, once some are dropped
     p = np.exp(-lam)
-    cum = p
+    cum = p.copy()
+    below = cum < u
     i = 0
-    while True:
-        live = np.flatnonzero(cum < u)
-        if not live.size:
-            return k
-        idx, u, lam, p, cum = idx[live], u[live], lam[live], p[live], cum[live]
+    while live := np.count_nonzero(below):
+        if 2 * live < below.size:
+            if carried is not None:
+                k[carried] = counts
+            keep = np.flatnonzero(below)
+            carried = keep if carried is None else carried[keep]
+            u, lam, p, cum, counts, below = u[keep], lam[keep], p[keep], cum[keep], counts[keep], below[keep]
         i += 1
         if i > ICDF_MAX_TERMS:
             raise ConvergenceError(f"poisson inverse CDF exceeded {ICDF_MAX_TERMS} terms", iterations=i)
-        p = p * (lam / i)
-        cum = cum + p
-        k_flat[idx] = i
+        counts += below
+        p *= lam / i
+        cum += p
+        np.less(cum, u, out=below)
+    if carried is not None:
+        k[carried] = counts
+    return k
 
 
 @dataclass(frozen=True)
@@ -275,14 +304,17 @@ EARN_NOISE_WORKER_SHARE = 0.5
 
 @dataclass
 class _MarketDraws:
+    """One market's draws, in stream order; a field after the stop of a
+    truncated draw is None."""
+
     worker_fe: np.ndarray
-    reg_day: np.ndarray
-    us: np.ndarray
-    experienced: np.ndarray
-    earn_trait: np.ndarray
-    u_jobs: np.ndarray
-    eps: np.ndarray
-    u_bg: np.ndarray
+    reg_day: np.ndarray | None = None
+    us: np.ndarray | None = None
+    experienced: np.ndarray | None = None
+    earn_trait: np.ndarray | None = None
+    u_jobs: np.ndarray | None = None
+    eps: np.ndarray | None = None
+    u_bg: np.ndarray | None = None
 
 
 @dataclass
@@ -291,25 +323,37 @@ class _Draws:
     per_market: list[_MarketDraws]
 
 
-def _draw(config: ScenarioConfig, seed: int) -> _Draws:
-    """All randomness for one panel replication, in a fixed order."""
+def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None) -> _Draws:
+    """All randomness for one panel replication, in a fixed order.
+
+    ``stop``, a (market index, field) pair, ends the stream after that
+    market's field: its later fields are None and later markets absent.
+    What is drawn is a prefix of the full stream, so it equals the full
+    draw's arrays bit for bit.
+    """
     rng = np.random.default_rng([seed, 1])
     w, t = config.workers_per_market, config.n_months
     month_fe = rng.standard_normal(t) * config.month_fe_sigma
+    draw = {  # in stream order
+        "worker_fe": lambda m: m.worker_fe_mean + rng.standard_normal(w) * config.worker_fe_sigma,
+        "reg_day": lambda m: rng.integers(0, 3650, size=w),
+        "us": lambda m: (rng.uniform(size=w) < config.us_share).astype(np.int64),
+        "experienced": lambda m: (rng.uniform(size=w) < config.experienced_share).astype(np.int64),
+        "earn_trait": lambda m: rng.standard_normal(w),
+        "u_jobs": lambda m: rng.uniform(size=(w, t)),
+        "eps": lambda m: rng.standard_normal((w, t)),
+        "u_bg": lambda m: rng.uniform(size=(w, t)),
+    }
     per_market = []
-    for scenario in config.markets:
-        per_market.append(
-            _MarketDraws(
-                worker_fe=scenario.worker_fe_mean + rng.standard_normal(w) * config.worker_fe_sigma,
-                reg_day=rng.integers(0, 3650, size=w),
-                us=(rng.uniform(size=w) < config.us_share).astype(np.int64),
-                experienced=(rng.uniform(size=w) < config.experienced_share).astype(np.int64),
-                earn_trait=rng.standard_normal(w),
-                u_jobs=rng.uniform(size=(w, t)),
-                eps=rng.standard_normal((w, t)),
-                u_bg=rng.uniform(size=(w, t)),
-            )
-        )
+    for idx, scenario in enumerate(config.markets):
+        drawn = {}
+        for name, make in draw.items():
+            drawn[name] = make(scenario)
+            if (idx, name) == stop:
+                break
+        per_market.append(_MarketDraws(**drawn))
+        if stop is not None and idx == stop[0]:
+            break
     return _Draws(month_fe=month_fe, per_market=per_market)
 
 
@@ -330,6 +374,11 @@ def _equilibrium_levels(scenario: MarketScenario, config: ScenarioConfig, path: 
     return q, p
 
 
+#: the last draw that each outcome's cells read; a draw stopped after it
+#: gives the outcome its full-draw values
+_LAST_DRAW = {"fjobnum": "u_jobs", "fjobearn": "eps", "fjobratio": "u_bg"}
+
+
 class _MarketCells:
     """The generating formulas for one market's cells on months ``cols``.
 
@@ -346,10 +395,16 @@ class _MarketCells:
         self.boosted = np.zeros(len(d.worker_fe), dtype=np.int64) if boost is None else getattr(d, boost.column)
         self.activity = np.exp(d.worker_fe[:, None] + draws.month_fe[None, cols])
 
-    def jobs(self, q: np.ndarray) -> np.ndarray:
+    @property
+    def u_jobs(self) -> np.ndarray:
+        return self.d.u_jobs[:, self.cols]
+
+    def rate(self, q: np.ndarray) -> np.ndarray:
         # row 0 of the (2, t) levels is the base path, row 1 the boosted one
-        lam = q[:, self.cols][self.boosted] * self.config.jobs_scale * self.activity
-        return poisson_icdf(self.d.u_jobs[:, self.cols], lam)
+        return q[:, self.cols][self.boosted] * self.config.jobs_scale * self.activity
+
+    def jobs(self, q: np.ndarray) -> np.ndarray:
+        return poisson_icdf(self.u_jobs, self.rate(q))
 
     @cached_property
     def earn_factor(self) -> np.ndarray:
@@ -371,8 +426,8 @@ class _MarketCells:
         total = jobs + self.background
         return np.divide(jobs, total, out=np.zeros(total.shape), where=total > 0)
 
-    def outcome(self, name: str, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        jobs = self.jobs(q)
+    def outcome(self, name: str, jobs: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Outcome ``name`` of the cells whose job counts are ``jobs``."""
         if name == "fjobnum":
             return jobs
         return self.earn(jobs, p) if name == "fjobearn" else self.ratio(jobs)
@@ -428,15 +483,19 @@ class GroundTruth:
 def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int = 200) -> GroundTruth:
     """ATT oracle: factual minus frozen-at-pre outcome under shared draws.
 
-    Replication ``r`` redraws all of the generating process's randomness
-    from seed ``seed ^ r`` and evaluates the outcome twice on the same
-    draws, once with the configured AI paths and once with every path
-    frozen at its pre level. Only the cells the average reads are
-    computed: the treated markets' post-shock months, in panel order
-    (markets, then workers, then months). Each treated market's
-    equilibrium levels on both paths are solved once per call, and the
-    path-independent factors once per replication. The difference of the
-    transformed outcome is averaged over those cells.
+    Replication ``r`` redraws the generating process's randomness from
+    seed ``seed ^ r`` and evaluates the outcome twice on the same draws,
+    once with the configured AI paths and once with every path frozen at
+    its pre level. It draws only the prefix of the stream that the
+    outcome reads, up to the last treated market's last draw for that
+    outcome, and that prefix equals the full draw. Only the cells the
+    average reads are computed: the treated markets' post-shock months, in
+    panel order (markets, then workers, then months). Each treated market's
+    equilibrium levels on both paths are solved once per call; the job
+    counts of every treated market on both paths come from one inverse-CDF
+    call per replication, and the path-independent factors are computed
+    once per replication. The difference of the transformed outcome is
+    averaged over those cells.
 
     Replication streams are ``seed ^ r``, so with seed 0 replication ``r``
     reuses the draws of ``config.with_seed(r)``.
@@ -451,15 +510,23 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
         if scenario.market_id != config.control_market_id:
             paths = (scenario.a_path, scenario.a_path.frozen_at_pre())
             treated.append((idx, [_equilibrium_levels(scenario, config, path) for path in paths]))
+    if not treated:
+        raise ValidationError(
+            f"ground truth needs a treated market; the scenario has only the control {config.control_market_id!r}"
+        )
+    stop = (treated[-1][0], _LAST_DRAW[outcome])
     cols = slice(config.shock1_index, None)
     n_cells = config.workers_per_market * (config.n_months - config.shock1_index)
     cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
     for r in range(reps):
-        draws = _draw(config, config.seed ^ r)
-        for k, (idx, levels) in enumerate(treated):
-            cells = _MarketCells(config, draws, idx, cols)
-            y1, y0 = (transform_outcome(cells.outcome(outcome, q, p), transform) for q, p in levels)
+        draws = _draw(config, config.seed ^ r, stop)
+        markets = [(_MarketCells(config, draws, idx, cols), levels) for idx, levels in treated]
+        # every market's counts on both paths in one call; axes: market, path, worker, month
+        lam = np.stack([[cells.rate(q) for q, _ in levels] for cells, levels in markets])
+        u = np.stack([[cells.u_jobs] * len(levels) for cells, levels in markets])
+        for k, ((cells, levels), jobs) in enumerate(zip(markets, poisson_icdf(u, lam))):
+            y1, y0 = (transform_outcome(cells.outcome(outcome, n, p), transform) for n, (_, p) in zip(jobs, levels))
             cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
         diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

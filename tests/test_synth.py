@@ -1,9 +1,11 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_same_columns
-from scipy import stats
+from scipy import special, stats
 
 from olmsim import synth
 from olmsim.errors import ConvergenceError, ValidationError
@@ -103,11 +105,58 @@ class TestPoissonIcdf:
         with pytest.raises(ValidationError, match=f"must lie in \\[0, 1\\), got {bad}"):
             poisson_icdf(np.array([0.5, bad]), np.array([lam, lam]))
 
+    def test_equals_per_cell_reference(self):
+        cut = synth._ICDF_RATE_CUTOFF
+        rates = [0.0, 1e-12, 0.5, 3.0, 25.0, np.nextafter(cut, 0), cut, np.nextafter(cut, np.inf), cut + 1e-9, 150.0]
+        uniforms = [0.0, 1e-300, 0.3, 0.5, 0.999999, np.nextafter(1.0, 0.0)]
+        u, lam = (a.ravel() for a in np.meshgrid(uniforms, rates))
+        expected = [_icdf_reference(ui, li) for ui, li in zip(u, lam)]
+        stalled = [i for i, k in enumerate(expected) if k is None]
+        # at the cutoff itself the search's rounded sum stalls below the largest uniform
+        assert [(lam[i], u[i]) for i in stalled] == [(cut, np.nextafter(1.0, 0.0))]
+        for i in stalled:
+            with pytest.raises(ConvergenceError):
+                poisson_icdf(u[i:i + 1], lam[i:i + 1])
+        done = np.array([k is not None for k in expected])
+        np.testing.assert_array_equal(poisson_icdf(u[done], lam[done]), [k for k in expected if k is not None])
+        # a heavy-tailed draw: a few cells need many more terms than the rest
+        rng = np.random.default_rng(4)
+        u, lam = rng.uniform(size=3000), rng.exponential(10.0, size=3000)
+        assert (lam > cut).any()
+        np.testing.assert_array_equal(poisson_icdf(u, lam), [_icdf_reference(ui, li) for ui, li in zip(u, lam)])
+
+    def test_stacked_paths_equal_per_slice_calls(self):
+        # paths x workers x months, as the oracle stacks them
+        rng = np.random.default_rng(5)
+        u = rng.uniform(size=(2, 30, 10))
+        lam = rng.uniform(0.0, 1.5 * synth._ICDF_RATE_CUTOFF, size=(2, 30, 10))
+        got = poisson_icdf(u, lam)
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got, [poisson_icdf(u[k], lam[k]) for k in range(2)])
+
     def test_max_count_exceeded_raises(self, monkeypatch):
         monkeypatch.setattr(synth, "ICDF_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError, match="exceeded 5 terms") as info:
             poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]))
         assert info.value.iterations == 6
+
+
+def _icdf_reference(u: float, lam: float) -> int | None:
+    """``poisson_icdf`` one cell at a time: scipy's recipe above the cutoff,
+    the same term recurrence below it; None where the search stalls."""
+    if lam > synth._ICDF_RATE_CUTOFF:
+        upper = np.ceil(special.pdtrik(u, lam))
+        lower = max(upper - 1, 0.0)
+        return int(lower if special.pdtr(lower, lam) >= u else upper)
+    p = float(np.exp(-np.array([lam]))[0])  # numpy's exp, as the kernel's
+    cum, k = p, 0
+    while cum < u:
+        k += 1
+        if k > synth.ICDF_MAX_TERMS:
+            return None
+        p *= lam / k
+        cum += p
+    return k
 
 
 class TestConfigValidation:
@@ -307,6 +356,73 @@ class TestGroundTruth:
         with pytest.raises(ValidationError):
             ground_truth_att(null_config(workers=5), outcome="bogus", reps=2)
 
+    def test_no_treated_market_rejected(self):
+        config = ScenarioConfig(
+            markets=(MarketScenario("ctrl", reference_market(), AiPath(0.3, 0.3, 0.3)),),
+            control_market_id="ctrl", workers_per_market=5,
+        )
+        with pytest.raises(ValidationError, match="only the control 'ctrl'"):
+            ground_truth_att(config, reps=2)
+
+    def test_seed_0_equals_the_golden_oracle(self):
+        # the oracle of the montecarlo benchmark's seed 0; perfbench/record_golden.py alone writes it
+        path = Path(__file__).parents[1] / "perfbench" / "golden.json"
+        golden = json.loads(path.read_text(encoding="utf-8"))["montecarlo"]["0"]
+        gt = ground_truth_att(substitution_config(workers=250, seed=0), reps=400)
+        assert (gt.att, gt.mc_se) == (golden["att"], golden["mc_se"])
+
+
+_DRAW_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        sweep_config(workers=6, seed=5),
+        substitution_config(workers=8, seed=3),
+        crossing_config(workers=7, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
+    ],
+    ids=["control-first", "control-last", "experienced-boost"],
+)
+
+
+@_DRAW_CONFIGS
+def test_draw_stopped_is_a_prefix_of_the_full_draw(config):
+    full = synth._draw(config, 9)
+    names = [f.name for f in dataclasses.fields(synth._MarketDraws)]
+    for idx in range(len(config.markets)):
+        for pos, name in enumerate(names):
+            cut = synth._draw(config, 9, (idx, name))
+            assert np.array_equal(cut.month_fe, full.month_fe)
+            assert len(cut.per_market) == idx + 1
+            for m in range(idx + 1):
+                for later, field in enumerate(names):
+                    value = getattr(cut.per_market[m], field)
+                    if m == idx and later > pos:
+                        assert value is None, (idx, name, field)
+                    else:
+                        assert np.array_equal(value, getattr(full.per_market[m], field)), (idx, name, field)
+
+
+@_DRAW_CONFIGS
+@pytest.mark.parametrize("outcome", ["fjobnum", "fjobearn", "fjobratio"])
+def test_last_draw_of_each_outcome_is_the_first_stop_that_gives_its_cells(config, outcome):
+    idx = max(i for i, m in enumerate(config.markets) if m.market_id != config.control_market_id)
+    scenario = config.markets[idx]
+    q, p = synth._equilibrium_levels(scenario, config, scenario.a_path)
+    cols = slice(config.shock1_index, None)
+
+    def cells_outcome(draws):
+        cells = synth._MarketCells(config, draws, idx, cols)
+        return cells.outcome(outcome, cells.jobs(q), p)
+
+    full = cells_outcome(synth._draw(config, 4))
+    for field in dataclasses.fields(synth._MarketDraws):
+        try:
+            got = cells_outcome(synth._draw(config, 4, (idx, field.name)))
+        except TypeError:  # the outcome reads a draw after this stop
+            continue
+        if np.array_equal(got, full):
+            break
+    assert field.name == synth._LAST_DRAW[outcome]
+
 
 def _reference_att(config, outcome, reps):
     """The oracle spelled out on full panels: the factual panel and the panel of
@@ -330,10 +446,11 @@ def _reference_att(config, outcome, reps):
     "config",
     [
         sweep_config(workers=12, seed=5),
+        substitution_config(workers=30),
         two_market_config(AiPath(0.3, 0.5, 0.6), workers=30, seed=11, moderator_boost=ModeratorBoost("us", 1.5)),
         crossing_config(workers=30, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
     ],
-    ids=["sweep", "us-boost", "experienced-boost"],
+    ids=["sweep", "substitution", "us-boost", "experienced-boost"],
 )
 def test_oracle_equals_full_panel_reference(config, outcome):
     gt = ground_truth_att(config, outcome=outcome, reps=4)
