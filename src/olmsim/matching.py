@@ -297,7 +297,8 @@ def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(worker_ids, covariates, names, treat)`` where the columns
     are log1p accumulated jobs, log1p tenure at the last pre-shock month,
-    log1p average earnings per job, and the mean focal-job share.
+    log1p average earnings per job, and the mean focal-job share. Every
+    worker needs a row in the last pre-shock month of the panel.
     """
     pre = panel.post35 == 0
     if not pre.any():
@@ -312,8 +313,10 @@ def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray
     if months.min() == 0:
         raise ValidationError("every worker needs at least one pre-shock month")
     last_pre = int(panel.month_index[pre].max())
-    tenure_last = np.zeros(w)
     at_last = pre & (panel.month_index == last_pre)
+    if (missing := np.setdiff1d(np.arange(w), codes[at_last])).size:
+        raise ValidationError(f"worker {ids[missing[0]]} has no row in the last pre-shock month {last_pre}")
+    tenure_last = np.zeros(w)
     tenure_last[codes[at_last]] = panel.tenure[at_last]
     avg_earn = np.divide(earn, jobs, out=np.zeros(w), where=jobs > 0)
     covariates = np.column_stack(

@@ -36,8 +36,12 @@ def _check_columns(arrays) -> None:
         object.__setattr__(arrays, f.name, arr)
 
 
+#: the binary worker-level columns that a heterogeneity fit interacts with
+#: the shock and that a moderator boost scales the exposure of
+MODERATORS = ("us", "experienced")
+
 #: columns that must take one value per worker, and one value per month
-_WORKER_CONSTANT = ("treat", "market_id", "us", "experienced")
+_WORKER_CONSTANT = ("treat", "market_id", *MODERATORS)
 _MONTH_CONSTANT = ("post35", "post40")
 
 
@@ -109,7 +113,7 @@ class PanelArrays:
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 raise ValidationError(f"{where(bad[0])}: {name} must be finite, got {values[bad[0]]}")
-        for name in ("treat", "post35", "post40", "us", "experienced"):
+        for name in ("treat", "post35", "post40", *MODERATORS):
             _binary(name, self.column(name), where)
         for name, arr in (("fjobnum", self.fjobnum), ("fjobearn", self.fjobearn), ("tenure", self.tenure)):
             bad = np.nonzero(arr < 0)[0]

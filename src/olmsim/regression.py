@@ -8,8 +8,10 @@ rows, absorb the fixed effects of that stack once by alternating demeaning,
 factor each design once by pivoted QR, then solve and compute a clustered
 sandwich covariance per outcome. :func:`fit_designs` fits several outcomes
 and designs of one sample this way, as the pipeline does for each matched
-sample; the single-fit functions are the same path with one outcome and one
-design. Every fit is a pure function of its inputs.
+sample. :data:`DESIGNS` is the one table of panel designs, and every fit
+names its designs from it: the single-fit functions, the heterogeneity fits
+included, are the same path with one outcome and one named design. Every fit
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     SingleClusterError,
     ValidationError,
 )
-from .panel import DemandArrays, PanelArrays, _one_row_per, _row_label
+from .panel import MODERATORS, DemandArrays, PanelArrays, _one_row_per, _row_label
 
 #: a column stops absorbing once no cell moves by more than this fraction
 #: of the column's largest absolute input value
@@ -79,13 +81,16 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
     times the column's largest absolute input value, so where a column
     stops depends neither on its scale nor on the other columns. Balanced
     panels stop after the second pass; a column still moving after
-    :data:`ABSORB_MAX_ITER` passes raises :class:`ConvergenceError`.
+    :data:`ABSORB_MAX_ITER` passes raises :class:`ConvergenceError`. A
+    matrix without rows raises :class:`ValidationError`.
     """
     # column-major while demeaning, so each column is contiguous; every
     # column's arithmetic is its own, so the layout changes no result
     m = np.array(matrix, dtype=np.float64, order="F")
     if m.ndim == 1:
         m = m[:, None]
+    if m.shape[0] == 0:
+        raise ValidationError("two-way absorption needs at least one row, got 0")
     dims = []
     for codes in (unit_codes, time_codes):
         codes = np.asarray(codes)
@@ -151,6 +156,8 @@ def _solve(q: np.ndarray, r: np.ndarray, piv: np.ndarray, y: np.ndarray) -> np.n
 def _cluster_codes(cluster_ids: np.ndarray) -> tuple[np.ndarray, int]:
     """Cluster codes ``0..g-1`` and the cluster count ``g``; needs ``g >= 2``."""
     codes = np.unique(np.asarray(cluster_ids), return_inverse=True)[1]
+    if codes.size == 0:
+        raise ValidationError("cluster-robust covariance needs at least one row, got 0")
     g = int(codes.max()) + 1
     if g < 2:
         raise SingleClusterError("cluster-robust covariance needs at least 2 clusters")
@@ -447,9 +454,11 @@ def _heterogeneity_terms(arrays: PanelArrays, moderator: str) -> dict[str, np.nd
             f"{moderator}_x_post35": mod * arrays.post35}
 
 
-#: interest-term builders of the named panel designs; the spec's controls
+#: interest-term builders of the named panel designs, one ``het_<moderator>``
+#: design per entry of :data:`~olmsim.panel.MODERATORS`; the spec's controls
 #: follow the interest terms in every design
-DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms}
+DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms,
+           **{f"het_{m}": functools.partial(_heterogeneity_terms, moderator=m) for m in MODERATORS}}
 
 
 def fit_designs(
@@ -457,17 +466,15 @@ def fit_designs(
 ) -> dict[tuple[str, str], FitResult]:
     """Fit each design on each outcome of ``specs``, keyed ``(design, outcome)``.
 
-    ``designs`` names entries of :data:`DESIGNS` or maps names to term
-    builders. The specs may differ only in outcome and transform. Every
-    fit runs on all of the panel's rows, which must hold each (worker,
-    month) cell once, and whose ``log1p`` outcomes must exceed -1: the
-    outcomes and the design columns are absorbed together, once, with
-    worker and month effects, and every fit clusters on workers.
+    ``designs`` names entries of :data:`DESIGNS`. The specs may differ
+    only in outcome and transform. Every fit runs on all of the panel's
+    rows, which must hold each (worker, month) cell once, and whose
+    ``log1p`` outcomes must exceed -1: the outcomes and the design columns
+    are absorbed together, once, with worker and month effects, and every
+    fit clusters on workers.
     """
-    if not isinstance(designs, dict):
-        if unknown := [kind for kind in designs if kind not in DESIGNS]:
-            raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
-        designs = {kind: DESIGNS[kind] for kind in designs}
+    if unknown := [kind for kind in designs if kind not in DESIGNS]:
+        raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
     if not specs:
         raise ValidationError("fit_designs needs at least one outcome spec")
     base = specs[0]
@@ -484,17 +491,17 @@ def fit_designs(
     controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
     columns: dict[str, np.ndarray] = {}
     terms: dict[str, list[str]] = {}
-    for kind, build in designs.items():
-        cols = {**build(panel), **controls}
+    for kind in designs:
+        cols = {**DESIGNS[kind](panel), **controls}
         terms[kind] = list(cols)
         columns.update((name, v) for name, v in cols.items() if name not in columns)
     wid = panel.worker_id  # the unit effects and the clusters
     return _fit_columns(ys, columns, terms, wid, panel.month_index, wid)
 
 
-def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str, build) -> FitResult:
+def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str) -> FitResult:
     spec = spec or RegressionSpec()
-    return fit_designs(panel, [spec], {kind: build})[(kind, spec.outcome)]
+    return fit_designs(panel, [spec], (kind,))[(kind, spec.outcome)]
 
 
 def did_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
@@ -503,7 +510,7 @@ def did_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult
     The interest term ``treat_x_post35`` is the interaction of the treated
     flag with the first-shock post indicator; the spec's controls follow it.
     """
-    return _fit_one(panel, spec, "did", _did_terms)
+    return _fit_one(panel, spec, "did")
 
 
 def dual_shock_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
@@ -513,7 +520,7 @@ def dual_shock_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> Fi
     indicator is nested in the first, ``treat_x_post40`` is the incremental
     effect after the second release.
     """
-    return _fit_one(panel, spec, "dual", _dual_terms)
+    return _fit_one(panel, spec, "dual")
 
 
 def event_study_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:
@@ -522,16 +529,20 @@ def event_study_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> F
     One ``treat_rel[s]`` coefficient per relative month ``s``, omitting
     :data:`EVENT_BASELINE` (``-1``, the last pre-shock month).
     """
-    return _fit_one(panel, spec, "event", _event_terms)
+    return _fit_one(panel, spec, "event")
 
 
 def heterogeneity_fit(panel: PanelArrays, spec: RegressionSpec | None = None, moderator: str = "us") -> FitResult:
     """DiD with a binary worker-level moderator interacted with the shock.
 
-    Reports the moderated treatment effect and the moderator-by-post term;
-    the moderator's main effect is absorbed by the worker fixed effect.
+    ``moderator`` is one of :data:`~olmsim.panel.MODERATORS`, and the fit is
+    the ``het_<moderator>`` design of :data:`DESIGNS`. Reports the moderated
+    treatment effect and the moderator-by-post term; the moderator's main
+    effect is absorbed by the worker fixed effect.
     """
-    return _fit_one(panel, spec, "heterogeneity", lambda arrays: _heterogeneity_terms(arrays, moderator))
+    if moderator not in MODERATORS:
+        raise ValidationError(f"moderator must be one of {MODERATORS}, got {moderator!r}")
+    return _fit_one(panel, spec, f"het_{moderator}")
 
 
 def demand_did_fit(series: DemandArrays) -> FitResult:
@@ -584,9 +595,15 @@ def tost_pretrends(fit: FitResult, bounds: float | None = None, alpha: float = 0
     Each period passes when ``(b + delta)/se`` exceeds the upper critical
     value and ``(b - delta)/se`` falls below the lower one, i.e. the
     coefficient is bounded inside ``(-delta, +delta)`` at level ``alpha``.
-    The default ``delta`` is 0.36 times the outcome standard deviation.
+    The default ``delta`` is 0.36 times the outcome standard deviation, so
+    a fit of a constant outcome needs an explicit ``bounds``.
     """
     check_alpha(alpha)
+    if bounds is None and not fit.outcome_sd > 0:
+        raise ValidationError(
+            f"the default equivalence bound, {TOST_SD_MULTIPLE} x the outcome SD, needs a positive SD, "
+            f"got outcome SD {fit.outcome_sd}; pass `bounds`"
+        )
     delta = TOST_SD_MULTIPLE * fit.outcome_sd if bounds is None else float(bounds)
     check_bounds(delta)
     pre = pre_period_terms(fit)

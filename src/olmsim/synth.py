@@ -32,9 +32,9 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, cournot_equilibrium
-from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
+from .panel import DEMAND_COLUMNS, MODERATORS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from .regression import OUTCOME_TRANSFORMS, transform_outcome
 
 #: months covered by the default panel window: six pre-shock months, a
@@ -50,8 +50,6 @@ DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
 #: weeks in the default market-week demand window
 DEFAULT_WEEKS = 95
 
-_MODERATOR_COLUMNS = ("us", "experienced")
-
 #: a market id: it is a cell of the data CSVs and part of output file names
 _MARKET_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -60,7 +58,8 @@ _MARKET_ID = re.compile(r"[A-Za-z0-9_.-]+")
 #: term-by-term search
 _ICDF_RATE_CUTOFF = 60.0
 
-#: terms the small-rate search may add before it raises ConvergenceError
+#: terms the small-rate search adds before the cells still below their
+#: uniform take the large-rate recipe's count
 ICDF_MAX_TERMS = 2000
 
 
@@ -74,10 +73,10 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     arrays and counts the terms each cell needed, dropping the cells already
     done only once fewer than half are still below their uniform; large
     rates take scipy's ``poisson.ppf`` recipe, the ceiling of ``pdtrik``
-    stepped back one where the CDF already reaches ``u``. A rate that is
-    negative, infinite or nan, or a uniform outside [0, 1) or nan, raises
-    :class:`ValidationError` naming the value; a small-rate search past
-    :data:`ICDF_MAX_TERMS` terms raises :class:`ConvergenceError`.
+    stepped back one where the CDF already reaches ``u``, and so does a
+    small-rate cell the search has not finished after :data:`ICDF_MAX_TERMS`
+    terms. A rate that is negative, infinite or nan, or a uniform outside
+    [0, 1) or nan, raises :class:`ValidationError` naming the value.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
@@ -93,13 +92,18 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if not big.any():
         return _term_search(u, lam).reshape(shape)
     k = np.empty(u.shape, dtype=np.int64)
-    u_big, lam_big = u[big], lam[big]
-    upper = np.ceil(special.pdtrik(u_big, lam_big))
-    lower = np.maximum(upper - 1, 0)
-    k[big] = np.where(special.pdtr(lower, lam_big) >= u_big, lower, upper).astype(np.int64)
+    k[big] = _ppf_recipe(u[big], lam[big])
     small = ~big
     k[small] = _term_search(u[small], lam[small])
     return k.reshape(shape)
+
+
+def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """scipy's ``poisson.ppf`` count: the ceiling of ``pdtrik``, stepped back
+    one where the CDF already reaches ``u``."""
+    upper = np.ceil(special.pdtrik(u, lam))
+    lower = np.maximum(upper - 1, 0)
+    return np.where(special.pdtr(lower, lam) >= u, lower, upper).astype(np.int64)
 
 
 def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -108,7 +112,9 @@ def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Each cell's cumulative sum only grows, so once it reaches ``u`` the cell
     stays reached and its count stops; the cells still below add their next
     term, in place. Once fewer than half the carried cells are still below,
-    the search carries only those.
+    the search carries only those. Next to ``u = 1`` the rounded sum can
+    stop growing below ``u``; the cells still below after
+    :data:`ICDF_MAX_TERMS` terms take :func:`_ppf_recipe`'s count.
     """
     # ``counts`` belongs to the carried cells: ``k`` itself until the first
     # drop, then a gathered copy written back to ``k`` at each later drop
@@ -127,7 +133,8 @@ def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
             u, lam, p, cum, counts, below = u[keep], lam[keep], p[keep], cum[keep], counts[keep], below[keep]
         i += 1
         if i > ICDF_MAX_TERMS:
-            raise ConvergenceError(f"poisson inverse CDF exceeded {ICDF_MAX_TERMS} terms", iterations=i)
+            counts[below] = _ppf_recipe(u[below], lam[below])
+            break
         counts += below
         p *= lam / i
         cum += p
@@ -194,8 +201,8 @@ class ModeratorBoost:
     multiplier: float
 
     def __post_init__(self):
-        if self.column not in _MODERATOR_COLUMNS:
-            raise ValidationError(f"moderator column must be one of {_MODERATOR_COLUMNS}, got {self.column!r}")
+        if self.column not in MODERATORS:
+            raise ValidationError(f"moderator column must be one of {MODERATORS}, got {self.column!r}")
         if self.multiplier < 0:
             raise ValidationError(f"moderator multiplier must be nonnegative, got {self.multiplier}")
 
@@ -464,8 +471,7 @@ def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
                 fjobearn=earn.reshape(-1),
                 fjobratio=ratio.reshape(-1),
                 tenure=tenure.reshape(-1),
-                us=np.repeat(d.us, t),
-                experienced=np.repeat(d.experienced, t),
+                **{m: np.repeat(getattr(d, m), t) for m in MODERATORS},
             )
         )
     return PanelArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in PANEL_COLUMNS})

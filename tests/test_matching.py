@@ -306,3 +306,12 @@ class TestDeriveCovariates:
         post_only = arr.subset(arr.post35 == 1)
         with pytest.raises(ValidationError):
             derive_worker_covariates(post_only)
+
+    def test_requires_a_row_in_the_last_pre_month(self):
+        # without the check, the worker's log tenure would read 0
+        arr = generate_panel_arrays(substitution_config(workers=5, seed=3))
+        last_pre = arr.month_index[arr.post35 == 0].max()
+        worker = arr.worker_id[3 * arr.n_rows // 4]
+        keep = (arr.worker_id != worker) | (arr.month_index != last_pre)
+        with pytest.raises(ValidationError, match=rf"^worker {worker} has no row in the last pre-shock month {last_pre}$"):
+            derive_worker_covariates(arr.subset(keep))

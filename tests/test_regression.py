@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -18,6 +19,7 @@ from olmsim.errors import (
 )
 from olmsim.panel import PanelArrays
 from olmsim.regression import (
+    DESIGNS,
     FitResult,
     RegressionSpec,
     absorb_two_way,
@@ -102,6 +104,10 @@ class TestAbsorb:
         )
         beta, *_ = np.linalg.lstsq(d, x, rcond=None)
         np.testing.assert_allclose(res.values, x - d @ beta, atol=1e-8)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="at least one row, got 0"):
+            absorb_two_way(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     def test_constant_column_absorbed_to_zero(self):
         unit = np.repeat(np.arange(3), 4)
@@ -225,6 +231,10 @@ class TestClusterVcov:
         x = np.ones((5, 1))
         with pytest.raises(SingleClusterError):
             cluster_vcov(x, np.ones(5), np.zeros(5))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="at least one row, got 0"):
+            cluster_vcov(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=np.int64))
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(9)
@@ -362,9 +372,16 @@ class TestHeterogeneity:
         rng = np.random.default_rng(20)
         y = rng.standard_normal((6, 6))
         panel = toy_panel(y, {0, 1, 2}, shock_month=3)
-        panel.tenure[:] = 5
+        panel.us[7] = 2
         with pytest.raises(ValidationError, match="binary"):
-            heterogeneity_fit(panel, IDENTITY_SPEC, moderator="tenure")
+            heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+
+    @pytest.mark.parametrize("moderator", ["treat", "tenure", "market_id"])
+    def test_moderator_outside_list_rejected(self, moderator):
+        # without the check, treat would fail as numeric: its interaction is collinear with treat_x_post35
+        panel = toy_panel(np.random.default_rng(20).standard_normal((6, 6)), {0, 1, 2}, shock_month=3)
+        with pytest.raises(ValidationError, match=rf"moderator must be one of \('us', 'experienced'\), got '{moderator}'"):
+            heterogeneity_fit(panel, IDENTITY_SPEC, moderator=moderator)
 
     def test_all_zero_moderator_is_rank_deficient(self):
         rng = np.random.default_rng(21)
@@ -396,7 +413,11 @@ class TestHeterogeneity:
 
 
 class TestFitDesigns:
-    SINGLE = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
+    SINGLE = {
+        "did": did_fit, "dual": dual_shock_fit, "event": event_study_fit,
+        "het_us": functools.partial(heterogeneity_fit, moderator="us"),
+        "het_experienced": functools.partial(heterogeneity_fit, moderator="experienced"),
+    }
 
     @staticmethod
     def panel():
@@ -418,7 +439,8 @@ class TestFitDesigns:
             RegressionSpec(outcome="fjobratio", transform="identity", controls=controls),
             RegressionSpec(outcome="fjobearn", transform="log1p", controls=controls),
         ]
-        fits = fit_designs(panel, specs)
+        assert list(self.SINGLE) == list(DESIGNS)
+        fits = fit_designs(panel, specs, designs=tuple(DESIGNS))
         assert set(fits) == {(kind, s.outcome) for kind in self.SINGLE for s in specs}
         for (kind, outcome), fit in fits.items():
             spec = next(s for s in specs if s.outcome == outcome)
@@ -449,6 +471,12 @@ class TestFitDesigns:
         with pytest.raises(ValidationError, match=rf"row 96: duplicate worker_id,month_index cell {cell}, first at row {i}"):
             fit(repeated)
 
+    @pytest.mark.parametrize("fit", [did_fit, dual_shock_fit, heterogeneity_fit])
+    def test_no_rows_rejected(self, fit):
+        panel = self.panel()
+        with pytest.raises(ValidationError, match="at least one row"):
+            fit(panel.subset(np.zeros(panel.n_rows, dtype=bool)))
+
     def test_specs_must_share_settings(self):
         specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn", controls=())]
         with pytest.raises(ValidationError, match="differ only"):
@@ -457,6 +485,8 @@ class TestFitDesigns:
             fit_designs(self.panel(), [RegressionSpec(), RegressionSpec(transform="identity")])
         with pytest.raises(ValidationError, match="unknown design"):
             fit_designs(self.panel(), [RegressionSpec()], designs=("triple",))
+        with pytest.raises(ValidationError, match=r"unknown design\(s\) \['mine'\]"):  # names only, no builders
+            fit_designs(self.panel(), [RegressionSpec()], designs={"mine": DESIGNS["did"]})
 
 
 class TestDemandDid:
@@ -551,6 +581,14 @@ class TestTost:
         fit = self.fake_event_fit([0.0] * 5, se=0.01, sd=2.0)
         res = tost_pretrends(fit)
         assert res.delta == pytest.approx(0.72)
+
+    def test_constant_outcome_needs_bounds(self):
+        panel = toy_panel(np.ones((6, 6)), {0, 1, 2}, shock_month=3)
+        fit = event_study_fit(panel, IDENTITY_SPEC)
+        assert fit.outcome_sd == 0.0
+        with pytest.raises(ValidationError, match=r"0.36 x the outcome SD.*got outcome SD 0.0; pass `bounds`"):
+            tost_pretrends(fit)
+        assert tost_pretrends(fit, bounds=0.1).overall_pass
 
     def test_requires_pre_periods(self):
         fit = self.fake_event_fit([])

@@ -8,7 +8,7 @@ from conftest import assert_same_columns
 from scipy import special, stats
 
 from olmsim import synth
-from olmsim.errors import ConvergenceError, ValidationError
+from olmsim.errors import ValidationError
 from olmsim.market import cournot_equilibrium
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
 from olmsim.regression import RegressionSpec, did_fit
@@ -110,15 +110,13 @@ class TestPoissonIcdf:
         rates = [0.0, 1e-12, 0.5, 3.0, 25.0, np.nextafter(cut, 0), cut, np.nextafter(cut, np.inf), cut + 1e-9, 150.0]
         uniforms = [0.0, 1e-300, 0.3, 0.5, 0.999999, np.nextafter(1.0, 0.0)]
         u, lam = (a.ravel() for a in np.meshgrid(uniforms, rates))
-        expected = [_icdf_reference(ui, li) for ui, li in zip(u, lam)]
-        stalled = [i for i, k in enumerate(expected) if k is None]
-        # at the cutoff itself the search's rounded sum stalls below the largest uniform
+        stalled = [i for i in range(len(u)) if lam[i] <= cut and _term_reference(u[i], lam[i]) is None]
+        # at the cutoff itself the search's rounded sum stalls below the largest uniform,
+        # so that cell takes the recipe's count
         assert [(lam[i], u[i]) for i in stalled] == [(cut, np.nextafter(1.0, 0.0))]
         for i in stalled:
-            with pytest.raises(ConvergenceError):
-                poisson_icdf(u[i:i + 1], lam[i:i + 1])
-        done = np.array([k is not None for k in expected])
-        np.testing.assert_array_equal(poisson_icdf(u[done], lam[done]), [k for k in expected if k is not None])
+            assert poisson_icdf(u[i:i + 1], lam[i:i + 1]).tolist() == [_recipe_reference(u[i], lam[i])]
+        np.testing.assert_array_equal(poisson_icdf(u, lam), [_icdf_reference(ui, li) for ui, li in zip(u, lam)])
         # a heavy-tailed draw: a few cells need many more terms than the rest
         rng = np.random.default_rng(4)
         u, lam = rng.uniform(size=3000), rng.exponential(10.0, size=3000)
@@ -134,20 +132,37 @@ class TestPoissonIcdf:
         assert got.shape == u.shape
         np.testing.assert_array_equal(got, [poisson_icdf(u[k], lam[k]) for k in range(2)])
 
-    def test_max_count_exceeded_raises(self, monkeypatch):
+    def test_max_terms_exceeded_takes_recipe(self, monkeypatch):
+        # the cells still below their uniform after ICDF_MAX_TERMS terms take
+        # the recipe's count, also after the search has dropped finished cells
         monkeypatch.setattr(synth, "ICDF_MAX_TERMS", 5)
-        with pytest.raises(ConvergenceError, match="exceeded 5 terms") as info:
-            poisson_icdf(np.array([[0.5, 0.999]]), np.array([[1.0, 30.0]]))
-        assert info.value.iterations == 6
+        every_cell_carried = ([0.5, 0.999, 0.99, 0.5], [1.0, 30.0, 20.0, 1.0])
+        finished_cells_dropped = ([0.5, 0.999, 0.5, 0.5, 0.5], [1.0, 30.0, 1.0, 1.0, 1.0])
+        for u, lam in (every_cell_carried, finished_cells_dropped):
+            u, lam = np.array(u), np.array(lam)
+            unfinished = lam > 10
+            assert [_term_reference(ui, li) is None for ui, li in zip(u, lam)] == unfinished.tolist()
+            got = poisson_icdf(u, lam)
+            assert got.tolist() == [_icdf_reference(ui, li) for ui, li in zip(u, lam)]
+            assert got[unfinished].tolist() == stats.poisson.ppf(u[unfinished], lam[unfinished]).tolist()
 
 
-def _icdf_reference(u: float, lam: float) -> int | None:
-    """``poisson_icdf`` one cell at a time: scipy's recipe above the cutoff,
-    the same term recurrence below it; None where the search stalls."""
-    if lam > synth._ICDF_RATE_CUTOFF:
-        upper = np.ceil(special.pdtrik(u, lam))
-        lower = max(upper - 1, 0.0)
-        return int(lower if special.pdtr(lower, lam) >= u else upper)
+def _icdf_reference(u: float, lam: float) -> int:
+    """``poisson_icdf`` one cell at a time: scipy's recipe above the cutoff
+    and where the term recurrence stalls, the recurrence elsewhere."""
+    if lam <= synth._ICDF_RATE_CUTOFF and (k := _term_reference(u, lam)) is not None:
+        return k
+    return _recipe_reference(u, lam)
+
+
+def _recipe_reference(u: float, lam: float) -> int:
+    upper = np.ceil(special.pdtrik(u, lam))
+    lower = max(upper - 1, 0.0)
+    return int(lower if special.pdtr(lower, lam) >= u else upper)
+
+
+def _term_reference(u: float, lam: float) -> int | None:
+    """The small-rate term recurrence for one cell; None past ICDF_MAX_TERMS terms."""
     p = float(np.exp(-np.array([lam]))[0])  # numpy's exp, as the kernel's
     cum, k = p, 0
     while cum < u:
