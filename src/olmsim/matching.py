@@ -298,7 +298,8 @@ def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray
     Returns ``(worker_ids, covariates, names, treat)`` where the columns
     are log1p accumulated jobs, log1p tenure at the last pre-shock month,
     log1p average earnings per job, and the mean focal-job share. Every
-    worker needs a row in the last pre-shock month of the panel.
+    worker needs a pre-shock row, and a row in the last pre-shock month of
+    the panel; a worker without one is named.
     """
     pre = panel.post35 == 0
     if not pre.any():
@@ -310,8 +311,9 @@ def derive_worker_covariates(panel: PanelArrays) -> tuple[np.ndarray, np.ndarray
     earn = np.bincount(pre_codes, weights=panel.fjobearn[pre], minlength=w)
     ratio_sum = np.bincount(pre_codes, weights=panel.fjobratio[pre], minlength=w)
     months = np.bincount(pre_codes, minlength=w)
-    if months.min() == 0:
-        raise ValidationError("every worker needs at least one pre-shock month")
+    if (absent := np.flatnonzero(months == 0)).size:
+        pre_months = np.unique(panel.month_index[pre]).tolist()
+        raise ValidationError(f"worker {ids[absent[0]]} has no row in the pre-shock months {pre_months}")
     last_pre = int(panel.month_index[pre].max())
     at_last = pre & (panel.month_index == last_pre)
     if (missing := np.setdiff1d(np.arange(w), codes[at_last])).size:

@@ -4,15 +4,45 @@
 the generator builds them, ``ingest_panel_csv`` returns them, and every
 match, fit and CSV writer reads their columns. The CSV column orders
 ``PANEL_COLUMNS`` and ``DEMAND_COLUMNS`` are their field orders.
+
+The model also states what both sides of it read: the rule a market id
+follows, and the transform each outcome is fitted on, which the generator's
+ground-truth oracle averages too.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
+
+TRANSFORMS = ("log1p", "identity")
+
+#: the outcomes every estimation stage reports, in report order, and the
+#: transform each is fitted on; the ground-truth oracle averages the same
+#: transformed outcomes
+OUTCOME_TRANSFORMS = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
+
+
+def transform_outcome(values: np.ndarray, transform: str) -> np.ndarray:
+    """The outcome under ``transform`` (one of :data:`TRANSFORMS`), row for row."""
+    if transform not in TRANSFORMS:
+        raise ValidationError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+    values = np.asarray(values, dtype=np.float64)
+    return np.log1p(values) if transform == "log1p" else values
+
+
+#: a market id: it is a cell of the data CSVs and part of output file names
+_MARKET_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def check_market_id(value, what: str = "market id") -> None:
+    """Reject a market id that is not a string of one or more id characters."""
+    if not (isinstance(value, str) and _MARKET_ID.fullmatch(value)):
+        raise ValidationError(f"{what} must be one or more of A-Z, a-z, 0-9, '_', '.' and '-', got {value!r}")
 
 
 def _row_label(i: int) -> str:
@@ -101,13 +131,20 @@ class PanelArrays:
     def validate(self, where=_row_label) -> None:
         """Check every invariant of a panel, naming the first offending row by ``where(index)``.
 
-        The row checks come first: 0/1 flags, nonnegative counts, finite
+        The row checks come first: market ids that follow
+        :func:`check_market_id`, 0/1 flags, nonnegative counts, finite
         earnings and ratios, ``fjobratio`` in [0, 1], no earnings without
         jobs, and ``post40`` nested in ``post35``. Then the panel-level
         ones: each (worker, month) cell appears once, ``treat``,
         ``market_id``, ``us`` and ``experienced`` are fixed within a worker,
         and ``post35`` and ``post40`` within a month.
         """
+        ids = self.market_id.tolist()
+        for value in dict.fromkeys(ids):  # distinct ids, in order of first row
+            try:
+                check_market_id(value, "market_id")
+            except ValidationError as exc:  # only a bad id pays for finding its row
+                raise ValidationError(f"{where(ids.index(value))}: {exc}") from None
         for name in ("fjobearn", "fjobratio"):
             values = self.column(name)
             bad = np.flatnonzero(~np.isfinite(values))

@@ -8,9 +8,10 @@ column. A numeric column with few distinct values in a block goes through
 a value table (each distinct value, floats keyed by bit pattern, is
 formatted once); every cell is ``str`` of its value either way. Market
 ids, which are CSV cells and parts of file names, are limited to
-``[A-Za-z0-9_.-]`` by ``MarketScenario``. Every file is read and written
-as UTF-8, whatever the locale, and each output's manifest hash is of the
-bytes written.
+``[A-Za-z0-9_.-]`` by ``panel.check_market_id``, which both a
+``MarketScenario`` and an ingested panel pass, so the writer never has
+to quote one. Every file is read and written as UTF-8, whatever the
+locale, and each output's manifest hash is of the bytes written.
 
 A run executes stages from one table, ``STAGES``: simulate -> match ->
 estimate -> tost -> report, each token naming a method of the private
@@ -45,9 +46,8 @@ from . import __version__
 from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, check_caliper, derive_worker_covariates, logit_fit, propensity_match
-from .panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
-from .regression import (OUTCOME_TRANSFORMS, RegressionSpec, check_alpha, check_bounds, demand_did_fit,
-                         fit_designs, tost_pretrends)
+from .panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, DemandArrays, PanelArrays
+from .regression import RegressionSpec, check_alpha, check_bounds, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
     balance_text_table,

@@ -37,7 +37,7 @@ from .errors import (
     SingleClusterError,
     ValidationError,
 )
-from .panel import MODERATORS, DemandArrays, PanelArrays, _one_row_per, _row_label
+from .panel import MODERATORS, TRANSFORMS, DemandArrays, PanelArrays, _one_row_per, _row_label, transform_outcome
 
 #: a column stops absorbing once no cell moves by more than this fraction
 #: of the column's largest absolute input value
@@ -51,13 +51,6 @@ EVENT_BASELINE = -1
 #: default equivalence bound for pre-trend TOST, as a multiple of the
 #: outcome standard deviation
 TOST_SD_MULTIPLE = 0.36
-
-TRANSFORMS = ("log1p", "identity")
-
-#: the outcomes every estimation stage reports, in report order, and the
-#: transform each is fitted on; the ground-truth oracle averages the same
-#: transformed outcomes
-OUTCOME_TRANSFORMS = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
 
 _REL_TERM = re.compile(r"^treat_rel\[(-?\d+)\]$")
 
@@ -276,14 +269,6 @@ class TostResult:
     overall_pass: bool
     delta: float
     alpha: float
-
-
-def transform_outcome(values: np.ndarray, transform: str) -> np.ndarray:
-    """The outcome under ``transform`` (one of :data:`TRANSFORMS`), row for row."""
-    if transform not in TRANSFORMS:
-        raise ValidationError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
-    values = np.asarray(values, dtype=np.float64)
-    return np.log1p(values) if transform == "log1p" else values
 
 
 def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:

@@ -11,17 +11,19 @@ Counts are drawn by inverse CDF from pre-drawn uniforms. That makes the
 whole simulation a deterministic function of ``(config, seed)`` and lets
 ``ground_truth_att`` rerun the same draws under a counterfactual AI path
 (common random numbers), which removes Monte Carlo bias from the oracle.
-The draws follow one fixed stream order, so the oracle draws only the
-prefix of the stream that its outcome reads, and it inverts the counts of
-both paths of every treated market in one inverse-CDF call per
-replication.
+One table, ``_MARKET_DRAWS``, names every draw of a market in stream
+order, so the oracle draws only the prefix of the stream that its outcome
+reads, and it inverts the counts of both paths of every treated market in
+one inverse-CDF call per replication. The generators assemble each output
+column once for the whole panel or series: identifiers and flags repeat or
+tile per-market and per-month values, worker traits are the concatenated
+per-worker draws, and only the outcome cells are computed market by market.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -34,8 +36,7 @@ from scipy import special
 
 from .errors import SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, cournot_equilibrium
-from .panel import DEMAND_COLUMNS, MODERATORS, PANEL_COLUMNS, DemandArrays, PanelArrays
-from .regression import OUTCOME_TRANSFORMS, transform_outcome
+from .panel import MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, transform_outcome
 
 #: months covered by the default panel window: six pre-shock months, a
 #: two-month gap around the first release, ten post-shock months
@@ -49,10 +50,6 @@ DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
 
 #: weeks in the default market-week demand window
 DEFAULT_WEEKS = 95
-
-#: a market id: it is a cell of the data CSVs and part of output file names
-_MARKET_ID = re.compile(r"[A-Za-z0-9_.-]+")
-
 
 #: rates above this invert through ``scipy.special.pdtrik`` instead of the
 #: term-by-term search
@@ -187,10 +184,7 @@ class MarketScenario:
     worker_fe_mean: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.market_id, str) and _MARKET_ID.fullmatch(self.market_id)):
-            raise ValidationError(
-                f"market id must be one or more of A-Z, a-z, 0-9, '_', '.' and '-', got {self.market_id!r}"
-            )
+        check_market_id(self.market_id)
 
 
 @dataclass(frozen=True)
@@ -309,59 +303,38 @@ def _month_day_offsets(months: Sequence[str]) -> np.ndarray:
 EARN_NOISE_WORKER_SHARE = 0.5
 
 
-@dataclass
-class _MarketDraws:
-    """One market's draws, in stream order; a field after the stop of a
-    truncated draw is None."""
-
-    worker_fe: np.ndarray
-    reg_day: np.ndarray | None = None
-    us: np.ndarray | None = None
-    experienced: np.ndarray | None = None
-    earn_trait: np.ndarray | None = None
-    u_jobs: np.ndarray | None = None
-    eps: np.ndarray | None = None
-    u_bg: np.ndarray | None = None
+#: every draw of one market, in stream order: name -> draw(rng, config, market)
+_MARKET_DRAWS = {
+    "worker_fe": lambda rng, c, m: m.worker_fe_mean + rng.standard_normal(c.workers_per_market) * c.worker_fe_sigma,
+    "reg_day": lambda rng, c, m: rng.integers(0, 3650, size=c.workers_per_market),
+    "us": lambda rng, c, m: (rng.uniform(size=c.workers_per_market) < c.us_share).astype(np.int64),
+    "experienced": lambda rng, c, m: (rng.uniform(size=c.workers_per_market) < c.experienced_share).astype(np.int64),
+    "earn_trait": lambda rng, c, m: rng.standard_normal(c.workers_per_market),
+    "u_jobs": lambda rng, c, m: rng.uniform(size=(c.workers_per_market, c.n_months)),
+    "eps": lambda rng, c, m: rng.standard_normal((c.workers_per_market, c.n_months)),
+    "u_bg": lambda rng, c, m: rng.uniform(size=(c.workers_per_market, c.n_months)),
+}
 
 
-@dataclass
-class _Draws:
-    month_fe: np.ndarray
-    per_market: list[_MarketDraws]
+def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None) -> tuple[np.ndarray, list[dict]]:
+    """All randomness for one panel replication, in a fixed order: the month
+    effects, then one dict of :data:`_MARKET_DRAWS` per market.
 
-
-def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None) -> _Draws:
-    """All randomness for one panel replication, in a fixed order.
-
-    ``stop``, a (market index, field) pair, ends the stream after that
-    market's field: its later fields are None and later markets absent.
-    What is drawn is a prefix of the full stream, so it equals the full
-    draw's arrays bit for bit.
+    ``stop``, a (market index, draw name) pair, ends the stream after that
+    market's draw: its later draws and later markets are absent. What is
+    drawn is a prefix of the full stream, so it equals the full draw's
+    arrays bit for bit.
     """
     rng = np.random.default_rng([seed, 1])
-    w, t = config.workers_per_market, config.n_months
-    month_fe = rng.standard_normal(t) * config.month_fe_sigma
-    draw = {  # in stream order
-        "worker_fe": lambda m: m.worker_fe_mean + rng.standard_normal(w) * config.worker_fe_sigma,
-        "reg_day": lambda m: rng.integers(0, 3650, size=w),
-        "us": lambda m: (rng.uniform(size=w) < config.us_share).astype(np.int64),
-        "experienced": lambda m: (rng.uniform(size=w) < config.experienced_share).astype(np.int64),
-        "earn_trait": lambda m: rng.standard_normal(w),
-        "u_jobs": lambda m: rng.uniform(size=(w, t)),
-        "eps": lambda m: rng.standard_normal((w, t)),
-        "u_bg": lambda m: rng.uniform(size=(w, t)),
-    }
-    per_market = []
+    month_fe = rng.standard_normal(config.n_months) * config.month_fe_sigma
+    markets = []
     for idx, scenario in enumerate(config.markets):
-        drawn = {}
-        for name, make in draw.items():
-            drawn[name] = make(scenario)
+        markets.append(drawn := {})
+        for name, draw in _MARKET_DRAWS.items():
+            drawn[name] = draw(rng, config, scenario)
             if (idx, name) == stop:
-                break
-        per_market.append(_MarketDraws(**drawn))
-        if stop is not None and idx == stop[0]:
-            break
-    return _Draws(month_fe=month_fe, per_market=per_market)
+                return month_fe, markets
+    return month_fe, markets
 
 
 def _equilibria(market: MarketSpec, levels: Sequence[float]) -> list[Equilibrium]:
@@ -395,16 +368,15 @@ class _MarketCells:
     AI path evaluated on the same draws.
     """
 
-    def __init__(self, config: ScenarioConfig, draws: _Draws, idx: int, cols: slice):
-        d = draws.per_market[idx]
+    def __init__(self, config: ScenarioConfig, month_fe: np.ndarray, d: dict, cols: slice):
         self.config, self.d, self.cols = config, d, cols
         boost = config.moderator_boost
-        self.boosted = np.zeros(len(d.worker_fe), dtype=np.int64) if boost is None else getattr(d, boost.column)
-        self.activity = np.exp(d.worker_fe[:, None] + draws.month_fe[None, cols])
+        self.boosted = np.zeros(len(d["worker_fe"]), dtype=np.int64) if boost is None else d[boost.column]
+        self.activity = np.exp(d["worker_fe"][:, None] + month_fe[None, cols])
 
     @property
     def u_jobs(self) -> np.ndarray:
-        return self.d.u_jobs[:, self.cols]
+        return self.d["u_jobs"][:, self.cols]
 
     def rate(self, q: np.ndarray) -> np.ndarray:
         # row 0 of the (2, t) levels is the base path, row 1 the boosted one
@@ -418,12 +390,12 @@ class _MarketCells:
         # earnings noise splits into a persistent worker trait and a cell
         # shock; marginally it stays Normal(0, noise_sigma)
         share = EARN_NOISE_WORKER_SHARE
-        earn_noise = np.sqrt(share) * self.d.earn_trait[:, None] + np.sqrt(1.0 - share) * self.d.eps[:, self.cols]
+        earn_noise = np.sqrt(share) * self.d["earn_trait"][:, None] + np.sqrt(1.0 - share) * self.d["eps"][:, self.cols]
         return np.exp(self.config.noise_sigma * earn_noise)
 
     @cached_property
     def background(self) -> np.ndarray:
-        u_bg = self.d.u_bg[:, self.cols]
+        u_bg = self.d["u_bg"][:, self.cols]
         return poisson_icdf(u_bg, np.full(u_bg.shape, self.config.background_rate))
 
     def earn(self, jobs: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -440,41 +412,39 @@ class _MarketCells:
         return self.earn(jobs, p) if name == "fjobearn" else self.ratio(jobs)
 
 
+def _market_columns(config: ScenarioConfig, rows: int) -> dict[str, np.ndarray]:
+    """The ``market_id`` and 0/1 ``treat`` columns of ``rows`` rows per market, in market order."""
+    ids = np.array([m.market_id for m in config.markets], dtype=object)
+    treat = (ids != config.control_market_id).astype(np.int64)
+    return {"market_id": np.repeat(ids, rows), "treat": np.repeat(treat, rows)}
+
+
 def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
-    """Columnar panel for one scenario; deterministic given the config seed."""
-    draws = _draw(config, config.seed)
+    """Columnar panel for one scenario; deterministic given the config seed.
+
+    Rows run by market, then worker, then month.
+    """
+    month_fe, draws = _draw(config, config.seed)
     w, t = config.workers_per_market, config.n_months
-    day_offsets = _month_day_offsets(config.months)
-    months = np.arange(t)
-    post35 = (months >= config.shock1_index).astype(np.int64)
-    post40 = (months >= config.shock2_index).astype(np.int64)
-    pieces = []
+    outcomes = []
     for idx, scenario in enumerate(config.markets):
-        d = draws.per_market[idx]
         q, p = _equilibrium_levels(scenario, config, scenario.a_path)
-        cells = _MarketCells(config, draws, idx, slice(None))
+        cells = _MarketCells(config, month_fe, draws[idx], slice(None))
         jobs = cells.jobs(q)
-        earn = cells.earn(jobs, p)
-        ratio = cells.ratio(jobs)
-        tenure = ((d.reg_day[:, None] + day_offsets[None, :]) // 30).astype(np.int64)
-        treated = int(scenario.market_id != config.control_market_id)
-        worker_ids = idx * w + np.arange(w)
-        pieces.append(
-            PanelArrays(
-                worker_id=np.repeat(worker_ids, t),
-                market_id=np.full(w * t, scenario.market_id, dtype=object),
-                month_index=np.tile(months, w),
-                treat=np.full(w * t, treated, dtype=np.int64),
-                post35=np.tile(post35, w),
-                post40=np.tile(post40, w),
-                fjobnum=jobs.reshape(-1),
-                fjobearn=earn.reshape(-1),
-                fjobratio=ratio.reshape(-1),
-                tenure=tenure.reshape(-1),
-                **{m: np.repeat(getattr(d, m), t) for m in MODERATORS},
-            )
-        )
-    return PanelArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in PANEL_COLUMNS})
+        outcomes.append({name: cells.outcome(name, jobs, p).reshape(-1) for name in _LAST_DRAW})
+    worker = {name: np.concatenate([d[name] for d in draws]) for name in ("reg_day", *MODERATORS)}
+    tenure = (worker["reg_day"][:, None] + _month_day_offsets(config.months)[None, :]) // 30
+    n, months = len(worker["reg_day"]), np.arange(t)
+    return PanelArrays(
+        worker_id=np.repeat(np.arange(n), t),
+        month_index=np.tile(months, n),
+        post35=np.tile((months >= config.shock1_index).astype(np.int64), n),
+        post40=np.tile((months >= config.shock2_index).astype(np.int64), n),
+        tenure=tenure.astype(np.int64).reshape(-1),
+        **_market_columns(config, w * t),
+        **{name: np.concatenate([o[name] for o in outcomes]) for name in _LAST_DRAW},
+        **{m: np.repeat(worker[m], t) for m in MODERATORS},
+    )
 
 
 @dataclass(frozen=True)
@@ -526,8 +496,8 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
     for r in range(reps):
-        draws = _draw(config, config.seed ^ r, stop)
-        markets = [(_MarketCells(config, draws, idx, cols), levels) for idx, levels in treated]
+        month_fe, draws = _draw(config, config.seed ^ r, stop)
+        markets = [(_MarketCells(config, month_fe, draws[idx], cols), levels) for idx, levels in treated]
         # every market's counts on both paths in one call; axes: market, path, worker, month
         lam = np.stack([[cells.rate(q) for q, _ in levels] for cells, levels in markets])
         u = np.stack([[cells.u_jobs] * len(levels) for cells, levels in markets])
@@ -553,26 +523,18 @@ def generate_demand_arrays(config: ScenarioConfig, weeks: int = DEFAULT_WEEKS) -
     s2 = s1 + max(1, weeks // 6)
     rng = np.random.default_rng([config.seed, 2])
     week_fe = rng.standard_normal(weeks) * config.month_fe_sigma
+    # row m holds market m's weeks: the stream that one draw per market, in market order, reads
+    u = rng.uniform(size=(len(config.markets), weeks))
+    levels = [[m.a_path.level_at(wk, s1, s2) for wk in range(weeks)] for m in config.markets]
+    volume = [[m.market.n * eq.q for eq in _equilibria(m.market, a)] for m, a in zip(config.markets, levels)]
+    lam = np.array(volume) * config.weekly_scale * np.exp(week_fe)
     week_index = np.arange(weeks)
-    post = (week_index >= s1).astype(np.int64)
-    pieces = []
-    for scenario in config.markets:
-        levels = [scenario.a_path.level_at(wk, s1, s2) for wk in range(weeks)]
-        eqs = _equilibria(scenario.market, levels)
-        rate = np.array([scenario.market.n * eq.q * config.weekly_scale for eq in eqs])
-        lam = rate * np.exp(week_fe)
-        postnum = poisson_icdf(rng.uniform(size=weeks), lam)
-        treated = int(scenario.market_id != config.control_market_id)
-        pieces.append(
-            DemandArrays(
-                market_id=np.full(weeks, scenario.market_id, dtype=object),
-                week_index=week_index.copy(),
-                postnum=postnum,
-                treat=np.full(weeks, treated, dtype=np.int64),
-                post=post.copy(),
-            )
-        )
-    return DemandArrays(**{name: np.concatenate([getattr(p, name) for p in pieces]) for name in DEMAND_COLUMNS})
+    return DemandArrays(
+        week_index=np.tile(week_index, len(config.markets)),
+        postnum=poisson_icdf(u, lam).reshape(-1),
+        post=np.tile((week_index >= s1).astype(np.int64), len(config.markets)),
+        **_market_columns(config, weeks),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -306,6 +307,14 @@ class TestDeriveCovariates:
         post_only = arr.subset(arr.post35 == 1)
         with pytest.raises(ValidationError):
             derive_worker_covariates(post_only)
+
+    def test_requires_a_pre_month_naming_the_worker_and_the_months(self):
+        # worker ids offset from their codes: the message names the id
+        arr = generate_panel_arrays(substitution_config(workers=5, seed=3))
+        arr = dataclasses.replace(arr, worker_id=arr.worker_id + 100)
+        keep = (arr.worker_id != 102) | (arr.post35 == 1)
+        with pytest.raises(ValidationError, match=r"^worker 102 has no row in the pre-shock months \[0, 1, 2, 3, 4, 5\]$"):
+            derive_worker_covariates(arr.subset(keep))
 
     def test_requires_a_row_in_the_last_pre_month(self):
         # without the check, the worker's log tenure would read 0

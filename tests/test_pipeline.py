@@ -1,7 +1,9 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -409,6 +411,28 @@ class TestPanelInvariants:
         with pytest.raises(ValidationError, match=rf"row {row}: treat must be the same on every row of worker_id 3"):
             arrays.validate()
 
+    @pytest.mark.parametrize("market_id", ["olm,01", "", "olm/01", 'olm"01'])
+    def test_market_id_the_writer_cannot_write_back_rejected(self, tmp_path, market_id):
+        # the csv module reads such an id from a quoted cell, but the writer
+        # writes ids unquoted and into file names
+        rows = [line.split(",") for line in panel_csv_lines(generate_panel_arrays(small_config()))]
+        first_market = rows[1][1]
+        for row in rows[1:]:
+            row[1] = market_id if row[1] == first_market else row[1]
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        message = rf"^line 2: market_id must be one or more of .*, got {re.escape(repr(market_id))}$"
+        with pytest.raises(ValidationError, match=message):
+            ingest_panel_csv(path)
+
+    def test_validate_names_first_row_of_bad_market_id(self):
+        arrays = generate_panel_arrays(small_config())
+        arrays.market_id[arrays.market_id == arrays.market_id[-1]] = "olm 01"
+        first = int(np.flatnonzero(arrays.market_id == "olm 01")[0])
+        with pytest.raises(ValidationError, match=rf"^row {first}: market_id must be one or more of .*, got 'olm 01'$"):
+            arrays.validate()
+
 
 class TestRunPipeline:
     def test_manifest_hash_deterministic(self, tmp_path):
@@ -662,6 +686,14 @@ class TestCli:
 
     def test_import_leaves_out_scipy_stats_and_optimize(self):
         code = "import sys, olmsim.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["olmsim.synth", "olmsim.scenarios"])
+    def test_generator_loads_neither_the_estimator_nor_scipy_linalg(self, module):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m in ('olmsim.regression', 'scipy.linalg')))"
         path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

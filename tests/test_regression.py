@@ -33,9 +33,8 @@ from olmsim.regression import (
     heterogeneity_fit,
     ols_fit,
     tost_pretrends,
-    transform_outcome,
 )
-from olmsim.panel import DemandArrays
+from olmsim.panel import DemandArrays, transform_outcome
 from olmsim.scenarios import SUBSTITUTION_PATH, substitution_config, two_market_config
 from olmsim.synth import generate_panel_arrays
 

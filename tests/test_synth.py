@@ -10,7 +10,7 @@ from scipy import special, stats
 from olmsim import synth
 from olmsim.errors import ValidationError
 from olmsim.market import cournot_equilibrium
-from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS
+from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays
 from olmsim.regression import RegressionSpec, did_fit
 from olmsim.scenarios import (
     crossing_config,
@@ -400,20 +400,19 @@ _DRAW_CONFIGS = pytest.mark.parametrize(
 
 @_DRAW_CONFIGS
 def test_draw_stopped_is_a_prefix_of_the_full_draw(config):
-    full = synth._draw(config, 9)
-    names = [f.name for f in dataclasses.fields(synth._MarketDraws)]
+    full_fe, full = synth._draw(config, 9)
+    names = list(synth._MARKET_DRAWS)
     for idx in range(len(config.markets)):
         for pos, name in enumerate(names):
-            cut = synth._draw(config, 9, (idx, name))
-            assert np.array_equal(cut.month_fe, full.month_fe)
-            assert len(cut.per_market) == idx + 1
+            month_fe, cut = synth._draw(config, 9, (idx, name))
+            assert np.array_equal(month_fe, full_fe)
+            assert len(cut) == idx + 1
             for m in range(idx + 1):
-                for later, field in enumerate(names):
-                    value = getattr(cut.per_market[m], field)
-                    if m == idx and later > pos:
-                        assert value is None, (idx, name, field)
-                    else:
-                        assert np.array_equal(value, getattr(full.per_market[m], field)), (idx, name, field)
+                # the stopped market holds its draws up to the stop, in stream order
+                drawn = names[:pos + 1] if m == idx else names
+                assert list(cut[m]) == drawn, (idx, name, m)
+                for field in drawn:
+                    assert np.array_equal(cut[m][field], full[m][field]), (idx, name, field)
 
 
 @_DRAW_CONFIGS
@@ -425,18 +424,19 @@ def test_last_draw_of_each_outcome_is_the_first_stop_that_gives_its_cells(config
     cols = slice(config.shock1_index, None)
 
     def cells_outcome(draws):
-        cells = synth._MarketCells(config, draws, idx, cols)
+        month_fe, markets = draws
+        cells = synth._MarketCells(config, month_fe, markets[idx], cols)
         return cells.outcome(outcome, cells.jobs(q), p)
 
     full = cells_outcome(synth._draw(config, 4))
-    for field in dataclasses.fields(synth._MarketDraws):
+    for name in synth._MARKET_DRAWS:
         try:
-            got = cells_outcome(synth._draw(config, 4, (idx, field.name)))
-        except TypeError:  # the outcome reads a draw after this stop
+            got = cells_outcome(synth._draw(config, 4, (idx, name)))
+        except KeyError:  # the outcome reads a draw after this stop
             continue
         if np.array_equal(got, full):
             break
-    assert field.name == synth._LAST_DRAW[outcome]
+    assert name == synth._LAST_DRAW[outcome]
 
 
 def _reference_att(config, outcome, reps):
@@ -470,6 +470,36 @@ def _reference_att(config, outcome, reps):
 def test_oracle_equals_full_panel_reference(config, outcome):
     gt = ground_truth_att(config, outcome=outcome, reps=4)
     assert (gt.att, gt.mc_se) == _reference_att(config, outcome, reps=4)
+
+
+def _reference_demand(config, weeks):
+    """The demand series spelled out market by market: each market's uniforms
+    drawn and inverted on their own, its equilibria solved week by week, and
+    its columns built on their own and concatenated."""
+    s1 = weeks // 2
+    s2 = s1 + max(1, weeks // 6)
+    rng = np.random.default_rng([config.seed, 2])
+    week_fe = rng.standard_normal(weeks) * config.month_fe_sigma
+    pieces = []
+    for m in config.markets:
+        rate = np.array([
+            m.market.n * cournot_equilibrium(m.market, m.a_path.level_at(wk, s1, s2)).q * config.weekly_scale
+            for wk in range(weeks)
+        ])
+        pieces.append({
+            "market_id": np.full(weeks, m.market_id, dtype=object),
+            "week_index": np.arange(weeks),
+            "postnum": poisson_icdf(rng.uniform(size=weeks), rate * np.exp(week_fe)),
+            "treat": np.full(weeks, int(m.market_id != config.control_market_id)),
+            "post": (np.arange(weeks) >= s1).astype(np.int64),
+        })
+    return DemandArrays(**{name: np.concatenate([piece[name] for piece in pieces]) for name in DEMAND_COLUMNS})
+
+
+@_DRAW_CONFIGS
+@pytest.mark.parametrize("weeks", [8, 40])
+def test_demand_equals_per_market_reference(config, weeks):
+    assert_same_columns(generate_demand_arrays(config, weeks=weeks), _reference_demand(config, weeks), DEMAND_COLUMNS)
 
 
 class TestDemandSeries:
