@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit, stdtr
 
 from .errors import EmptySideError, SeparationError, ValidationError
-from .panel import PanelArrays
+from .panel import PanelArrays, _binary, _row_label
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -62,8 +62,7 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
     y = np.asarray(treat, dtype=np.float64)
     if len(x) != len(y):
         raise ValidationError(f"got {len(y)} treatment labels for {len(x)} covariate rows")
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ValidationError("treatment labels must be 0/1")
+    _binary("treatment label", y, _row_label)
     if y.min() == y.max():
         raise ValidationError("need at least one observation in each class")
     xi = _with_intercept(x)

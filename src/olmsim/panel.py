@@ -8,6 +8,12 @@ match, fit and CSV writer reads their columns. The CSV column orders
 The model also states what both sides of it read: the rule a market id
 follows, and the transform each outcome is fitted on, which the generator's
 ground-truth oracle averages too.
+
+It owns every input rule: what makes a panel or demand row invalid, which
+transforms and moderators exist, and how an error names the first offending
+row. ``PanelArrays.validate`` runs every panel rule; the fits in
+:mod:`olmsim.regression` and the scenario's moderator boost call the rules
+they read from here, so each rule has one message.
 """
 
 from __future__ import annotations
@@ -27,10 +33,15 @@ TRANSFORMS = ("log1p", "identity")
 OUTCOME_TRANSFORMS = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
 
 
-def transform_outcome(values: np.ndarray, transform: str) -> np.ndarray:
-    """The outcome under ``transform`` (one of :data:`TRANSFORMS`), row for row."""
+def check_transform(transform: str) -> None:
+    """Reject a transform that is not one of :data:`TRANSFORMS`."""
     if transform not in TRANSFORMS:
         raise ValidationError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+
+
+def transform_outcome(values: np.ndarray, transform: str) -> np.ndarray:
+    """The outcome under ``transform`` (one of :data:`TRANSFORMS`), row for row."""
+    check_transform(transform)
     values = np.asarray(values, dtype=np.float64)
     return np.log1p(values) if transform == "log1p" else values
 
@@ -49,10 +60,16 @@ def _row_label(i: int) -> str:
     return f"row {i}"
 
 
+def _reject(bad: np.ndarray, where, message) -> None:
+    """Reject the first row where ``bad`` holds, named by ``where(row)``,
+    with ``message(row)``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ValidationError(f"{where(rows[0])}: {message(rows[0])}")
+
+
 def _binary(name: str, arr: np.ndarray, where) -> None:
-    bad = np.nonzero((arr != 0) & (arr != 1))[0]
-    if bad.size:
-        raise ValidationError(f"{where(bad[0])}: {name} must be 0/1, got {arr[bad[0]]}")
+    _reject((arr != 0) & (arr != 1), where, lambda i: f"{name} must be 0/1, got {arr[i]}")
 
 
 def _check_columns(arrays) -> None:
@@ -70,9 +87,11 @@ def _check_columns(arrays) -> None:
 #: the shock and that a moderator boost scales the exposure of
 MODERATORS = ("us", "experienced")
 
-#: columns that must take one value per worker, and one value per month
-_WORKER_CONSTANT = ("treat", "market_id", *MODERATORS)
-_MONTH_CONSTANT = ("post35", "post40")
+
+def check_moderator(moderator: str) -> None:
+    """Reject a moderator that is not one of :data:`MODERATORS`."""
+    if moderator not in MODERATORS:
+        raise ValidationError(f"moderator must be one of {MODERATORS}, got {moderator!r}")
 
 
 def _group_first_rows(*keys: np.ndarray) -> np.ndarray:
@@ -92,11 +111,28 @@ def _one_row_per(arrays, keys: tuple[str, ...], where) -> None:
     """Reject the first row whose ``keys`` values an earlier row already holds."""
     values = [getattr(arrays, key) for key in keys]
     first = _group_first_rows(*values)
-    dup = np.flatnonzero(first != np.arange(len(first)))
-    if dup.size:
-        i = dup[0]
-        cell = ", ".join(str(v[i]) for v in values)
-        raise ValidationError(f"{where(i)}: duplicate {','.join(keys)} cell ({cell}), first at {where(first[i])}")
+    _reject(first != np.arange(len(first)), where, lambda i: f"duplicate {','.join(keys)} cell "
+            f"({', '.join(str(v[i]) for v in values)}), first at {where(first[i])}")
+
+
+def _same_within(arrays, key: str, names: tuple[str, ...], where) -> None:
+    """Reject the first row whose value of a column in ``names`` differs from
+    the first row in row order with the same ``key``."""
+    groups = getattr(arrays, key)
+    first = _group_first_rows(groups)
+    for name in names:
+        values = getattr(arrays, name)
+        _reject(values != values[first], where, lambda i: f"{name} must be the same on every row of {key} "
+                f"{groups[i]}, got {values[i]} here and {values[first[i]]} at {where(first[i])}")
+
+
+def check_flags(arrays, where=_row_label) -> None:
+    """Reject the first row whose ``treat``, ``post35`` or ``post40`` is not
+    0/1, or whose ``post40`` is 1 while its ``post35`` is 0. Every panel fit
+    runs this rule: its shock terms are products of these flags."""
+    for name in ("treat", "post35", "post40"):
+        _binary(name, getattr(arrays, name), where)
+    _reject(arrays.post40 > arrays.post35, where, lambda i: "post40=1 requires post35=1")
 
 
 @dataclass
@@ -132,9 +168,9 @@ class PanelArrays:
         """Check every invariant of a panel, naming the first offending row by ``where(index)``.
 
         The row checks come first: market ids that follow
-        :func:`check_market_id`, 0/1 flags, nonnegative counts, finite
-        earnings and ratios, ``fjobratio`` in [0, 1], no earnings without
-        jobs, and ``post40`` nested in ``post35``. Then the panel-level
+        :func:`check_market_id`, finite earnings and ratios, the shock flags
+        of :func:`check_flags`, 0/1 moderators, nonnegative counts,
+        ``fjobratio`` in [0, 1] and no earnings without jobs. Then the panel-level
         ones: each (worker, month) cell appears once, ``treat``,
         ``market_id``, ``us`` and ``experienced`` are fixed within a worker,
         and ``post35`` and ``post40`` within a month.
@@ -147,39 +183,20 @@ class PanelArrays:
                 raise ValidationError(f"{where(ids.index(value))}: {exc}") from None
         for name in ("fjobearn", "fjobratio"):
             values = self.column(name)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValidationError(f"{where(bad[0])}: {name} must be finite, got {values[bad[0]]}")
-        for name in ("treat", "post35", "post40", *MODERATORS):
+            _reject(~np.isfinite(values), where, lambda i: f"{name} must be finite, got {values[i]}")
+        check_flags(self, where)
+        for name in MODERATORS:
             _binary(name, self.column(name), where)
-        for name, arr in (("fjobnum", self.fjobnum), ("fjobearn", self.fjobearn), ("tenure", self.tenure)):
-            bad = np.nonzero(arr < 0)[0]
-            if bad.size:
-                raise ValidationError(f"{where(bad[0])}: {name} must be nonnegative, got {arr[bad[0]]}")
-        bad = np.nonzero((self.fjobratio < 0) | (self.fjobratio > 1))[0]
-        if bad.size:
-            raise ValidationError(f"{where(bad[0])}: fjobratio must lie in [0, 1], got {self.fjobratio[bad[0]]}")
-        bad = np.nonzero((self.fjobnum == 0) & (self.fjobearn != 0))[0]
-        if bad.size:
-            raise ValidationError(
-                f"{where(bad[0])}: fjobearn must be 0 when fjobnum is 0, got fjobearn={self.fjobearn[bad[0]]}"
-            )
-        bad = np.nonzero((self.post40 == 1) & (self.post35 == 0))[0]
-        if bad.size:
-            raise ValidationError(f"{where(bad[0])}: post40=1 requires post35=1")
+        for name in ("fjobnum", "fjobearn", "tenure"):
+            values = self.column(name)
+            _reject(values < 0, where, lambda i: f"{name} must be nonnegative, got {values[i]}")
+        ratio, earn = self.fjobratio, self.fjobearn
+        _reject((ratio < 0) | (ratio > 1), where, lambda i: f"fjobratio must lie in [0, 1], got {ratio[i]}")
+        _reject((self.fjobnum == 0) & (earn != 0), where,
+                lambda i: f"fjobearn must be 0 when fjobnum is 0, got fjobearn={earn[i]}")
         _one_row_per(self, ("worker_id", "month_index"), where)
-        for key, names in (("worker_id", _WORKER_CONSTANT), ("month_index", _MONTH_CONSTANT)):
-            groups = self.column(key)
-            first = _group_first_rows(groups)
-            for name in names:
-                values = self.column(name)
-                bad = np.flatnonzero(values != values[first])
-                if bad.size:
-                    i = bad[0]
-                    raise ValidationError(
-                        f"{where(i)}: {name} must be the same on every row of {key} {groups[i]}, "
-                        f"got {values[i]} here and {values[first[i]]} at {where(first[i])}"
-                    )
+        _same_within(self, "worker_id", ("treat", "market_id", *MODERATORS), where)
+        _same_within(self, "month_index", ("post35", "post40"), where)
 
     def subset(self, mask: np.ndarray) -> "PanelArrays":
         return PanelArrays(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
@@ -209,9 +226,8 @@ class DemandArrays:
         0/1, and each (market_id, week_index) cell appears once.
         """
         postnum = self.postnum
-        bad = np.flatnonzero(~(np.isfinite(postnum) & (postnum >= 0) & (np.floor(postnum) == postnum)))
-        if bad.size:
-            raise ValidationError(f"{_row_label(bad[0])}: postnum must be a nonnegative integer, got {postnum[bad[0]]}")
+        _reject(~(np.isfinite(postnum) & (postnum >= 0) & (np.floor(postnum) == postnum)), _row_label,
+                lambda i: f"postnum must be a nonnegative integer, got {postnum[i]}")
         for name in ("treat", "post"):
             _binary(name, getattr(self, name), _row_label)
         _one_row_per(self, ("market_id", "week_index"), _row_label)

@@ -12,6 +12,11 @@ sample. :data:`DESIGNS` is the one table of panel designs, and every fit
 names its designs from it: the single-fit functions, the heterogeneity fits
 included, are the same path with one outcome and one named design. Every fit
 is a pure function of its inputs.
+
+The input rules a fit reads are :mod:`olmsim.panel`'s: every panel fit runs
+its shock-flag and one-row-per-cell rules, a ``het_*`` design its moderator
+rules, and a spec its transform rule, so a fit and ``PanelArrays.validate``
+reject a bad row with the same message.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ from .errors import (
     SingleClusterError,
     ValidationError,
 )
-from .panel import MODERATORS, TRANSFORMS, DemandArrays, PanelArrays, _one_row_per, _row_label, transform_outcome
+from .panel import (
+    MODERATORS, DemandArrays, PanelArrays, _binary, _one_row_per, _reject, _row_label, _same_within, check_flags,
+    check_moderator, check_transform, transform_outcome,
+)
 
 #: a column stops absorbing once no cell moves by more than this fraction
 #: of the column's largest absolute input value
@@ -229,8 +237,7 @@ class RegressionSpec:
     controls: tuple[str, ...] = ("tenure",)
 
     def __post_init__(self):
-        if self.transform not in TRANSFORMS:
-            raise ValidationError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
+        check_transform(self.transform)
 
 
 @dataclass
@@ -402,8 +409,6 @@ def _did_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
 
 
 def _dual_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
-    if np.any(arrays.post40 > arrays.post35):
-        raise ValidationError("post40 must be nested in post35")
     return {"treat_x_post35": arrays.treat * arrays.post35, "treat_x_post40": arrays.treat * arrays.post40}
 
 
@@ -429,11 +434,8 @@ def _event_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
 
 def _heterogeneity_terms(arrays: PanelArrays, moderator: str) -> dict[str, np.ndarray]:
     mod = arrays.column(moderator)
-    if np.any((mod != 0) & (mod != 1)):
-        raise ValidationError(f"moderator {moderator!r} must be binary")
-    mixed = np.intersect1d(arrays.worker_id[mod == 0], arrays.worker_id[mod == 1])
-    if mixed.size:
-        raise ValidationError(f"moderator {moderator!r} varies within worker {mixed[0]}")
+    _binary(moderator, mod, _row_label)
+    _same_within(arrays, "worker_id", (moderator,), _row_label)
     gpt = arrays.treat * arrays.post35
     return {f"{moderator}_x_treat_x_post35": mod * gpt, "treat_x_post35": gpt,
             f"{moderator}_x_post35": mod * arrays.post35}
@@ -453,10 +455,10 @@ def fit_designs(
 
     ``designs`` names entries of :data:`DESIGNS`. The specs may differ
     only in outcome and transform. Every fit runs on all of the panel's
-    rows, which must hold each (worker, month) cell once, and whose
-    ``log1p`` outcomes must exceed -1: the outcomes and the design columns
-    are absorbed together, once, with worker and month effects, and every
-    fit clusters on workers.
+    rows, which must pass :func:`~olmsim.panel.check_flags`, hold each
+    (worker, month) cell once, and whose ``log1p`` outcomes must exceed
+    -1: the outcomes and the design columns are absorbed together, once,
+    with worker and month effects, and every fit clusters on workers.
     """
     if unknown := [kind for kind in designs if kind not in DESIGNS]:
         raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
@@ -467,11 +469,12 @@ def fit_designs(
         raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
     if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
+    check_flags(panel)
     _one_row_per(panel, ("worker_id", "month_index"), _row_label)
     for spec in specs:  # log1p is nan or -inf at or below -1
-        y = panel.column(spec.outcome)
-        if spec.transform == "log1p" and (low := np.flatnonzero(y <= -1)).size:
-            raise ValidationError(f"{_row_label(low[0])}: {spec.outcome} must exceed -1 for log1p, got {y[low[0]]}")
+        if spec.transform == "log1p":
+            y = panel.column(spec.outcome)
+            _reject(y <= -1, _row_label, lambda i: f"{spec.outcome} must exceed -1 for log1p, got {y[i]}")
     ys = {spec.outcome: transform_outcome(panel.column(spec.outcome), spec.transform) for spec in specs}
     controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
     columns: dict[str, np.ndarray] = {}
@@ -525,8 +528,7 @@ def heterogeneity_fit(panel: PanelArrays, spec: RegressionSpec | None = None, mo
     treatment effect and the moderator-by-post term; the moderator's main
     effect is absorbed by the worker fixed effect.
     """
-    if moderator not in MODERATORS:
-        raise ValidationError(f"moderator must be one of {MODERATORS}, got {moderator!r}")
+    check_moderator(moderator)
     return _fit_one(panel, spec, f"het_{moderator}")
 
 

@@ -36,7 +36,9 @@ from scipy import special
 
 from .errors import SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, cournot_equilibrium
-from .panel import MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, transform_outcome
+from .panel import (
+    MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, check_moderator, transform_outcome,
+)
 
 #: months covered by the default panel window: six pre-shock months, a
 #: two-month gap around the first release, ten post-shock months
@@ -195,8 +197,7 @@ class ModeratorBoost:
     multiplier: float
 
     def __post_init__(self):
-        if self.column not in MODERATORS:
-            raise ValidationError(f"moderator column must be one of {MODERATORS}, got {self.column!r}")
+        check_moderator(self.column)
         if self.multiplier < 0:
             raise ValidationError(f"moderator multiplier must be nonnegative, got {self.multiplier}")
 

@@ -36,7 +36,7 @@ from olmsim.regression import (
 )
 from olmsim.panel import DemandArrays, transform_outcome
 from olmsim.scenarios import SUBSTITUTION_PATH, substitution_config, two_market_config
-from olmsim.synth import generate_panel_arrays
+from olmsim.synth import ModeratorBoost, generate_panel_arrays
 
 
 def toy_panel(y: np.ndarray, treat_workers, shock_month: int, shock2_month: int | None = None) -> PanelArrays:
@@ -291,6 +291,15 @@ class TestDid:
         with pytest.raises(ValidationError, match=rf"^row 8: {column} must exceed -1 for log1p, got {value}$"):
             did_fit(panel, RegressionSpec(column))
 
+    @pytest.mark.parametrize("column", ["treat", "post35", "post40"])
+    def test_non_binary_flag_rejected(self, column):
+        # a treat of 0/2 used to halve the estimate without an error
+        panel = generate_panel_arrays(substitution_config(workers=50, seed=1))
+        doubled = 2 * panel.column(column)
+        row = np.flatnonzero(doubled)[0]
+        with pytest.raises(ValidationError, match=rf"^row {row}: {column} must be 0/1, got 2$"):
+            did_fit(dataclasses.replace(panel, **{column: doubled}), RegressionSpec())
+
     @pytest.mark.parametrize("transform", ["log", "bogus"])
     def test_unknown_transform_rejected(self, transform):
         with pytest.raises(ValidationError, match=f"got '{transform}'"):
@@ -372,7 +381,7 @@ class TestHeterogeneity:
         y = rng.standard_normal((6, 6))
         panel = toy_panel(y, {0, 1, 2}, shock_month=3)
         panel.us[7] = 2
-        with pytest.raises(ValidationError, match="binary"):
+        with pytest.raises(ValidationError, match=r"^row 7: us must be 0/1, got 2$"):
             heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
 
     @pytest.mark.parametrize("moderator", ["treat", "tenure", "market_id"])
@@ -395,8 +404,9 @@ class TestHeterogeneity:
         rng = np.random.default_rng(22)
         y = rng.standard_normal((6, 6))
         panel = toy_panel(y, {0, 1, 2}, shock_month=3)
-        panel.us[0] = 1 - panel.us[1]
-        with pytest.raises(ValidationError, match="varies within"):
+        panel.us[0] = 1 - panel.us[1]  # worker 0's first row now disagrees with its other rows
+        message = r"^row 1: us must be the same on every row of worker_id 0, got 1 here and 0 at row 0$"
+        with pytest.raises(ValidationError, match=message):
             heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
 
     def test_varying_moderator_names_first_worker(self):
@@ -407,8 +417,50 @@ class TestHeterogeneity:
         panel.us[4 * 6 + 5] = 1 - panel.us[4 * 6]
         panel.us[2 * 6 + 3] = 1 - panel.us[2 * 6]
         shuffled = panel.subset(rng.permutation(panel.n_rows))
-        with pytest.raises(ValidationError, match=r"varies within worker 2$"):
+        first_row = {}  # worker -> its first row, in row order
+        for row, (worker, us) in enumerate(zip(shuffled.worker_id.tolist(), shuffled.us.tolist())):
+            first = first_row.setdefault(worker, row)
+            if us != shuffled.us[first]:
+                break
+        message = (rf"^row {row}: us must be the same on every row of worker_id {worker}, "
+                   rf"got {us} here and {shuffled.us[first]} at row {first}$")
+        with pytest.raises(ValidationError, match=message):
             heterogeneity_fit(shuffled, IDENTITY_SPEC, moderator="us")
+
+
+def _valid_panel(column: str | None = None, row: int = 0, value=0) -> PanelArrays:
+    """A toy panel that passes ``PanelArrays.validate``, with ``column[row]`` set to ``value``."""
+    panel = toy_panel(np.random.default_rng(24).uniform(size=(6, 6)), {0, 1, 2}, shock_month=3)
+    if column is not None:
+        panel.column(column)[row] = value
+    return panel
+
+
+# worker 1 holds rows 6-11 and us=0; month 1 is before the first shock
+@pytest.mark.parametrize("message, data_model, fit", [
+    pytest.param("row 1: post40=1 requires post35=1",
+                 lambda: _valid_panel("post40", 1, 1).validate(),
+                 lambda: dual_shock_fit(_valid_panel("post40", 1, 1), IDENTITY_SPEC), id="post40-outside-post35"),
+    pytest.param("row 7: us must be 0/1, got 2",
+                 lambda: _valid_panel("us", 7, 2).validate(),
+                 lambda: heterogeneity_fit(_valid_panel("us", 7, 2), IDENTITY_SPEC, "us"), id="non-binary-moderator"),
+    pytest.param("row 8: us must be the same on every row of worker_id 1, got 1 here and 0 at row 6",
+                 lambda: _valid_panel("us", 8, 1).validate(),
+                 lambda: heterogeneity_fit(_valid_panel("us", 8, 1), IDENTITY_SPEC, "us"), id="varying-moderator"),
+    pytest.param("transform must be one of ('log1p', 'identity'), got 'log'",
+                 lambda: transform_outcome(np.ones(3), "log"),
+                 lambda: RegressionSpec(transform="log"), id="unknown-transform"),
+    pytest.param("moderator must be one of ('us', 'experienced'), got 'tenure'",
+                 lambda: ModeratorBoost("tenure", 1.5),
+                 lambda: heterogeneity_fit(_valid_panel(), IDENTITY_SPEC, "tenure"), id="unknown-moderator"),
+])
+def test_one_rule_one_message(message, data_model, fit):
+    """The data model and the fits reject a bad input by the same rule, with the same message."""
+    _valid_panel().validate()  # each case breaks one rule of a valid panel
+    for call in (data_model, fit):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestFitDesigns:

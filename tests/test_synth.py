@@ -234,7 +234,7 @@ class TestConfigValidation:
                               moderator_boost=ModeratorBoost("us", 2.5))
 
     def test_moderator_column_checked(self):
-        with pytest.raises(ValidationError, match="moderator column"):
+        with pytest.raises(ValidationError, match=r"^moderator must be one of \('us', 'experienced'\), got 'tenure'$"):
             ModeratorBoost("tenure", 1.5)
 
 
