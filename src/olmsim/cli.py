@@ -2,9 +2,13 @@
 
 Stage-oriented subcommands over one scenario file::
 
-    olmsim simulate --config scenario.json --out runs/demo
-    olmsim estimate did --config scenario.json --out runs/demo
+    olmsim simulate --config scenario.json --out runs/simulate
+    olmsim estimate did --config scenario.json --out runs/did
     olmsim run --config scenario.json --out runs/demo --seed 11
+
+Give each call its own ``--out``: a call's ``manifest.json`` lists only
+the files that call wrote, so files an earlier call left in the same
+directory sit beside a manifest that does not name them.
 
 Each subcommand takes ``--config``, ``--out`` and ``--seed``, plus the
 options its stage reads: ``--caliper`` from ``match`` on, ``--alpha``

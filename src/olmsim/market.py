@@ -150,12 +150,6 @@ class Equilibrium:
     corner: bool = False
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    phase: Phase
-    at_boundary: bool = False
-
-
 def equilibrium_from_primitives(potential_value: float, marginal_cost: float, b: float, n: int) -> Equilibrium:
     """Closed-form symmetric Cournot equilibrium for given primitives.
 
@@ -210,17 +204,6 @@ def _phase(a: float, a_star: float) -> Phase:
     return Phase.HONEYMOON if a < a_star - BOUNDARY_ATOL else Phase.SUBSTITUTION
 
 
-def classify_phase(market: MarketSpec, a: float) -> PhaseResult:
-    """Honeymoon below the inflection point, substitution at or above it.
-
-    The tie ``a == a*`` (within 1e-12) is reported as substitution with
-    ``at_boundary`` set.
-    """
-    a = _check_ai_level(a)
-    a_star = inflection_point(market)
-    return PhaseResult(_phase(a, a_star), at_boundary=abs(a - a_star) <= BOUNDARY_ATOL)
-
-
 @dataclass(frozen=True)
 class StaticsRow:
     a: float
@@ -235,7 +218,10 @@ def sweep_comparative_statics(market: MarketSpec, grid_size: int) -> list[Static
     """Equilibrium outcomes on a uniform AI-level grid over [0, 1].
 
     Per-worker quantity and profit rise with ``a`` on grid points below
-    the inflection point and fall above it; revenue falls above it.
+    the inflection point and fall above it; revenue falls above it. Each
+    row's phase is honeymoon below the inflection point and substitution
+    at or above it, a grid point within :data:`BOUNDARY_ATOL` of it
+    included.
     """
     if grid_size < 3:
         raise ValidationError(f"grid_size must be at least 3, got {grid_size}")

@@ -85,6 +85,24 @@ FIT_TITLES = {"did": "did", "event": "event study", "dual": "dual shock"}
 
 
 @contextmanager
+def _writing(path: Path):
+    """Report an ``OSError`` of the block as a ``ValidationError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: Path, lines: list[str]) -> bytes:
+    """Write ``lines`` to ``path`` in UTF-8, each ending in a newline, and
+    return the bytes written; every file olmsim writes goes through here."""
+    data = "\n".join([*lines, ""]).encode()
+    with _writing(path):
+        path.write_bytes(data)
+    return data
+
+
+@contextmanager
 def _reading(path: str | Path):
     """Report a missing, unopenable or non-UTF-8 input file read in the block
     as a ``SchemaError`` naming ``path``."""
@@ -108,7 +126,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``config`` as a scenario JSON file that :func:`parse_scenario` reads back."""
+    _write(Path(path), [json.dumps(config_to_dict(config), indent=2, sort_keys=True)])
 
 
 def _cells(column: np.ndarray) -> Iterable[str]:
@@ -234,29 +253,23 @@ class RunManifest:
 
     @property
     def manifest_hash(self) -> str:
-        payload = json.dumps(self._hashed(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _digest(self._hashed())
 
     def to_dict(self) -> dict:
         return {**self._hashed(), "timings": self.timings, "manifest_hash": self.manifest_hash}
 
 
+def _digest(obj) -> str:
+    """SHA-256 of the canonical JSON of ``obj``: sorted keys, no whitespace."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def config_hash(config: ScenarioConfig) -> str:
-    payload = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return _digest(config_to_dict(config))
 
 
 # ---------------------------------------------------------------------------
 # pipeline
-
-
-@contextmanager
-def _writing(path: Path):
-    """Report an ``OSError`` of the block as a ``ValidationError`` naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @dataclass
@@ -321,11 +334,8 @@ class _Run:
         return {m: fit_designs(match["sample"], OUTCOME_SPECS, self.fit_kinds) for m, match in self.matches.items()}
 
     def _emit(self, name: str, lines: list[str]) -> None:
-        """Write ``lines`` as the file ``name`` in UTF-8, each ending in a newline."""
-        data = "\n".join([*lines, ""]).encode()
-        with _writing(self.out / name):
-            (self.out / name).write_bytes(data)
-        self.manifest.outputs[name] = hashlib.sha256(data).hexdigest()
+        """Write ``lines`` as the output file ``name`` and list it in the manifest."""
+        self.manifest.outputs[name] = hashlib.sha256(_write(self.out / name, lines)).hexdigest()
 
     def _emit_fit(self, name: str, fit, title: str) -> None:
         self._emit(name, fit_csv_lines(fit))
@@ -457,8 +467,6 @@ def run_pipeline(
             raise PipelineError(f"stage {token!r}: {exc}") from exc
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
-    with _writing(out / "manifest.json"):
-        text = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-        (out / "manifest.json").write_text(text, encoding="utf-8")
+    _write(out / "manifest.json", [json.dumps(manifest.to_dict(), indent=2, sort_keys=True)])
     return manifest
 

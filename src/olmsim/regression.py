@@ -182,6 +182,13 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
 
 
 def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np.ndarray) -> np.ndarray:
+    """Cluster-robust covariance of the coefficients of ``X``, with residuals
+    ``e``, cluster codes from :func:`_cluster_codes` and ``bread = inv(X'X)``.
+
+    The CR1 small-sample factor ``G/(G-1) * (N-1)/(N-K)`` counts only the
+    columns of ``X`` in ``K``; absorbed fixed effects are not charged
+    against the degrees of freedom.
+    """
     n, k = X.shape
     # column-major, so each column ``bincount`` weights by is contiguous
     xe = np.multiply(X, e[:, None], order="F")
@@ -192,21 +199,6 @@ def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np
     factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
     v = factor * bread @ meat @ bread
     return 0.5 * (v + v.T)
-
-
-def cluster_vcov(X: np.ndarray, residuals: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
-    """Cluster-robust sandwich covariance with the CR1 small-sample factor
-    ``G/(G-1) * (N-1)/(N-K)``.
-
-    ``K`` counts only the columns of ``X``; absorbed fixed effects are not
-    charged against the degrees of freedom.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    codes, g = _cluster_codes(cluster_ids)
-    bread = np.linalg.inv(X.T @ X)
-    return _sandwich(X, np.asarray(residuals, dtype=np.float64), codes, g, bread)
 
 
 def coef_to_percent(beta: float) -> float:

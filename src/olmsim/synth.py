@@ -65,17 +65,11 @@ ICDF_MAX_TERMS = 2000
 def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Vectorized Poisson inverse CDF: smallest k with CDF(k) >= u.
 
-    Drawing counts through a uniform keeps them a pure function of ``u``,
-    which is what the common-random-number counterfactuals rely on. Small
-    rates use a cumulative term search (an order of magnitude faster than
-    the generic ppf at panel scale) that adds each term in place over whole
-    arrays and counts the terms each cell needed, dropping the cells already
-    done only once fewer than half are still below their uniform; large
-    rates take scipy's ``poisson.ppf`` recipe, the ceiling of ``pdtrik``
-    stepped back one where the CDF already reaches ``u``, and so does a
-    small-rate cell the search has not finished after :data:`ICDF_MAX_TERMS`
-    terms. A rate that is negative, infinite or nan, or a uniform outside
-    [0, 1) or nan, raises :class:`ValidationError` naming the value.
+    :func:`_term_search` gives scipy's ``poisson.ppf`` count to every rate
+    above :data:`_ICDF_RATE_CUTOFF` and to every cell its search has not
+    finished after :data:`ICDF_MAX_TERMS` terms. A rate that is negative,
+    infinite or nan, or a uniform outside [0, 1) or nan, raises
+    :class:`ValidationError` naming the value.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
@@ -85,16 +79,7 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     valid = (u >= 0) & (u < 1)  # false for nan
     if not valid.all():
         raise ValidationError(f"poisson uniform must lie in [0, 1), got {u[~valid][0]}")
-    shape = u.shape
-    u, lam = u.reshape(-1), lam.reshape(-1)
-    big = lam > _ICDF_RATE_CUTOFF
-    if not big.any():
-        return _term_search(u, lam).reshape(shape)
-    k = np.empty(u.shape, dtype=np.int64)
-    k[big] = _ppf_recipe(u[big], lam[big])
-    small = ~big
-    k[small] = _term_search(u[small], lam[small])
-    return k.reshape(shape)
+    return _term_search(u.reshape(-1), lam.reshape(-1)).reshape(u.shape)
 
 
 def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -111,9 +96,11 @@ def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Each cell's cumulative sum only grows, so once it reaches ``u`` the cell
     stays reached and its count stops; the cells still below add their next
     term, in place. Once fewer than half the carried cells are still below,
-    the search carries only those. Next to ``u = 1`` the rounded sum can
-    stop growing below ``u``; the cells still below after
-    :data:`ICDF_MAX_TERMS` terms take :func:`_ppf_recipe`'s count.
+    the search carries only those. Two kinds of cell take
+    :func:`_ppf_recipe`'s count instead: a rate above
+    :data:`_ICDF_RATE_CUTOFF`, up front, and, since next to ``u = 1`` the
+    rounded sum can stop growing below ``u``, a cell still below after
+    :data:`ICDF_MAX_TERMS` terms.
     """
     # ``counts`` belongs to the carried cells: ``k`` itself until the first
     # drop, then a gathered copy written back to ``k`` at each later drop
@@ -121,6 +108,10 @@ def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     carried = None  # positions in ``k`` of the carried cells, once some are dropped
     p = np.exp(-lam)
     cum = p.copy()
+    big = lam > _ICDF_RATE_CUTOFF
+    if big.any():
+        k[big] = _ppf_recipe(u[big], lam[big])
+        cum[big] = np.inf  # above every uniform at every term, so the search adds none to their counts
     below = cum < u
     i = 0
     while live := np.count_nonzero(below):

@@ -18,7 +18,6 @@ from olmsim.market import (
     MarketSpec,
     Phase,
     PotentialFamily,
-    classify_phase,
     cournot_equilibrium,
     equilibrium_from_primitives,
     eval_potential,
@@ -236,17 +235,24 @@ class TestInflection:
 class TestPhase:
     MARKET = MarketSpec(n=4, c=1.0, b=1.0, potential=MarketPotentialSpec(PotentialFamily.QUADRATIC, S0=10.0, kappa=1.0))
 
+    @classmethod
+    def phases(cls) -> dict[float, Phase]:
+        """Phase by AI level on an 11-point grid, which holds a* = c / (2 kappa) = 0.5."""
+        assert inflection_point(cls.MARKET) == 0.5
+        return {row.a: row.phase for row in sweep_comparative_statics(cls.MARKET, 11)}
+
     def test_below_is_honeymoon(self):
-        res = classify_phase(self.MARKET, 0.3)
-        assert res.phase is Phase.HONEYMOON and not res.at_boundary
+        phases = self.phases()
+        assert phases[0.3] is Phase.HONEYMOON
+        assert all(phase is Phase.HONEYMOON for a, phase in phases.items() if a < 0.5)
 
     def test_above_is_substitution(self):
-        res = classify_phase(self.MARKET, 0.7)
-        assert res.phase is Phase.SUBSTITUTION and not res.at_boundary
+        phases = self.phases()
+        assert phases[0.7] is Phase.SUBSTITUTION
+        assert all(phase is Phase.SUBSTITUTION for a, phase in phases.items() if a > 0.5)
 
-    def test_tie_is_substitution_with_flag(self):
-        res = classify_phase(self.MARKET, 0.5)
-        assert res.phase is Phase.SUBSTITUTION and res.at_boundary
+    def test_tie_is_substitution(self):
+        assert self.phases()[0.5] is Phase.SUBSTITUTION
 
 
 class TestSweep:

@@ -130,6 +130,14 @@ class TestScenarioFiles:
         with pytest.raises(SchemaError, match="cannot read"):
             parse_scenario(tmp_path / "nope.json")
 
+    def test_unwritable_path_is_validation_error_naming_it(self, tmp_path):
+        # as for every other file olmsim writes, an OSError names the path, and the CLI exits 2
+        path = tmp_path / "missing" / "s.json"
+        with pytest.raises(ValidationError) as exc:
+            write_scenario(small_config(), path)
+        assert str(exc.value).startswith(f"cannot write {path}: ")
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
+
     def test_decreasing_a_path_rejected(self, tmp_path):
         data = config_to_dict(small_config())
         data["markets"][0]["a_path"]["a_post35"] = 0.05  # below a_pre

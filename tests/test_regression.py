@@ -23,7 +23,6 @@ from olmsim.regression import (
     FitResult,
     RegressionSpec,
     absorb_two_way,
-    cluster_vcov,
     coef_to_percent,
     demand_did_fit,
     did_fit,
@@ -195,13 +194,19 @@ class TestOls:
         assert exc.value.column in ("alpha", "alpha_doubled")
 
 
+def _cr1(x: np.ndarray, e: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
+    """The CR1 covariance as the fits compute it: cluster codes, then the sandwich."""
+    codes, g = regression._cluster_codes(cluster_ids)
+    return regression._sandwich(x, e, codes, g, np.linalg.inv(x.T @ x))
+
+
 class TestClusterVcov:
     def test_singleton_clusters_match_hc_sandwich(self):
         rng = np.random.default_rng(7)
         n, k = 80, 3
         x = rng.standard_normal((n, k))
         e = rng.standard_normal(n)
-        v = cluster_vcov(x, e, np.arange(n))
+        v = _cr1(x, e, np.arange(n))
         bread = np.linalg.inv(x.T @ x)
         hc0 = bread @ (x.T @ np.diag(e**2) @ x) @ bread
         factor = (n / (n - 1)) * ((n - 1) / (n - k))
@@ -219,21 +224,20 @@ class TestClusterVcov:
             meat += np.outer(sg, sg)
         n, k, g = 6, 2, 2
         expected = (g / (g - 1)) * ((n - 1) / (n - k)) * bread @ meat @ bread
-        np.testing.assert_allclose(cluster_vcov(x, e, ids), expected, atol=1e-12)
+        np.testing.assert_allclose(_cr1(x, e, ids), expected, atol=1e-12)
 
     def test_zero_residuals_give_zero_matrix(self):
         x = np.random.default_rng(8).standard_normal((20, 2))
-        v = cluster_vcov(x, np.zeros(20), np.repeat(np.arange(4), 5))
+        v = _cr1(x, np.zeros(20), np.repeat(np.arange(4), 5))
         np.testing.assert_allclose(v, 0.0, atol=1e-14)
 
     def test_single_cluster_rejected(self):
-        x = np.ones((5, 1))
         with pytest.raises(SingleClusterError):
-            cluster_vcov(x, np.ones(5), np.zeros(5))
+            regression._cluster_codes(np.zeros(5))
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValidationError, match="at least one row, got 0"):
-            cluster_vcov(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=np.int64))
+            regression._cluster_codes(np.empty(0, dtype=np.int64))
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(9)
@@ -241,7 +245,7 @@ class TestClusterVcov:
             x = rng.standard_normal((60, 3))
             e = rng.standard_normal(60)
             ids = rng.integers(0, 12, size=60)
-            v = cluster_vcov(x, e, ids)
+            v = _cr1(x, e, ids)
             np.testing.assert_allclose(v, v.T, atol=1e-14)
             assert np.linalg.eigvalsh(v).min() > -1e-10 * np.trace(v)
 
@@ -497,16 +501,32 @@ class TestFitDesigns:
             spec = next(s for s in specs if s.outcome == outcome)
             assert_same_fit(fit, self.SINGLE[kind](panel, spec))
 
-    def test_ols_fit_and_cluster_vcov_equal_did_fit(self):
-        # the public solve and covariance run the same steps as the fit path
+    def test_ols_fit_equals_did_fit_and_vcov_equals_dummy_cr1(self):
         panel = self.panel()
         fit = did_fit(panel, RegressionSpec(outcome="fjobearn", transform="identity"))
+        # the public solve runs the same steps as the fit path
         stack = np.column_stack([panel.fjobearn, panel.treat * panel.post35, panel.tenure])
         absorbed = absorb_two_way(stack, panel.worker_id, panel.month_index).values
-        X = np.ascontiguousarray(absorbed[:, 1:])
-        ols = ols_fit(X, absorbed[:, 0], names=list(fit.terms))
+        ols = ols_fit(np.ascontiguousarray(absorbed[:, 1:]), absorbed[:, 0], names=list(fit.terms))
         assert ols.coefficients.tolist() == [fit.coefficients[t] for t in fit.terms]
-        assert np.array_equal(cluster_vcov(X, ols.residuals, panel.worker_id), fit.vcov)
+        # the covariance against an independent reference: the worker-plus-month dummy
+        # regression, as acceptance C05 builds it, with the CR1 factor charging only the
+        # interest columns
+        workers, months = np.unique(panel.worker_id), np.unique(panel.month_index)
+        interest = stack[:, 1:]
+        dummies = np.column_stack(
+            [interest, np.ones(panel.n_rows)]
+            + [(panel.worker_id == w).astype(float) for w in workers[1:]]
+            + [(panel.month_index == t).astype(float) for t in months[1:]]
+        )
+        full, *_ = np.linalg.lstsq(dummies, panel.fjobearn, rcond=None)
+        e = panel.fjobearn - dummies @ full
+        bread = np.linalg.inv(dummies.T @ dummies)
+        scores = np.array([dummies[panel.worker_id == w].T @ e[panel.worker_id == w] for w in workers])
+        n, k, g = panel.n_rows, interest.shape[1], len(workers)
+        factor = (g / (g - 1)) * ((n - 1) / (n - k))
+        expected = factor * (bread @ scores.T @ scores @ bread)[:k, :k]
+        np.testing.assert_allclose(fit.vcov, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
         "fit",

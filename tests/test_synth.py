@@ -117,6 +117,13 @@ class TestPoissonIcdf:
         for i in stalled:
             assert poisson_icdf(u[i:i + 1], lam[i:i + 1]).tolist() == [_recipe_reference(u[i], lam[i])]
         np.testing.assert_array_equal(poisson_icdf(u, lam), [_icdf_reference(ui, li) for ui, li in zip(u, lam)])
+        # one call in which the recipe's cells, the stalled one (its count 133) among them, are
+        # carried beside small-rate cells that still search: the search adds none of its terms to them
+        top = np.nextafter(1.0, 0.0)
+        assert _recipe_reference(top, cut) == 133
+        u = np.array([0.3, top, 0.999, top, 0.99, 0.2, 0.9])
+        lam = np.array([2.0, cut, 150.0, 80.0, 30.0, np.nextafter(cut, np.inf), 40.0])
+        assert poisson_icdf(u, lam).tolist() == [_icdf_reference(ui, li) for ui, li in zip(u, lam)]
         # a heavy-tailed draw: a few cells need many more terms than the rest
         rng = np.random.default_rng(4)
         u, lam = rng.uniform(size=3000), rng.exponential(10.0, size=3000)
