@@ -127,6 +127,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
     """Write ``config`` as a scenario JSON file that :func:`parse_scenario` reads back."""
+    config_from_dict(config_to_dict(config))  # a config built in Python meets the file's rules, or nothing is written
     _write(Path(path), [json.dumps(config_to_dict(config), indent=2, sort_keys=True)])
 
 
@@ -423,13 +424,17 @@ def run_pipeline(
     ``STAGES`` order, and the ``estimate*`` tokens requested together run
     as one ``estimate`` call over the union of their kinds, timed under
     the first of them. Upstream products are computed as needed but only
-    the requested stages write files. A bad ``alpha``, ``caliper`` or
-    given ``bounds`` is rejected before ``out_dir`` is created.
+    the requested stages write files. A config that breaks a rule of the
+    scenario files, or a bad ``alpha``, ``caliper`` or given ``bounds``,
+    is rejected before ``out_dir`` is created.
     """
     if not isinstance(config, ScenarioConfig):
         config = parse_scenario(config)
     if seed is not None:
         config = config.with_seed(seed)
+    # a config built in Python meets the rules a scenario file meets; the given config is kept,
+    # since the decoded one would hash differently where an int stands in a float field
+    config_from_dict(config_to_dict(config))
     requested = [token for token in STAGES if not token.startswith("estimate_")] if stages is None else list(stages)
     for token in requested:
         if token not in STAGES:

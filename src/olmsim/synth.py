@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -49,6 +50,10 @@ DEFAULT_MONTHS = (
 )
 DEFAULT_SHOCK1_INDEX = 6   # first post-release month
 DEFAULT_SHOCK2_INDEX = 8   # second release lands in 2023-03
+
+#: a month label: ``YYYY-MM`` with a year ``datetime.date`` takes (0001-9999)
+#: and a month from 01 to 12
+_MONTH_LABEL = re.compile(r"(?!0000)[0-9]{4}-(0[1-9]|1[0-2])")
 
 #: weeks in the default market-week demand window
 DEFAULT_WEEKS = 95
@@ -79,7 +84,7 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     valid = (u >= 0) & (u < 1)  # false for nan
     if not valid.all():
         raise ValidationError(f"poisson uniform must lie in [0, 1), got {u[~valid][0]}")
-    return _term_search(u.reshape(-1), lam.reshape(-1)).reshape(u.shape)
+    return _term_search(u, lam)
 
 
 def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -93,44 +98,30 @@ def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest k with ``sum_{i <= k} exp(-lam) lam^i / i! >= u``, cell by cell.
 
-    Each cell's cumulative sum only grows, so once it reaches ``u`` the cell
-    stays reached and its count stops; the cells still below add their next
-    term, in place. Once fewer than half the carried cells are still below,
-    the search carries only those. Two kinds of cell take
+    One pass over every cell: each cell's cumulative sum only grows, so once
+    it reaches ``u`` the cell stays reached and its count stops, while the
+    cells still below add their next term, in place. Two kinds of cell take
     :func:`_ppf_recipe`'s count instead: a rate above
     :data:`_ICDF_RATE_CUTOFF`, up front, and, since next to ``u = 1`` the
     rounded sum can stop growing below ``u``, a cell still below after
     :data:`ICDF_MAX_TERMS` terms.
     """
-    # ``counts`` belongs to the carried cells: ``k`` itself until the first
-    # drop, then a gathered copy written back to ``k`` at each later drop
-    k = counts = np.zeros(u.shape, dtype=np.int64)
-    carried = None  # positions in ``k`` of the carried cells, once some are dropped
-    p = np.exp(-lam)
+    k = np.zeros(u.shape, dtype=np.int64)
+    p = np.exp(-lam, out=np.empty(u.shape))  # ``out`` keeps a 0-d input's terms an array, updated in place
     cum = p.copy()
     big = lam > _ICDF_RATE_CUTOFF
     if big.any():
         k[big] = _ppf_recipe(u[big], lam[big])
         cum[big] = np.inf  # above every uniform at every term, so the search adds none to their counts
-    below = cum < u
-    i = 0
-    while live := np.count_nonzero(below):
-        if 2 * live < below.size:
-            if carried is not None:
-                k[carried] = counts
-            keep = np.flatnonzero(below)
-            carried = keep if carried is None else carried[keep]
-            u, lam, p, cum, counts, below = u[keep], lam[keep], p[keep], cum[keep], counts[keep], below[keep]
-        i += 1
-        if i > ICDF_MAX_TERMS:
-            counts[below] = _ppf_recipe(u[below], lam[below])
-            break
-        counts += below
+    below = np.less(cum, u, out=np.empty(u.shape, dtype=bool))
+    for i in range(1, ICDF_MAX_TERMS + 1):
+        if not below.any():
+            return k
+        k += below
         p *= lam / i
         cum += p
         np.less(cum, u, out=below)
-    if carried is not None:
-        k[carried] = counts
+    k[below] = _ppf_recipe(u[below], lam[below])
     return k
 
 
@@ -230,6 +221,10 @@ class ScenarioConfig:
         n_months = len(self.months)
         if n_months < 2:
             raise ValidationError("need at least 2 months")
+        if bad := [m for m in self.months if not (isinstance(m, str) and _MONTH_LABEL.fullmatch(m))]:
+            raise ValidationError(f"months must be YYYY-MM labels, year 0001-9999 and month 01-12, got {bad[0]!r}")
+        if any(a >= b for a, b in zip(self.months, self.months[1:])):
+            raise ValidationError(f"months must be strictly increasing, got {list(self.months)}")
         if not (1 <= self.shock1_index <= self.shock2_index < n_months):
             raise ValidationError(
                 f"need 1 <= shock1_index <= shock2_index < {n_months}, "
@@ -278,16 +273,14 @@ def _boost_level(a: float, a_pre: float, multiplier: float) -> float:
 def _month_day_offsets(months: Sequence[str]) -> np.ndarray:
     """Days elapsed at each month label relative to the first label.
 
-    Falls back to an average month length when a label is not YYYY-MM.
+    The labels are the ``YYYY-MM`` calendar months, strictly increasing, that
+    :class:`ScenarioConfig` requires, so every offset is a calendar span.
     Registration dates in days plus these offsets give a months-since-
     registration tenure that is not an exact unit-plus-time function, so
     tenure survives two-way absorption as a control.
     """
-    try:
-        dates = [datetime.date(int(m[:4]), int(m[5:7]), 1) for m in months]
-        return np.array([(d - dates[0]).days for d in dates], dtype=np.float64)
-    except (ValueError, IndexError):
-        return np.arange(len(months), dtype=np.float64) * 30.4375
+    dates = [datetime.date(int(m[:4]), int(m[5:7]), 1) for m in months]
+    return np.array([(d - dates[0]).days for d in dates], dtype=np.float64)
 
 
 #: share of the earnings-noise variance that is a persistent worker trait,

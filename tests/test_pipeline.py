@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -183,6 +184,8 @@ MALFORMED = {
     "unknown family": (lambda d: _potential(d).update(family="cubic"), "markets[0].market.potential.family"),
     "negative seed": (lambda d: d.update(seed=-1), "seed"),
     "comma in market id": (lambda d: d["markets"][0].update(market_id="olm,01"), "markets[0]: market id"),
+    "month 13": (lambda d: d["months"].__setitem__(3, "2022-13"), "months"),
+    "months reversed": (lambda d: d["months"].reverse(), "months"),
 }
 
 
@@ -195,6 +198,37 @@ def test_malformed_scenario_exits_2_naming_field(tmp_path, capsys, case):
     path.write_text(json.dumps(data))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert field_path in capsys.readouterr().err
+
+
+#: a change to a config built in Python that breaks a scenario file's rule, and the field the error names
+PYTHON_BUILT = {
+    "nan noise": ({"noise_sigma": float("nan")}, "noise_sigma"),
+    "infinite background rate": ({"background_rate": float("inf")}, "background_rate"),
+    "float worker count": ({"workers_per_market": 50.0}, "workers_per_market"),
+    "fractional seed": ({"seed": 1.5}, "seed"),
+}
+
+
+@pytest.mark.parametrize("case", PYTHON_BUILT)
+def test_python_built_config_held_to_the_file_rules(tmp_path, case):
+    changes, field = PYTHON_BUILT[case]
+    config = dataclasses.replace(small_config(), **changes)
+    out = tmp_path / "out"
+    with pytest.raises(SchemaError, match=f"^{field}: expected "):
+        run_pipeline(config, out)
+    assert not out.exists()
+    path = tmp_path / "s.json"
+    with pytest.raises(SchemaError, match=f"^{field}: expected "):
+        write_scenario(config, path)
+    assert not path.exists()
+
+
+def test_python_built_config_runs_as_given(tmp_path):
+    # an int in a float field encodes as 0, its decoded copy's as 0.0, so only
+    # the given config keeps its hash
+    config = dataclasses.replace(small_config(), noise_sigma=0)
+    assert config_hash(config) != config_hash(config_from_dict(config_to_dict(config)))
+    assert run_pipeline(config, tmp_path / "out", stages=["simulate"]).config_hash == config_hash(config)
 
 
 class TestPanelCsv:

@@ -117,8 +117,8 @@ class TestPoissonIcdf:
         for i in stalled:
             assert poisson_icdf(u[i:i + 1], lam[i:i + 1]).tolist() == [_recipe_reference(u[i], lam[i])]
         np.testing.assert_array_equal(poisson_icdf(u, lam), [_icdf_reference(ui, li) for ui, li in zip(u, lam)])
-        # one call in which the recipe's cells, the stalled one (its count 133) among them, are
-        # carried beside small-rate cells that still search: the search adds none of its terms to them
+        # one call in which the recipe's cells, the stalled one (its count 133) among them, sit
+        # beside small-rate cells that still search: the search adds none of its terms to them
         top = np.nextafter(1.0, 0.0)
         assert _recipe_reference(top, cut) == 133
         u = np.array([0.3, top, 0.999, top, 0.99, 0.2, 0.9])
@@ -141,17 +141,27 @@ class TestPoissonIcdf:
 
     def test_max_terms_exceeded_takes_recipe(self, monkeypatch):
         # the cells still below their uniform after ICDF_MAX_TERMS terms take
-        # the recipe's count, also after the search has dropped finished cells
+        # the recipe's count, whether half the cells or one in five are still
+        # below, and in a 2-D array, whose own shape the recipe's mask has
         monkeypatch.setattr(synth, "ICDF_MAX_TERMS", 5)
-        every_cell_carried = ([0.5, 0.999, 0.99, 0.5], [1.0, 30.0, 20.0, 1.0])
-        finished_cells_dropped = ([0.5, 0.999, 0.5, 0.5, 0.5], [1.0, 30.0, 1.0, 1.0, 1.0])
-        for u, lam in (every_cell_carried, finished_cells_dropped):
+        half_still_below = ([0.5, 0.999, 0.99, 0.5], [1.0, 30.0, 20.0, 1.0])
+        most_cells_finished = ([0.5, 0.999, 0.5, 0.5, 0.5], [1.0, 30.0, 1.0, 1.0, 1.0])
+        stalled_in_2d = ([[0.5, 0.999, 0.5], [0.99, 0.5, 0.999]], [[1.0, 30.0, 1.0], [20.0, 1.0, 11.0]])
+        for u, lam in (half_still_below, most_cells_finished, stalled_in_2d):
             u, lam = np.array(u), np.array(lam)
             unfinished = lam > 10
-            assert [_term_reference(ui, li) is None for ui, li in zip(u, lam)] == unfinished.tolist()
+            assert [_term_reference(ui, li) is None for ui, li in zip(u.flat, lam.flat)] == unfinished.ravel().tolist()
             got = poisson_icdf(u, lam)
-            assert got.tolist() == [_icdf_reference(ui, li) for ui, li in zip(u, lam)]
+            assert got.shape == u.shape
+            assert got.ravel().tolist() == [_icdf_reference(ui, li) for ui, li in zip(u.flat, lam.flat)]
             assert got[unfinished].tolist() == stats.poisson.ppf(u[unfinished], lam[unfinished]).tolist()
+
+    def test_zero_d_input_gives_zero_d_count(self):
+        # a rate below and one above the cutoff
+        for u, lam in ((0.5, 1.0), (0.5, 100.0)):
+            got = poisson_icdf(u, lam)
+            assert got.shape == ()
+            assert got.tolist() == poisson_icdf(np.array([u]), np.array([lam])).tolist()[0]
 
 
 def _icdf_reference(u: float, lam: float) -> int:
@@ -239,6 +249,25 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="past a=1"):
             two_market_config(AiPath(0.1, 0.6, 0.6), workers=10,
                               moderator_boost=ModeratorBoost("us", 2.5))
+
+    def test_default_months_with_their_gap_valid(self):
+        config = substitution_config(workers=10)
+        assert config.months == synth.DEFAULT_MONTHS
+        # 2022-10 to 2023-01 is one step of the panel and 92 calendar days
+        gap = synth.DEFAULT_MONTHS.index("2023-01")
+        assert np.diff(synth._month_day_offsets(config.months))[gap - 1] == 92
+
+    @pytest.mark.parametrize("first, second", [
+        ("2022-05", "2022-13"),  # no month 13
+        ("2022-5", "2022-06"),  # not zero-padded
+        ("0000-01", "2022-06"),  # no year 0 in the calendar
+        ("2022-06", "2022-05"),  # a reversed pair
+        ("2022-05", "2022-05"),  # a repeated month
+    ])
+    def test_months_not_increasing_calendar_labels_rejected(self, first, second):
+        months = (first, second, *synth.DEFAULT_MONTHS[2:])
+        with pytest.raises(ValidationError, match="^months must be"):
+            dataclasses.replace(substitution_config(workers=10), months=months)
 
     def test_moderator_column_checked(self):
         with pytest.raises(ValidationError, match=r"^moderator must be one of \('us', 'experienced'\), got 'tenure'$"):
