@@ -17,6 +17,15 @@ The input rules a fit reads are :mod:`olmsim.panel`'s: every panel fit runs
 its shock-flag and one-row-per-cell rules, a ``het_*`` design its moderator
 rules, and a spec its transform rule, so a fit and ``PanelArrays.validate``
 reject a bad row with the same message.
+
+Group sums take one of two paths, chosen by an O(n) check of a fit's own
+codes (:func:`_blocks`), with the same bits on either. Rows that run unit by
+unit in strictly increasing unit codes, every one of ``g >= 2`` units
+holding the same ``T >= 2`` strictly increasing times (every generated and
+matched panel), are summed as axes of a ``(g, T)`` view, in row order, and
+hold each cell once without a sort. Any other rows, such as a shuffled or
+unbalanced ingested panel, a one-month panel, or the demand fit's row
+clusters, are mapped with ``np.unique`` and summed with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -74,6 +83,33 @@ class AbsorbResult:
     column_iterations: np.ndarray = field(repr=False)
 
 
+def _blocks(unit_codes, time_codes) -> tuple[int, int] | None:
+    """``(g, T)`` when the rows run unit by unit in strictly increasing unit
+    codes and each of the ``g >= 2`` units holds the same ``T >= 2``
+    strictly increasing time codes; else None.
+
+    A passing sample holds each (unit, time) cell once, and its group sums
+    are sums over one axis of a ``(g, T)`` view.
+    """
+    units, times = np.asarray(unit_codes), np.asarray(time_codes)
+    T = int(np.argmax(units != units[0])) if units.size else 0  # rows of the first unit; 0 for one unit
+    if T < 2 or units.size % T:
+        return None
+    u, t = units.reshape(-1, T), times.reshape(-1, T)
+    if (u == u[:, :1]).all() and (u[1:, 0] > u[:-1, 0]).all() and (t == t[0]).all() and (t[0, 1:] > t[0, :-1]).all():
+        return len(u), T
+    return None
+
+
+def _block_sums(v: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of ``v``, added in order onto zeros: for rows that run
+    block by block, the bits ``np.bincount`` gives per block."""
+    out = np.zeros(v.shape[:1] + v.shape[2:])
+    for t in range(v.shape[1]):
+        out += v[:, t]
+    return out
+
+
 def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.ndarray) -> AbsorbResult:
     """Residualize the columns of ``matrix`` on unit and time effects.
 
@@ -92,17 +128,21 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
         m = m[:, None]
     if m.shape[0] == 0:
         raise ValidationError("two-way absorption needs at least one row, got 0")
-    dims = []
     for codes in (unit_codes, time_codes):
-        codes = np.asarray(codes)
-        if codes.shape != (m.shape[0],):
-            raise ValidationError(f"fixed-effect codes have shape {codes.shape}, expected ({m.shape[0]},)")
-        compact = np.unique(codes, return_inverse=True)[1]
-        dims.append((compact, np.bincount(compact).astype(np.float64)))
+        if np.shape(codes) != (m.shape[0],):
+            raise ValidationError(f"fixed-effect codes have shape {np.shape(codes)}, expected ({m.shape[0]},)")
     k = m.shape[1]
     column_iterations = np.zeros(k, dtype=np.int64)
+    blocks = _blocks(unit_codes, time_codes)
+    # rows in blocks are summed over the axes of a (g, T) view, any others by their compacted codes
+    compact = [] if blocks else [np.unique(np.asarray(c), return_inverse=True)[1] for c in (unit_codes, time_codes)]
+    dims = [(codes, np.bincount(codes).astype(np.float64)) for codes in compact]
 
     def demean(col: np.ndarray) -> None:
+        if blocks:
+            v = col.reshape(blocks)  # a view: the column is contiguous
+            v -= (_block_sums(v) / blocks[1])[:, None]
+            v -= np.add.reduce(v, axis=0, initial=0.0) / blocks[0]  # row by row onto zeros, as ``bincount`` sums
         for codes, counts in dims:
             means = np.bincount(codes, weights=col) / counts
             col -= means[codes]
@@ -181,20 +221,24 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
     return OlsResult(coefficients=beta, residuals=y - X @ beta)
 
 
-def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray, g: int, bread: np.ndarray) -> np.ndarray:
+def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray | None, g: int, bread: np.ndarray) -> np.ndarray:
     """Cluster-robust covariance of the coefficients of ``X``, with residuals
     ``e``, cluster codes from :func:`_cluster_codes` and ``bread = inv(X'X)``.
+    ``codes`` None means the rows run cluster by cluster, ``n // g`` each.
 
     The CR1 small-sample factor ``G/(G-1) * (N-1)/(N-K)`` counts only the
     columns of ``X`` in ``K``; absorbed fixed effects are not charged
     against the degrees of freedom.
     """
     n, k = X.shape
-    # column-major, so each column ``bincount`` weights by is contiguous
-    xe = np.multiply(X, e[:, None], order="F")
-    scores = np.empty((g, k))
-    for j in range(k):
-        scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
+    if codes is None:
+        scores = _block_sums((X * e[:, None]).reshape(g, n // g, k))
+    else:
+        # column-major, so each column ``bincount`` weights by is contiguous
+        xe = np.multiply(X, e[:, None], order="F")
+        scores = np.empty((g, k))
+        for j in range(k):
+            scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
     meat = scores.T @ scores
     factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
     v = factor * bread @ meat @ bread
@@ -350,7 +394,8 @@ def _fit_columns(
 
     ``outcomes`` and ``columns`` share one row set. They are absorbed
     together once, and each design is factored once for all outcomes, on
-    one BLAS thread.
+    one BLAS thread. ``cluster_ids`` that are ``unit_codes`` itself cluster
+    on the units, as rows in :func:`_blocks` without a sort.
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
@@ -364,7 +409,8 @@ def _fit_columns(
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValidationError(f"fit column {names[j]} must be finite, got {stack[i, j]} at row {i} of the sample")
-    codes, g = _cluster_codes(cluster_ids)
+    blocks = _blocks(unit_codes, time_codes) if cluster_ids is unit_codes else None
+    codes, g = (None, blocks[0]) if blocks else _cluster_codes(cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     values, iterations = absorbed.values, absorbed.column_iterations
     outcome_sds = [float(np.std(y, ddof=1)) if len(y) > 1 else 0.0 for y in outcomes.values()]
@@ -462,7 +508,8 @@ def fit_designs(
     if any(spec.controls != base.controls for spec in specs):
         raise ValidationError("specs fitted together must differ only in outcome and transform")
     check_flags(panel)
-    _one_row_per(panel, ("worker_id", "month_index"), _row_label)
+    if _blocks(panel.worker_id, panel.month_index) is None:  # rows in blocks hold each cell once
+        _one_row_per(panel, ("worker_id", "month_index"), _row_label)
     for spec in specs:  # log1p is nan or -inf at or below -1
         if spec.transform == "log1p":
             y = panel.column(spec.outcome)

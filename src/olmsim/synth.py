@@ -550,7 +550,9 @@ def _encode(value):
             # unset optional numbers are left out; unset optional objects are null
             if item is None and not is_dataclass(_optional(hints[f.name])):
                 continue
-            out[f.name] = _encode(item)
+            # a number in a float field is written as a float, so 0 and 0.0 hash alike
+            tp = _optional(hints[f.name]) or hints[f.name]
+            out[f.name] = float(item) if tp is float and _is_number(item) else _encode(item)
         return out
     if isinstance(value, (tuple, list)):
         return [_encode(item) for item in value]

@@ -560,6 +560,89 @@ class TestFitDesigns:
             fit_designs(self.panel(), [RegressionSpec()], designs={"mine": DESIGNS["did"]})
 
 
+class TestBlockPath:
+    """Rows that run worker by worker over the same months are summed as axes
+    of a (workers, months) view, with the bits of the general ``bincount``
+    path; any other rows take that path."""
+
+    @staticmethod
+    def panel() -> PanelArrays:
+        return generate_panel_arrays(substitution_config(workers=60, seed=4))
+
+    @staticmethod
+    def blocks(panel: PanelArrays):
+        return regression._blocks(panel.worker_id, panel.month_index)
+
+    @staticmethod
+    def stack(panel: PanelArrays) -> np.ndarray:
+        y = np.log1p(panel.fjobnum.astype(np.float64))
+        # -0.0 on whole workers and whole months: each group sum must start from +0.0, as bincount's do
+        signed_zeros = np.where((panel.worker_id % 2 == 0) | (panel.month_index % 2 == 0), -0.0, 0.0)
+        return np.column_stack([np.where(y == 0, -0.0, y), panel.treat * panel.post35, panel.tenure, signed_zeros])
+
+    @pytest.mark.parametrize("months", [None, 2])
+    def test_absorb_gives_the_general_path_bytes(self, months):
+        panel = self.panel()
+        if months is not None:
+            panel = panel.subset(panel.month_index < panel.month_index.min() + months)
+        workers, n_months = len(np.unique(panel.worker_id)), len(np.unique(panel.month_index))
+        assert self.blocks(panel) == (workers, n_months)
+        # decreasing worker ids take the general path over the same rows
+        decreasing = panel.worker_id.max() - panel.worker_id
+        assert regression._blocks(decreasing, panel.month_index) is None
+        x = self.stack(panel)
+        blocked = absorb_two_way(x, panel.worker_id, panel.month_index)
+        general = absorb_two_way(x, decreasing, panel.month_index)
+        assert blocked.values.tobytes() == general.values.tobytes()
+        assert blocked.column_iterations.tolist() == general.column_iterations.tolist()
+        assert blocked.column_iterations[3] == 1  # the all-zero column stops at the first pass
+        assert np.signbit(blocked.values[:, 3]).any()
+
+    def test_fits_give_the_general_path_bytes(self, monkeypatch):
+        panel = self.panel()
+        assert self.blocks(panel) is not None
+        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobratio", transform="identity")]
+        blocked = fit_designs(panel, specs, designs=tuple(DESIGNS))
+        monkeypatch.setattr(regression, "_blocks", lambda unit_codes, time_codes: None)
+        general = fit_designs(panel, specs, designs=tuple(DESIGNS))
+        assert blocked.keys() == general.keys()
+        for key in blocked:
+            assert_same_fit(blocked[key], general[key])
+
+    def test_one_month_or_one_worker_takes_the_general_path(self):
+        # numpy may sum a (g, 1) view pairwise, not in row order
+        panel = self.panel()
+        assert self.blocks(panel.subset(panel.month_index == panel.month_index[0])) is None
+        assert self.blocks(panel.subset(panel.worker_id == panel.worker_id[0])) is None
+
+    def test_shuffled_panel_takes_the_general_path_with_the_same_fits(self):
+        panel = self.panel()
+        shuffled = panel.subset(np.random.default_rng(5).permutation(panel.n_rows))
+        assert self.blocks(shuffled) is None
+        for fit in (did_fit, event_study_fit):
+            ordered, reordered = fit(panel), fit(shuffled)
+            assert ordered.terms == reordered.terms
+            for term in ordered.terms:
+                assert reordered.coefficients[term] == pytest.approx(ordered.coefficients[term], rel=1e-12, abs=0)
+                assert reordered.se[term] == pytest.approx(ordered.se[term], rel=1e-12, abs=0)
+
+    def test_dropped_cell_takes_the_general_path(self):
+        panel = self.panel()
+        dropped = panel.subset(np.arange(panel.n_rows) != 7)
+        assert self.blocks(dropped) is None
+        assert did_fit(dropped).n_obs == panel.n_rows - 1
+
+    def test_duplicated_cell_takes_the_general_path_and_is_rejected(self):
+        # as many rows as the ordered panel, but row 8 repeats row 7's cell
+        panel = self.panel()
+        panel.month_index[8] = panel.month_index[7]
+        assert self.blocks(panel) is None
+        with pytest.raises(ValidationError) as exc:
+            did_fit(panel)
+        assert str(exc.value) == (f"row 8: duplicate worker_id,month_index cell "
+                                  f"({panel.worker_id[8]}, {panel.month_index[8]}), first at row 7")
+
+
 class TestDemandDid:
     @staticmethod
     def demand(y: np.ndarray, treated_markets, shock_week: int) -> DemandArrays:
