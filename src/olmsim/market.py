@@ -83,15 +83,16 @@ class MarketPotentialSpec:
             raise ValidationError(f"unknown potential family {self.family!r}")
 
 
-def _check_ai_level(a: float) -> float:
+def check_ai_level(a: float, what: str = "AI level") -> float:
+    """Reject an AI level outside [0, 1], nan included; return it as a float."""
     if not (0.0 <= a <= 1.0):
-        raise ValidationError(f"AI level must lie in [0, 1], got {a}")
+        raise ValidationError(f"{what} must lie in [0, 1], got {a}")
     return float(a)
 
 
 def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
     """Evaluate S(a). Strictly decreasing in ``a`` on (0, 1]."""
-    a = _check_ai_level(a)
+    a = check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return spec.S0 - spec.kappa * a * a
     return spec.S0 * (1.0 - float(expit((a - spec.mu) / spec.s)))
@@ -99,7 +100,7 @@ def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
 
 def potential_slope(spec: MarketPotentialSpec, a: float) -> float:
     """Analytic derivative S'(a) of the market potential."""
-    a = _check_ai_level(a)
+    a = check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return -2.0 * spec.kappa * a
     level = float(expit((a - spec.mu) / spec.s))
@@ -168,7 +169,7 @@ def equilibrium_from_primitives(potential_value: float, marginal_cost: float, b:
 
 def cournot_equilibrium(market: MarketSpec, a: float) -> Equilibrium:
     """Symmetric equilibrium of ``market`` at AI level ``a``."""
-    a = _check_ai_level(a)
+    a = check_ai_level(a)
     return equilibrium_from_primitives(
         eval_potential(market.potential, a), market.marginal_cost(a), market.b, market.n
     )

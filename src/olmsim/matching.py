@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, stdtr
 
-from .errors import EmptySideError, SeparationError, ValidationError
-from .panel import PanelArrays, _binary, _row_label
+from .errors import EmptySideError, RankDeficiencyError, SeparationError, ValidationError
+from .panel import PanelArrays, _binary, _finite, _row_label
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -54,9 +54,13 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
     """Fit the propensity model by Newton-Raphson (IRLS).
 
     ``covariates`` holds one row per label; a 1-D array is one covariate.
-    Converges when the largest coefficient update falls below 1e-8.
-    Divergence (any |coefficient| above 30, a singular Hessian, or hitting
-    the iteration cap) is reported as separation.
+    Converges when the largest coefficient update falls below 1e-8. A nan
+    or infinite covariate raises :class:`ValidationError` naming its row
+    and covariate, and a covariate collinear with the intercept and the
+    covariates before it, such as a constant one, raises
+    :class:`RankDeficiencyError` naming it. Divergence (any |coefficient|
+    above 30, a singular Hessian, or hitting the iteration cap) is
+    reported as separation.
     """
     x = np.asarray(covariates, dtype=np.float64)
     y = np.asarray(treat, dtype=np.float64)
@@ -73,6 +77,15 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
         names = ("intercept",) + tuple(names)
         if len(names) != k:
             raise ValidationError(f"got {len(names) - 1} names for {k - 1} covariates")
+    _finite(xi, names, _row_label)
+    if np.linalg.matrix_rank(xi) < k:
+        # the first covariate in the span of the columns before it; the intercept alone has rank 1
+        j = next((j for j in range(1, k) if np.linalg.matrix_rank(xi[:, :j + 1]) <= j), k - 1)
+        raise RankDeficiencyError(
+            f"propensity design is rank deficient: {names[j]} is collinear with the intercept "
+            "and the covariates before it", column=names[j],
+        )
+
     def nll(b: np.ndarray) -> float:
         eta = xi @ b
         return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
@@ -171,6 +184,7 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     treat = np.asarray(treat)
     if scores.shape != treat.shape:
         raise ValidationError("scores and treatment labels must have equal length")
+    _finite(scores, ("propensity score",), _row_label)
     treated_ids = np.nonzero(treat == 1)[0]
     control_ids = np.nonzero(treat == 0)[0]
     if treated_ids.size == 0 or control_ids.size == 0:

@@ -3,7 +3,9 @@
 ``PanelArrays`` and ``DemandArrays`` are the only panel and demand types:
 the generator builds them, ``ingest_panel_csv`` returns them, and every
 match, fit and CSV writer reads their columns. The CSV column orders
-``PANEL_COLUMNS`` and ``DEMAND_COLUMNS`` are their field orders.
+``PANEL_COLUMNS`` and ``DEMAND_COLUMNS`` are their field orders. Both
+take their column checks and row count from one private base, so a column
+of the wrong length is one message whichever container holds it.
 
 The model also states what both sides of it read: the rule a market id
 follows, and the transform each outcome is fitted on, which the generator's
@@ -13,7 +15,10 @@ It owns every input rule: what makes a panel or demand row invalid, which
 transforms and moderators exist, and how an error names the first offending
 row. ``PanelArrays.validate`` runs every panel rule; the fits in
 :mod:`olmsim.regression` and the scenario's moderator boost call the rules
-they read from here, so each rule has one message.
+they read from here, so each rule has one message. The finite-value rule is
+shared the same way: absorption, least squares, the propensity model and
+matching name the first row, and its column, that holds a nan or an
+infinity, as ``validate`` does for earnings and ratios.
 """
 
 from __future__ import annotations
@@ -72,15 +77,18 @@ def _binary(name: str, arr: np.ndarray, where) -> None:
     _reject((arr != 0) & (arr != 1), where, lambda i: f"{name} must be 0/1, got {arr[i]}")
 
 
-def _check_columns(arrays) -> None:
-    """Make every field of a container an array as long as its first field."""
-    columns = fields(arrays)
-    n = len(getattr(arrays, columns[0].name))
-    for f in columns:
-        arr = np.asarray(getattr(arrays, f.name))
-        if arr.shape != (n,):
-            raise ValidationError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
-        object.__setattr__(arrays, f.name, arr)
+def _finite(values: np.ndarray, names, where) -> None:
+    """Reject the first row of ``values``, one column per entry of ``names``
+    (a 1-D array is one column), that holds a nan or an infinity, naming
+    the first such column of the row."""
+    cells = values.reshape(len(values), len(names))
+    bad = ~np.isfinite(cells)
+
+    def message(i: int) -> str:
+        j = int(np.argmax(bad[i]))
+        return f"{names[j]} must be finite, got {cells[i, j]}"
+
+    _reject(bad.any(axis=1), where, message)
 
 
 #: the binary worker-level columns that a heterogeneity fit interacts with
@@ -135,8 +143,25 @@ def check_flags(arrays, where=_row_label) -> None:
     _reject(arrays.post40 > arrays.post35, where, lambda i: "post40=1 requires post35=1")
 
 
+class _Columns:
+    """A columnar container: every dataclass field is one column."""
+
+    def __post_init__(self):
+        # every field an array as long as the first
+        n = len(getattr(self, fields(self)[0].name))
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name))
+            if arr.shape != (n,):
+                raise ValidationError(f"column {f.name} has shape {arr.shape}, expected ({n},)")
+            setattr(self, f.name, arr)
+
+    @property
+    def n_rows(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+
 @dataclass
-class PanelArrays:
+class PanelArrays(_Columns):
     """Columnar worker-month panel."""
 
     worker_id: np.ndarray
@@ -151,13 +176,6 @@ class PanelArrays:
     tenure: np.ndarray
     us: np.ndarray
     experienced: np.ndarray
-
-    def __post_init__(self):
-        _check_columns(self)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.worker_id)
 
     def column(self, name: str) -> np.ndarray:
         if name not in PANEL_COLUMNS:
@@ -182,8 +200,7 @@ class PanelArrays:
             except ValidationError as exc:  # only a bad id pays for finding its row
                 raise ValidationError(f"{where(ids.index(value))}: {exc}") from None
         for name in ("fjobearn", "fjobratio"):
-            values = self.column(name)
-            _reject(~np.isfinite(values), where, lambda i: f"{name} must be finite, got {values[i]}")
+            _finite(self.column(name), (name,), where)
         check_flags(self, where)
         for name in MODERATORS:
             _binary(name, self.column(name), where)
@@ -203,7 +220,7 @@ class PanelArrays:
 
 
 @dataclass
-class DemandArrays:
+class DemandArrays(_Columns):
     """Columnar market-week demand series."""
 
     market_id: np.ndarray
@@ -211,13 +228,6 @@ class DemandArrays:
     postnum: np.ndarray
     treat: np.ndarray
     post: np.ndarray
-
-    def __post_init__(self):
-        _check_columns(self)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.market_id)
 
     def validate(self) -> None:
         """Check every invariant of a demand series, naming the first offending row.

@@ -126,8 +126,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    """Write ``config`` as a scenario JSON file that :func:`parse_scenario` reads back."""
-    config_from_dict(config_to_dict(config))  # a config built in Python meets the file's rules, or nothing is written
+    """Write ``config`` as a scenario JSON file that :func:`parse_scenario` reads
+    back; a config that breaks a rule of the file raises before anything is written."""
     _write(Path(path), [json.dumps(config_to_dict(config), indent=2, sort_keys=True)])
 
 
@@ -266,6 +266,8 @@ def _digest(obj) -> str:
 
 
 def config_hash(config: ScenarioConfig) -> str:
+    """SHA-256 of the config's scenario document; a config that breaks a rule of
+    the scenario files raises, as :func:`config_to_dict` does."""
     return _digest(config_to_dict(config))
 
 
@@ -432,9 +434,7 @@ def run_pipeline(
         config = parse_scenario(config)
     if seed is not None:
         config = config.with_seed(seed)
-    # a config built in Python meets the rules a scenario file meets; the given config is kept,
-    # since the decoded one would hash differently where an int stands in a float field
-    config_from_dict(config_to_dict(config))
+    digest = config_hash(config)  # a config built in Python meets the rules a scenario file meets
     requested = [token for token in STAGES if not token.startswith("estimate_")] if stages is None else list(stages)
     for token in requested:
         if token not in STAGES:
@@ -449,7 +449,7 @@ def run_pipeline(
         out.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(
-        config_hash=config_hash(config),
+        config_hash=digest,
         seed=config.seed,
         version=__version__,
         stages=ran,

@@ -16,14 +16,18 @@ is a pure function of its inputs.
 The input rules a fit reads are :mod:`olmsim.panel`'s: every panel fit runs
 its shock-flag and one-row-per-cell rules, a ``het_*`` design its moderator
 rules, and a spec its transform rule, so a fit and ``PanelArrays.validate``
-reject a bad row with the same message.
+reject a bad row with the same message. :func:`absorb_two_way` and
+:func:`ols_fit`, called on their own, reject a nan or infinite cell by its
+row and column before any pass or factorization.
 
 Group sums take one of two paths, chosen by an O(n) check of a fit's own
 codes (:func:`_blocks`), with the same bits on either. Rows that run unit by
 unit in strictly increasing unit codes, every one of ``g >= 2`` units
 holding the same ``T >= 2`` strictly increasing times (every generated and
 matched panel), are summed as axes of a ``(g, T)`` view, in row order, and
-hold each cell once without a sort. Any other rows, such as a shuffled or
+hold each cell once without a sort. Panel fits cluster on those units;
+the demand fit numbers its markets in row order, so each market pair's
+absorption takes the block path too. Any other rows, such as a shuffled or
 unbalanced ingested panel, a one-month panel, or the demand fit's row
 clusters, are mapped with ``np.unique`` and summed with ``np.bincount``.
 """
@@ -52,8 +56,8 @@ from .errors import (
     ValidationError,
 )
 from .panel import (
-    MODERATORS, DemandArrays, PanelArrays, _binary, _one_row_per, _reject, _row_label, _same_within, check_flags,
-    check_moderator, check_transform, transform_outcome,
+    MODERATORS, DemandArrays, PanelArrays, _binary, _finite, _one_row_per, _reject, _row_label, _same_within,
+    check_flags, check_moderator, check_transform, transform_outcome,
 )
 
 #: a column stops absorbing once no cell moves by more than this fraction
@@ -119,7 +123,8 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
     stops depends neither on its scale nor on the other columns. Balanced
     panels stop after the second pass; a column still moving after
     :data:`ABSORB_MAX_ITER` passes raises :class:`ConvergenceError`. A
-    matrix without rows raises :class:`ValidationError`.
+    matrix without rows, or a nan or infinite cell, raises
+    :class:`ValidationError`, the latter naming the cell's row and column.
     """
     # column-major while demeaning, so each column is contiguous; every
     # column's arithmetic is its own, so the layout changes no result
@@ -149,7 +154,10 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
 
     for j in range(k):
         col = m[:, j]
-        bound = ABSORB_TOL * np.abs(col).max()
+        peak = np.abs(col).max()  # nan or inf on a column no pass can settle
+        if not np.isfinite(peak):
+            _finite(col, (f"column {j}",), _row_label)
+        bound = ABSORB_TOL * peak
         for it in range(1, ABSORB_MAX_ITER + 1):
             before = col.copy()
             demean(col)
@@ -209,7 +217,9 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
     """Least squares via pivoted QR, with rank-deficiency detection.
 
     Raises :class:`RankDeficiencyError` naming the first column that the
-    pivoting identifies as linearly dependent on the preceding ones.
+    pivoting identifies as linearly dependent on the preceding ones, and
+    :class:`ValidationError` naming the first row and column of ``X``, or
+    row of ``y``, that holds a nan or an infinity.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -217,6 +227,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
         X = X[:, None]
     if names is not None and len(names) != X.shape[1]:
         raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
+    _finite(X, names or [f"column {j}" for j in range(X.shape[1])], _row_label)
+    _finite(y, ("y",), _row_label)
     beta = _solve(*_pivoted_qr(X, names), y)
     return OlsResult(coefficients=beta, residuals=y - X @ beta)
 
@@ -387,21 +399,21 @@ def _one_blas_thread():
 @_one_blas_thread()
 def _fit_columns(
     outcomes: dict[str, np.ndarray], columns: dict[str, np.ndarray], designs: dict[str, Sequence[str]],
-    unit_codes, time_codes, cluster_ids,
+    unit_codes, time_codes, cluster_ids=None,
 ) -> dict[tuple[str, str], FitResult]:
     """Fit every design (a list of regressor names) on every outcome, keyed
     ``(design, outcome)``.
 
     ``outcomes`` and ``columns`` share one row set. They are absorbed
     together once, and each design is factored once for all outcomes, on
-    one BLAS thread. ``cluster_ids`` that are ``unit_codes`` itself cluster
-    on the units, as rows in :func:`_blocks` without a sort.
+    one BLAS thread. ``cluster_ids`` None clusters on the units, as rows in
+    :func:`_blocks` without a sort.
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
     # filled column by column in the column-major layout absorption works in,
     # so ``absorb_two_way`` copies it without reordering
-    stack = np.empty((len(cluster_ids), len(names)), order="F")
+    stack = np.empty((len(unit_codes), len(names)), order="F")
     for j, v in enumerate([*outcomes.values(), *columns.values()]):
         stack[:, j] = v
     # absorption cannot settle a non-finite column: it would run every pass, then fail as numeric
@@ -409,8 +421,8 @@ def _fit_columns(
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValidationError(f"fit column {names[j]} must be finite, got {stack[i, j]} at row {i} of the sample")
-    blocks = _blocks(unit_codes, time_codes) if cluster_ids is unit_codes else None
-    codes, g = (None, blocks[0]) if blocks else _cluster_codes(cluster_ids)
+    blocks = _blocks(unit_codes, time_codes) if cluster_ids is None else None
+    codes, g = (None, blocks[0]) if blocks else _cluster_codes(unit_codes if cluster_ids is None else cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     values, iterations = absorbed.values, absorbed.column_iterations
     outcome_sds = [float(np.std(y, ddof=1)) if len(y) > 1 else 0.0 for y in outcomes.values()]
@@ -522,8 +534,7 @@ def fit_designs(
         cols = {**DESIGNS[kind](panel), **controls}
         terms[kind] = list(cols)
         columns.update((name, v) for name, v in cols.items() if name not in columns)
-    wid = panel.worker_id  # the unit effects and the clusters
-    return _fit_columns(ys, columns, terms, wid, panel.month_index, wid)
+    return _fit_columns(ys, columns, terms, panel.worker_id, panel.month_index)
 
 
 def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str) -> FitResult:
@@ -579,7 +590,8 @@ def demand_did_fit(series: DemandArrays) -> FitResult:
     series is checked with :meth:`DemandArrays.validate` first.
     """
     series.validate()
-    markets, market_codes = np.unique(series.market_id, return_inverse=True)
+    markets, first, market_codes = np.unique(series.market_id, return_index=True, return_inverse=True)
+    market_codes = np.argsort(np.argsort(first))[market_codes]  # numbered in row order, so market blocks ascend
     if len(markets) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
     if series.post.min() == series.post.max():

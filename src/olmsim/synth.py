@@ -18,6 +18,12 @@ one inverse-CDF call per replication. The generators assemble each output
 column once for the whole panel or series: identifiers and flags repeat or
 tile per-market and per-month values, worker traits are the concatenated
 per-worker draws, and only the outcome cells are computed market by market.
+
+The config classes check their ranges on construction, and each message
+names the value it rejects; an AI path's levels follow
+:func:`olmsim.market.check_ai_level`. :func:`config_to_dict` decodes the
+document it encodes, so a config that a scenario file cannot hold, such as
+one with a nan ``noise_sigma``, raises there rather than being hashed.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from scipy import special
 
 from .errors import SchemaError, ValidationError
-from .market import Equilibrium, MarketSpec, cournot_equilibrium
+from .market import Equilibrium, MarketSpec, check_ai_level, cournot_equilibrium
 from .panel import (
     MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, check_moderator, transform_outcome,
 )
@@ -135,9 +141,7 @@ class AiPath:
 
     def __post_init__(self):
         for name in ("a_pre", "a_post35", "a_post40"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"a_path {name} must lie in [0, 1], got {v}")
+            check_ai_level(getattr(self, name), f"a_path {name}")
         if not self.a_pre <= self.a_post35 <= self.a_post40:
             raise ValidationError(
                 f"a_path must be nondecreasing, got ({self.a_pre}, {self.a_post35}, {self.a_post40})"
@@ -207,7 +211,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not self.markets:
-            raise ValidationError("scenario needs at least one market")
+            raise ValidationError(f"scenario needs at least one market, got {len(self.markets)}")
         ids = [m.market_id for m in self.markets]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"market ids must be unique, got {ids}")
@@ -215,12 +219,12 @@ class ScenarioConfig:
             raise ValidationError(f"control market {self.control_market_id!r} not among {ids}")
         control = self.market(self.control_market_id)
         if not control.a_path.constant:
-            raise ValidationError("control market must have a constant a_path")
+            raise ValidationError(f"control market must have a constant a_path, got {control.a_path}")
         if self.workers_per_market < 1:
-            raise ValidationError("workers_per_market must be positive")
+            raise ValidationError(f"workers_per_market must be positive, got {self.workers_per_market}")
         n_months = len(self.months)
         if n_months < 2:
-            raise ValidationError("need at least 2 months")
+            raise ValidationError(f"need at least 2 months, got {n_months}")
         if bad := [m for m in self.months if not (isinstance(m, str) and _MONTH_LABEL.fullmatch(m))]:
             raise ValidationError(f"months must be YYYY-MM labels, year 0001-9999 and month 01-12, got {bad[0]!r}")
         if any(a >= b for a, b in zip(self.months, self.months[1:])):
@@ -231,16 +235,16 @@ class ScenarioConfig:
                 f"got {self.shock1_index}, {self.shock2_index}"
             )
         for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            if (v := getattr(self, name)) < 0:
+                raise ValidationError(f"{name} must be nonnegative, got {v}")
         for name in ("jobs_scale", "weekly_scale"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if (v := getattr(self, name)) <= 0:
+                raise ValidationError(f"{name} must be positive, got {v}")
         for name in ("us_share", "experienced_share"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
+            if not 0.0 <= (v := getattr(self, name)) <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
         if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.moderator_boost is not None:
             for m in self.markets:
                 boosted = _boost_level(m.a_path.a_post40, m.a_path.a_pre, self.moderator_boost.multiplier)
@@ -462,7 +466,7 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     reuses the draws of ``config.with_seed(r)``.
     """
     if reps < 1:
-        raise ValidationError("reps must be positive")
+        raise ValidationError(f"reps must be positive, got {reps}")
     if outcome not in OUTCOME_TRANSFORMS:
         raise ValidationError(f"outcome must be one of {sorted(OUTCOME_TRANSFORMS)}, got {outcome!r}")
     transform = OUTCOME_TRANSFORMS[outcome]
@@ -526,7 +530,10 @@ def generate_demand_arrays(config: ScenarioConfig, weeks: int = DEFAULT_WEEKS) -
 # serialization
 #
 # One codec maps every config dataclass to and from JSON by its own fields
-# and annotations, so adding a field needs no serializer edit.
+# and annotations, so adding a field needs no serializer edit. It also owns
+# the scenario-file rules: ``config_to_dict`` decodes what it encodes, so a
+# config built in Python that no scenario file can hold is refused by every
+# caller (``config_hash``, ``write_scenario``, ``run_pipeline``) alike.
 
 
 @cache
@@ -621,7 +628,13 @@ def _decode_object(cls: type, value, path: str):
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return _encode(config)
+    """Encode a config as a scenario document, and decode the document back:
+    a config built in Python that a scenario file cannot hold (say a nan
+    ``noise_sigma`` or a ``workers_per_market`` of ``50.0``) raises the
+    SchemaError or ValidationError that :func:`config_from_dict` gives the file."""
+    data = _encode(config)
+    config_from_dict(data)
+    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

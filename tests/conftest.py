@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from olmsim import regression
 from olmsim.market import (
     MarketPotentialSpec,
     MarketSpec,
@@ -100,6 +101,19 @@ def assert_same_fit(a, b) -> None:
     assert a.within_r2 == b.within_r2
     assert a.converged_fe_iterations == b.converged_fe_iterations
     assert (a.n_obs, a.n_clusters, a.outcome_sd) == (b.n_obs, b.n_clusters, b.outcome_sd)
+
+
+def spy_blocks(monkeypatch) -> list:
+    """Record, in call order, what each call of ``regression._blocks`` returns:
+    ``(g, T)`` where a fit sums blocks, None where it falls back to bincounts."""
+    results, blocks = [], regression._blocks
+
+    def spy(unit_codes, time_codes):
+        results.append(blocks(unit_codes, time_codes))
+        return results[-1]
+
+    monkeypatch.setattr(regression, "_blocks", spy)
+    return results
 
 
 def assert_same_columns(a, b, columns) -> None:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from olmsim.market import (
     MarketSpec,
     Phase,
     PotentialFamily,
+    check_ai_level,
     cournot_equilibrium,
     equilibrium_from_primitives,
     eval_potential,
@@ -89,6 +91,38 @@ class TestPotential:
             eval_potential(QUAD, 1.2)
         with pytest.raises(ValidationError):
             potential_slope(QUAD, -0.1)
+
+    @pytest.mark.parametrize("a", [1.2, -0.1, math.nan])
+    def test_check_ai_level_names_what_and_the_value(self, a):
+        with pytest.raises(ValidationError, match=rf"^AI level must lie in \[0, 1\], got {a}$"):
+            check_ai_level(a)
+        with pytest.raises(ValidationError, match=rf"^a_path a_pre must lie in \[0, 1\], got {a}$"):
+            check_ai_level(a, "a_path a_pre")
+        assert check_ai_level(1) == 1.0 and type(check_ai_level(1)) is float
+
+
+#: one bad field of a valid market (``MarketSpec(n=4, c=2.0, b=1.0, QUAD)``), and the whole message
+BAD_MARKETS = {
+    "no workers": ({"n": 0}, "worker count n must be a positive integer, got 0"),
+    "fractional workers": ({"n": 2.5}, "worker count n must be a positive integer, got 2.5"),
+    "zero cost": ({"c": 0.0}, "baseline marginal cost c must be positive, got 0.0"),
+    "negative cost": ({"c": -1.0}, "baseline marginal cost c must be positive, got -1.0"),
+    "zero demand slope": ({"b": 0.0}, "demand slope b must be positive, got 0.0"),
+    "negative demand slope": ({"b": -0.5}, "demand slope b must be positive, got -0.5"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MARKETS)
+def test_market_range_rule_names_the_value(case):
+    changes, message = BAD_MARKETS[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MarketSpec(**{"n": 4, "c": 2.0, "b": 1.0, "potential": QUAD, **changes})
+
+
+@pytest.mark.parametrize("s", [None, 0.0, -0.3])
+def test_logistic_scale_must_be_positive(s):
+    with pytest.raises(ValidationError, match=rf"^logistic family needs scale s > 0, got {s}$"):
+        MarketPotentialSpec(PotentialFamily.LOGISTIC_ADOPTION, S0=10.0, mu=1.5, s=s)
 
 
 class TestEquilibrium:

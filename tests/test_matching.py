@@ -9,8 +9,9 @@ from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from olmsim.errors import EmptySideError, SeparationError, ValidationError
+from olmsim.errors import EmptySideError, RankDeficiencyError, SeparationError, ValidationError
 from olmsim.matching import (
+    IRLS_MAX_ITER,
     NO_NEIGHBOR,
     DroppedUnit,
     _balance_side,
@@ -119,6 +120,92 @@ class TestLogit:
         probs = logit_fit(x, y).predict_proba(x)
         assert probs.min() > 0.0 and probs.max() < 1.0
 
+    def test_badly_scaled_sample_halves_a_step_and_converges(self):
+        x, y = BADLY_SCALED
+        xi = np.column_stack([np.ones(len(x)), x])
+        # a full Newton step raises the NLL, so the fit halves it
+        assert _full_newton_step_rises(xi, y)
+        model = logit_fit(x, y)
+        assert model.n_iter == 14
+        oracle = minimize(lambda b: _nll(xi, y, b), np.zeros(3), method="Nelder-Mead",
+                          options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 100_000, "maxfev": 100_000})
+        assert oracle.success
+        np.testing.assert_allclose(model.coefficients, oracle.x, rtol=0, atol=1e-6)
+        assert _nll(xi, y, model.coefficients) <= oracle.fun + 1e-12
+
+    def test_quasi_separated_sample_halves_a_step_and_does_not_converge(self):
+        x, y = QUASI_SEPARATED
+        # the line x0 = 20 x1 has every treated unit on or above it, one of them on it, and every control below
+        side = x @ np.array([1.0, -20.0])
+        assert ((side >= 0) == (y == 1)).all() and np.count_nonzero(side == 0) == 1
+        assert _full_newton_step_rises(np.column_stack([np.ones(len(x)), x]), y)
+        with pytest.raises(SeparationError, match=f"^IRLS did not converge in {IRLS_MAX_ITER} iterations$"):
+            logit_fit(x, y)
+
+    @pytest.mark.parametrize("column, collinear", [
+        *(pytest.param("flat", lambda a, c=c: np.full_like(a, c), id=f"constant-{c}")
+          for c in (0.0, 1.0, 0.3, 5.0, -2.7)),
+        pytest.param("copy", lambda a: a.copy(), id="copy"),
+        pytest.param("affine", lambda a: 2.0 * a + 1.0, id="affine"),
+    ])
+    def test_collinear_covariate_is_rank_deficiency_naming_it(self, column, collinear):
+        # a constant covariate is collinear with the intercept; before, a separation error
+        # whose kind depended on the constant
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(40)
+        y = (rng.uniform(size=40) < 0.5).astype(int)
+        x = np.column_stack([a, collinear(a), rng.standard_normal(40)])
+        with pytest.raises(RankDeficiencyError, match=f"^propensity design is rank deficient: {column} is collinear"):
+            logit_fit(x, y, names=("a", column, "noise"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariate_named_by_row_and_name(self, value):
+        # a nan used to run every IRLS iteration and end as separation
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((30, 2))
+        y = np.arange(30) % 2
+        x[7, 1] = value
+        with pytest.raises(ValidationError, match=f"^row 7: b must be finite, got {value}$"):
+            logit_fit(x, y, names=("a", "b"))
+
+
+def _nll(xi: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    """Logistic negative log-likelihood, written apart from ``logit_fit``'s."""
+    eta = xi @ beta
+    return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+
+def _full_newton_step_rises(xi: np.ndarray, y: np.ndarray) -> bool:
+    """Whether undamped Newton from zero, in ``logit_fit``'s arithmetic, raises
+    the NLL by more than its 1e-12 slack at one of its first IRLS_MAX_ITER steps.
+
+    Up to the first such step undamped and damped Newton take the same steps,
+    so a rise is a halving in ``logit_fit``.
+    """
+    beta = np.zeros(xi.shape[1])
+    for _ in range(IRLS_MAX_ITER):
+        p = expit(np.clip(xi @ beta, -35.0, 35.0))
+        step = np.linalg.solve(xi.T @ (xi * (p * (1.0 - p))[:, None]), xi.T @ (y - p))
+        if _nll(xi, y, beta + step) > _nll(xi, y, beta) + 1e-12:
+            return True
+        beta = beta + step
+    return False
+
+
+#: 8 units with covariates on scales of about 100 and 10, one far out
+BADLY_SCALED = (
+    np.array([[106.0, -3351.0], [-395.0, -10.0], [21.0, 7.0], [345.0, -11.0],
+              [-329.0, -10.0], [-2.0, 13.0], [-64.0, 12.0], [-173.0, 12.0]]),
+    np.array([1, 1, 1, 0, 1, 0, 0, 0]),
+)
+
+#: 8 units that a line through the origin separates but for one tie
+QUASI_SEPARATED = (
+    np.array([[-41.0, -322.0], [-20.0, 1.0], [-25.0, 10.0], [-20.0, -1.0],
+              [-516.0, -10.0], [350.0, -21.0], [13.0, -6.0], [-52.0, 14.0]]),
+    np.array([1, 0, 0, 1, 0, 1, 1, 0]),
+)
+
 
 class TestMatching:
     def test_identical_lists_pair_perfectly(self):
@@ -162,6 +249,15 @@ class TestMatching:
     def test_nan_caliper_rejected(self):
         with pytest.raises(ValidationError, match="caliper must be positive, got nan"):
             propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=float("nan"))
+
+    @pytest.mark.parametrize("row", [1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_score_named_by_row(self, row, value):
+        # a nan control score used to empty the support, and a nan treated score was dropped as off-support
+        scores = np.array([0.4, 0.5, 0.45, 0.6])
+        scores[row] = value
+        with pytest.raises(ValidationError, match=f"^row {row}: propensity score must be finite, got {value}$"):
+            propensity_match(scores, np.array([1, 0, 1, 0]), caliper=0.1)
 
     def test_without_replacement_fuzz(self):
         rng = np.random.default_rng(5)

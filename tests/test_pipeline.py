@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_columns, assert_same_fit, random_logistic_market
+from conftest import assert_same_columns, assert_same_fit, random_logistic_market, spy_blocks
 
 import olmsim
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
@@ -33,8 +33,9 @@ from olmsim.pipeline import (
     write_scenario,
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
-from olmsim.scenarios import honeymoon_config, two_market_config
+from olmsim.scenarios import honeymoon_config, substitution_config, two_market_config
 from olmsim.synth import (
+    DEFAULT_WEEKS,
     AiPath,
     MarketScenario,
     ModeratorBoost,
@@ -221,6 +222,10 @@ def test_python_built_config_held_to_the_file_rules(tmp_path, case):
     with pytest.raises(SchemaError, match=f"^{field}: expected "):
         write_scenario(config, path)
     assert not path.exists()
+    # the codec itself refuses it: config_to_dict used to return, and config_hash to hash, e.g. NaN
+    for encode in (config_to_dict, config_hash):
+        with pytest.raises(SchemaError, match=f"^{field}: expected "):
+            encode(config)
 
 
 def test_python_built_config_runs_as_given(tmp_path):
@@ -230,6 +235,31 @@ def test_python_built_config_runs_as_given(tmp_path):
     as_float = dataclasses.replace(small_config(), noise_sigma=0.0)
     assert config_hash(config) == config_hash(config_from_dict(config_to_dict(config))) == config_hash(as_float)
     assert run_pipeline(config, tmp_path / "out", stages=["simulate"]).config_hash == config_hash(as_float)
+
+
+def test_pipeline_fits_take_the_block_path(tmp_path, monkeypatch):
+    # every matched sample and every demand pair runs unit by unit in equal time blocks, so
+    # each fit's layout check, cluster scores and absorption sum (g, T) blocks, not bincounts
+    results = spy_blocks(monkeypatch)
+    config = small_config()
+    manifest = run_pipeline(config, tmp_path / "out", stages=["estimate"])
+    fits = [name for name in manifest.outputs if name.startswith("fit_")]
+    assert len(fits) == 9 * len(config.treated_ids()) + len(config.treated_ids())
+    assert None not in results
+    # three checks per matched sample (one fit_designs call), one per demand absorption
+    assert [T for _, T in results] == [config.n_months] * 3 + [DEFAULT_WEEKS]
+    assert results[-1] == (2, DEFAULT_WEEKS)
+
+
+def test_montecarlo_fits_take_the_block_path(monkeypatch):
+    # the benchmark's recovery study fits did and event on whole generated panels
+    results = spy_blocks(monkeypatch)
+    for seed in (0, 1):
+        config = substitution_config(workers=30, seed=seed)
+        panel = generate_panel_arrays(config)
+        did_fit(panel)
+        event_study_fit(panel)
+    assert results == [(2 * 30, config.n_months)] * 12
 
 
 class TestPanelCsv:

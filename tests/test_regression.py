@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import assert_same_fit
+from conftest import assert_same_fit, spy_blocks
 from scipy import stats
 
 from olmsim import regression
@@ -107,6 +107,18 @@ class TestAbsorb:
         with pytest.raises(ValidationError, match="at least one row, got 0"):
             absorb_two_way(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_named_by_row_and_column(self, value):
+        # such a column used to run every pass, then fail as numeric; inf also warned
+        unit = np.repeat(np.arange(50), 4)
+        month = np.tile(np.arange(4), 50)
+        x = np.random.default_rng(9).standard_normal((200, 3))
+        x[37, 2] = value
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"^row 37: column 2 must be finite, got {value}$"):
+            absorb_two_way(x, unit, month)
+        assert time.perf_counter() - start < 1.0
+
     def test_constant_column_absorbed_to_zero(self):
         unit = np.repeat(np.arange(3), 4)
         time = np.tile(np.arange(4), 3)
@@ -184,6 +196,21 @@ class TestOls:
                 np.linalg.norm(x) * max(np.linalg.norm(res.residuals), 1e-30)
             )
             assert rel < 1e-8
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_named_by_row_and_column(self, value):
+        # scipy used to raise its own ValueError
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        bad = x.copy()
+        bad[4, 1] = value
+        with pytest.raises(ValidationError, match=f"^row 4: column 1 must be finite, got {value}$"):
+            ols_fit(bad, y)
+        with pytest.raises(ValidationError, match=f"^row 4: slope must be finite, got {value}$"):
+            ols_fit(bad, y, names=["level", "slope"])
+        y[11] = value
+        with pytest.raises(ValidationError, match=f"^row 11: y must be finite, got {value}$"):
+            ols_fit(x, y)
 
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(6)
@@ -691,6 +718,18 @@ class TestDemandDid:
         series = DemandArrays(*(np.append(col, col[2]) for col in dataclasses.astuple(series)))
         with pytest.raises(ValidationError, match=r"row 8: duplicate market_id,week_index cell \(m0, 2\), first at row 2"):
             demand_did_fit(series)
+
+    def test_market_ids_out_of_order_take_the_block_path(self, monkeypatch):
+        # markets are coded in row order, so ids that do not ascend in the rows (m1, m2, m0
+        # here) still sum (g, T) blocks, with the bits of the general path
+        counts = np.random.default_rng(11).poisson(6.0, size=(3, 10))
+        series = self.demand(counts, {0, 1}, shock_week=5)
+        series = dataclasses.replace(series, market_id=np.repeat(["m1", "m2", "m0"], 10).astype(object))
+        results = spy_blocks(monkeypatch)
+        fit = demand_did_fit(series)
+        assert results == [(3, 10)]
+        monkeypatch.setattr(regression, "_blocks", lambda u, t: None)
+        assert_same_fit(demand_did_fit(series), fit)
 
     def test_needs_two_markets(self):
         counts = np.array([[3, 3, 8, 8]])

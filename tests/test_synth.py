@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,8 @@ class TestConfigValidation:
 
     def test_control_must_be_constant(self):
         market = reference_market()
-        with pytest.raises(ValidationError, match="constant"):
+        message = "control market must have a constant a_path, got AiPath(a_pre=0.1, a_post35=0.2, a_post40=0.2)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ScenarioConfig(
                 markets=(
                     MarketScenario("t", market, AiPath(0.1, 0.3, 0.3)),
@@ -272,6 +274,40 @@ class TestConfigValidation:
     def test_moderator_column_checked(self):
         with pytest.raises(ValidationError, match=r"^moderator must be one of \('us', 'experienced'\), got 'tenure'$"):
             ModeratorBoost("tenure", 1.5)
+
+
+def _config_with(**changes) -> ScenarioConfig:
+    return dataclasses.replace(substitution_config(workers=10), **changes)
+
+
+#: one out-of-range value of a config field, a boost or the oracle, and the
+#: whole message, which names the value
+RANGE_RULES = {
+    "no markets": (lambda: ScenarioConfig(markets=(), control_market_id="c"),
+                   "scenario needs at least one market, got 0"),
+    "no workers": (lambda: _config_with(workers_per_market=0), "workers_per_market must be positive, got 0"),
+    "one month": (lambda: _config_with(months=("2022-05",)), "need at least 2 months, got 1"),
+    "worker_fe_sigma": (lambda: _config_with(worker_fe_sigma=-0.4), "worker_fe_sigma must be nonnegative, got -0.4"),
+    "month_fe_sigma": (lambda: _config_with(month_fe_sigma=-1), "month_fe_sigma must be nonnegative, got -1"),
+    "noise_sigma": (lambda: _config_with(noise_sigma=-0.3), "noise_sigma must be nonnegative, got -0.3"),
+    "background_rate": (lambda: _config_with(background_rate=-2.0), "background_rate must be nonnegative, got -2.0"),
+    "jobs_scale": (lambda: _config_with(jobs_scale=0.0), "jobs_scale must be positive, got 0.0"),
+    "weekly_scale": (lambda: _config_with(weekly_scale=-5.0), "weekly_scale must be positive, got -5.0"),
+    "us_share": (lambda: _config_with(us_share=1.5), "us_share must lie in [0, 1], got 1.5"),
+    "experienced_share": (lambda: _config_with(experienced_share=-0.1),
+                          "experienced_share must lie in [0, 1], got -0.1"),
+    "seed": (lambda: _config_with(seed=-1), "seed must be a nonnegative integer, got -1"),
+    "a_path level": (lambda: AiPath(0.1, 0.2, float("nan")), "a_path a_post40 must lie in [0, 1], got nan"),
+    "boost multiplier": (lambda: ModeratorBoost("us", -0.5), "moderator multiplier must be nonnegative, got -0.5"),
+    "oracle reps": (lambda: ground_truth_att(null_config(workers=5), reps=0), "reps must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", RANGE_RULES)
+def test_range_rule_names_the_value(case):
+    build, message = RANGE_RULES[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestGeneratePanel:
