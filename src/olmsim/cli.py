@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "estimate":
-            p.add_argument("kind", choices=[t.removeprefix("estimate_") for t in STAGES if t.startswith("estimate_")])
+            p.add_argument("kind", choices=STAGES["estimate"])
         p.add_argument("--config", default=BUILTIN_DEMO, help=f"scenario JSON path (default: {BUILTIN_DEMO})")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")

@@ -63,19 +63,19 @@ class MarketPotentialSpec:
     s: float | None = None
 
     def __post_init__(self):
-        if self.S0 <= 0:
+        if not self.S0 > 0:
             raise ValidationError(f"S0 must be positive, got {self.S0}")
         if self.family == PotentialFamily.QUADRATIC:
-            if self.kappa is None or self.kappa <= 0:
+            if self.kappa is None or not self.kappa > 0:
                 raise ValidationError(f"quadratic family needs kappa > 0, got {self.kappa}")
             if self.S0 <= self.kappa:
                 raise ValidationError(
                     f"quadratic family needs S0 > kappa so S(1) > 0, got S0={self.S0}, kappa={self.kappa}"
                 )
         elif self.family == PotentialFamily.LOGISTIC_ADOPTION:
-            if self.s is None or self.s <= 0:
+            if self.s is None or not self.s > 0:
                 raise ValidationError(f"logistic family needs scale s > 0, got {self.s}")
-            if self.mu is None or self.mu < 1.0:
+            if self.mu is None or not self.mu >= 1.0:
                 raise ValidationError(
                     f"logistic family needs adoption midpoint mu >= 1 for concavity on [0, 1], got {self.mu}"
                 )
@@ -124,9 +124,9 @@ class MarketSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"worker count n must be a positive integer, got {self.n}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValidationError(f"baseline marginal cost c must be positive, got {self.c}")
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValidationError(f"demand slope b must be positive, got {self.b}")
         s0 = abs(potential_slope(self.potential, 0.0))
         s1 = abs(potential_slope(self.potential, 1.0))

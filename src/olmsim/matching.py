@@ -54,9 +54,10 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
     """Fit the propensity model by Newton-Raphson (IRLS).
 
     ``covariates`` holds one row per label; a 1-D array is one covariate.
-    Converges when the largest coefficient update falls below 1e-8. A nan
-    or infinite covariate raises :class:`ValidationError` naming its row
-    and covariate, and a covariate collinear with the intercept and the
+    Converges when the largest coefficient update falls below 1e-8. Labels
+    without both classes, no rows included, raise :class:`ValidationError`
+    naming the counts; a nan or infinite covariate raises it naming its
+    row and covariate, and a covariate collinear with the intercept and the
     covariates before it, such as a constant one, raises
     :class:`RankDeficiencyError` naming it. Divergence (any |coefficient|
     above 30, a singular Hessian, or hitting the iteration cap) is
@@ -67,8 +68,8 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
     if len(x) != len(y):
         raise ValidationError(f"got {len(y)} treatment labels for {len(x)} covariate rows")
     _binary("treatment label", y, _row_label)
-    if y.min() == y.max():
-        raise ValidationError("need at least one observation in each class")
+    if not 0 < (treated := int(y.sum())) < len(y):
+        raise ValidationError(f"need at least one observation in each class, got {treated} treated of {len(y)}")
     xi = _with_intercept(x)
     k = xi.shape[1]
     if names is None:

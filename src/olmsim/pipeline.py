@@ -14,9 +14,10 @@ to quote one. Every file is read and written as UTF-8, whatever the
 locale, and each output's manifest hash is of the bytes written.
 
 A run executes stages from one table, ``STAGES``: simulate -> match ->
-estimate -> tost -> report, each token naming a method of the private
-run object and the fit kinds it reads. The run object computes the
-panel, the matches and the fits once, on first use, and the stages write
+estimate -> tost -> report, mapping each token to the fit kinds it reads;
+a token runs the method of the private run object that its stem, the
+text before any ``_``, names. The run object computes the panel, the
+matches and the fits once, on first use, and the stages write
 every artifact into one output directory. A stage reads each run option
 through the run object, which records it in the manifest, so the manifest
 holds exactly the options the stages that ran read. Every file's contents
@@ -280,8 +281,8 @@ class _Run:
     """One run: its settings, the products its stages share, and the stages.
 
     Each product is computed on first use, so a stage can read an upstream
-    product without that upstream stage writing its files. Each stage
-    method takes the fit kinds its ``STAGES`` row reads.
+    product without that upstream stage writing its files. The fit kinds
+    come from the ``STAGES`` rows of the tokens in ``manifest.stages``.
     """
 
     config: ScenarioConfig
@@ -289,8 +290,6 @@ class _Run:
     manifest: RunManifest
     #: every run option by name; stages read them through ``option``
     options: dict
-    #: designs fitted on each matched sample, together, once per run
-    fit_kinds: tuple[str, ...]
     #: text tables of the stages that ran, written by ``report``
     tables: list[str] = field(default_factory=list, init=False)
 
@@ -331,10 +330,16 @@ class _Run:
             }
         return matches
 
+    def _kinds(self, stem: str = "") -> set[str]:
+        """The fit kinds the running tokens that start with ``stem`` read."""
+        return {kind for token in self.manifest.stages if token.startswith(stem) for kind in STAGES[token]}
+
     @cached_property
     def fits(self) -> dict:
-        """Per treated market: the ``fit_kinds`` fits of every outcome, keyed ``(kind, outcome)``."""
-        return {m: fit_designs(match["sample"], OUTCOME_SPECS, self.fit_kinds) for m, match in self.matches.items()}
+        """Per treated market: the fits of every outcome, keyed ``(kind, outcome)``,
+        of the designs the running tokens read, fitted together once per run."""
+        kinds = tuple(kind for kind in FIT_TITLES if kind in self._kinds())
+        return {m: fit_designs(match["sample"], OUTCOME_SPECS, kinds) for m, match in self.matches.items()}
 
     def _emit(self, name: str, lines: list[str]) -> None:
         """Write ``lines`` as the output file ``name`` and list it in the manifest."""
@@ -348,20 +353,21 @@ class _Run:
         """(market, outcome, fit) of one kind, sorted by market and outcome."""
         return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(OUTCOME_TRANSFORMS)]
 
-    def simulate(self, kinds: tuple[str, ...]) -> None:
+    def simulate(self) -> None:
         self._emit("panel.csv", panel_csv_lines(self.panel))
         self._emit("demand.csv", demand_csv_lines(self.demand))
         for scenario in self.config.markets:
             rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
             self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))
 
-    def match(self, kinds: tuple[str, ...]) -> None:
+    def match(self) -> None:
         for market_id, match in self.matches.items():
             self._emit(f"match_{market_id}.csv", match_csv_lines(match["result"]))
             self._emit(f"balance_{market_id}.csv", balance_csv_lines(match["balance"]))
             self.tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
 
-    def estimate(self, kinds: tuple[str, ...]) -> None:
+    def estimate(self) -> None:
+        kinds = self._kinds("estimate")
         sample_kinds = [kind for kind in FIT_TITLES if kind in kinds]
         if sample_kinds:
             for market_id, fits in self.fits.items():
@@ -375,12 +381,12 @@ class _Run:
                 fit = demand_did_fit(self._pair(self.demand, market_id))
                 self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
 
-    def tost(self, kinds: tuple[str, ...]) -> None:
+    def tost(self) -> None:
         for market_id, outcome, fit in self._sample_fits("event"):
             result = tost_pretrends(fit, bounds=self.option("bounds"), alpha=self.option("alpha"))
             self._emit(f"tost_{market_id}_{outcome}.json", [json.dumps(asdict(result), indent=2, sort_keys=True)])
 
-    def report(self, kinds: tuple[str, ...]) -> None:
+    def report(self) -> None:
         rows = []
         for market_id, outcome, fit in self._sample_fits("dual"):
             b1 = fit.coefficients["treat_x_post35"]
@@ -397,15 +403,16 @@ class _Run:
 #: the matched samples
 _ESTIMATE_KINDS = (*FIT_TITLES, "demand")
 
-#: the stages in run order: token -> (stage method, fit kinds it reads);
-#: ``estimate_KIND`` is the ``estimate`` stage restricted to one kind
+#: the stages in run order: token -> fit kinds it reads; a token runs the
+#: ``_Run`` method its stem names, so ``estimate_KIND`` is the ``estimate``
+#: stage restricted to one kind
 STAGES = {
-    "simulate": (_Run.simulate, ()),
-    "match": (_Run.match, ()),
-    "estimate": (_Run.estimate, _ESTIMATE_KINDS),
-    **{f"estimate_{kind}": (_Run.estimate, (kind,)) for kind in _ESTIMATE_KINDS},
-    "tost": (_Run.tost, ("event",)),
-    "report": (_Run.report, ("dual",)),
+    "simulate": (),
+    "match": (),
+    "estimate": _ESTIMATE_KINDS,
+    **{f"estimate_{kind}": (kind,) for kind in _ESTIMATE_KINDS},
+    "tost": ("event",),
+    "report": ("dual",),
 }
 
 
@@ -423,10 +430,11 @@ def run_pipeline(
     ``config`` may be a scenario path or an already-validated config; an
     explicit ``seed`` overrides the one in the file. ``stages`` defaults to
     every stage but the ``estimate_KIND`` ones; they run once each, in
-    ``STAGES`` order, and the ``estimate*`` tokens requested together run
-    as one ``estimate`` call over the union of their kinds, timed under
-    the first of them. Upstream products are computed as needed but only
-    the requested stages write files. A config that breaks a rule of the
+    ``STAGES`` order, and the tokens requested together that share a stem
+    run its method once, timed under the first of them, so ``estimate*``
+    tokens make one ``estimate`` call over the union of their kinds.
+    Upstream products are computed as needed but only the requested
+    stages write files. A config that breaks a rule of the
     scenario files, or a bad ``alpha``, ``caliper`` or given ``bounds``,
     is rejected before ``out_dir`` is created.
     """
@@ -456,18 +464,15 @@ def run_pipeline(
         options={},
     )
     options = {"alpha": alpha, "caliper": caliper, "bounds": bounds, "weeks": DEFAULT_WEEKS}
-    needed = {kind for token in ran for kind in STAGES[token][1]}
-    run = _Run(config, out, manifest, options, fit_kinds=tuple(k for k in FIT_TITLES if k in needed))
-    # stage method -> (first token that runs it, kinds): tokens sharing a method run it once
-    calls: dict = {}
+    run = _Run(config, out, manifest, options)
+    # stem -> first token that runs it: tokens sharing a stem run its method once
+    calls: dict[str, str] = {}
     for token in ran:
-        stage, kinds = STAGES[token]
-        first, union = calls.get(stage, (token, ()))
-        calls[stage] = (first, union + tuple(k for k in kinds if k not in union))
-    for stage, (token, kinds) in calls.items():
+        calls.setdefault(token.partition("_")[0], token)
+    for stem, token in calls.items():
         start = time.perf_counter()
         try:
-            stage(run, kinds)
+            getattr(run, stem)()
         except OlmsimError as exc:
             raise PipelineError(f"stage {token!r}: {exc}") from exc
         manifest.timings[token] = round(time.perf_counter() - start, 6)

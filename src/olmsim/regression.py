@@ -218,13 +218,16 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
 
     Raises :class:`RankDeficiencyError` naming the first column that the
     pivoting identifies as linearly dependent on the preceding ones, and
-    :class:`ValidationError` naming the first row and column of ``X``, or
-    row of ``y``, that holds a nan or an infinity.
+    :class:`ValidationError` naming the row counts of ``X`` and ``y`` when
+    they differ, or the first row and column of ``X``, or row of ``y``,
+    that holds a nan or an infinity.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
+    if len(y) != len(X):
+        raise ValidationError(f"got {len(y)} outcome rows for {len(X)} design rows")
     if names is not None and len(names) != X.shape[1]:
         raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
     _finite(X, names or [f"column {j}" for j in range(X.shape[1])], _row_label)

@@ -72,29 +72,7 @@ def honeymoon_config(workers: int = 800, seed: int = 0, **kw) -> ScenarioConfig:
     return two_market_config(HONEYMOON_PATH, workers=workers, seed=seed, **kw)
 
 
-def crossing_config(workers: int = 800, seed: int = 0, **kw) -> ScenarioConfig:
-    return two_market_config(CROSSING_PATH, workers=workers, seed=seed, **kw)
-
-
 def null_config(workers: int = 800, seed: int = 0, a_level: float = 0.3, **kw) -> ScenarioConfig:
     """Both markets frozen at the same level: no treatment effect anywhere."""
     return two_market_config(AiPath(a_level, a_level, a_level), workers=workers, seed=seed, **kw)
 
-
-def sweep_config(workers: int = 400, seed: int = 7, **kw) -> ScenarioConfig:
-    """Control plus nine treated markets whose paths straddle the inflection point.
-
-    The control sits at the middle of the treated pre-shock range so that
-    matching selects on worker traits rather than market-level gaps.
-    """
-    market = reference_market()
-    markets = [MarketScenario("control", market, AiPath(0.40, 0.40, 0.40))]
-    for i, path in enumerate(SWEEP_PATHS):
-        markets.append(MarketScenario(f"olm{i + 1:02d}", market, path))
-    return ScenarioConfig(
-        markets=tuple(markets),
-        control_market_id="control",
-        workers_per_market=workers,
-        seed=seed,
-        **kw,
-    )

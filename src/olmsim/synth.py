@@ -184,7 +184,7 @@ class ModeratorBoost:
 
     def __post_init__(self):
         check_moderator(self.column)
-        if self.multiplier < 0:
+        if not self.multiplier >= 0:
             raise ValidationError(f"moderator multiplier must be nonnegative, got {self.multiplier}")
 
 
@@ -235,10 +235,10 @@ class ScenarioConfig:
                 f"got {self.shock1_index}, {self.shock2_index}"
             )
         for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate"):
-            if (v := getattr(self, name)) < 0:
+            if not (v := getattr(self, name)) >= 0:
                 raise ValidationError(f"{name} must be nonnegative, got {v}")
         for name in ("jobs_scale", "weekly_scale"):
-            if (v := getattr(self, name)) <= 0:
+            if not (v := getattr(self, name)) > 0:
                 raise ValidationError(f"{name} must be positive, got {v}")
         for name in ("us_share", "experienced_share"):
             if not 0.0 <= (v := getattr(self, name)) <= 1.0:

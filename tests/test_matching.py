@@ -106,6 +106,16 @@ class TestLogit:
         with pytest.raises(ValidationError):
             logit_fit(np.ones((5, 1)), np.ones(5))
 
+    @pytest.mark.parametrize(
+        ("treat", "counts"),
+        [(np.empty(0), "0 treated of 0"), (np.zeros(4), "0 treated of 4"), (np.ones(3), "3 treated of 3")],
+        ids=["no rows", "no treated", "no controls"],
+    )
+    def test_labels_without_both_classes_name_the_counts(self, treat, counts):
+        # zero rows used to raise numpy's own ValueError from ``y.min()``
+        with pytest.raises(ValidationError, match=f"^need at least one observation in each class, got {counts}$"):
+            logit_fit(np.zeros((len(treat), 1)), treat)
+
     @pytest.mark.parametrize("covariates", [np.zeros((10, 1)), np.empty((3, 0))])
     def test_row_count_mismatch_rejected(self, covariates):
         # 12 labels against 10 covariate rows, and 12 against 3 rows of no covariates

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from conftest import assert_same_columns, assert_same_fit, random_logistic_marke
 import olmsim
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
+from olmsim.market import MarketPotentialSpec, PotentialFamily
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
@@ -33,7 +35,7 @@ from olmsim.pipeline import (
     write_scenario,
 )
 from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
-from olmsim.scenarios import honeymoon_config, substitution_config, two_market_config
+from olmsim.scenarios import honeymoon_config, reference_market, substitution_config, two_market_config
 from olmsim.synth import (
     DEFAULT_WEEKS,
     AiPath,
@@ -70,7 +72,7 @@ OPTIONS_READ = {
 def subcommand_flags(command: str) -> set[str]:
     """The option flags of ``command``: what the tokens it may run read,
     except ``weeks``, which no subcommand sets."""
-    tokens = {"estimate": [t for t in STAGES if t.startswith("estimate_")], "run": [None]}.get(command, [command])
+    tokens = {"estimate": [f"estimate_{kind}" for kind in STAGES["estimate"]], "run": [None]}.get(command, [command])
     return {f"--{option}" for token in tokens for option in OPTIONS_READ[token] - {"weeks"}}
 
 
@@ -203,7 +205,6 @@ def test_malformed_scenario_exits_2_naming_field(tmp_path, capsys, case):
 
 #: a change to a config built in Python that breaks a scenario file's rule, and the field the error names
 PYTHON_BUILT = {
-    "nan noise": ({"noise_sigma": float("nan")}, "noise_sigma"),
     "infinite background rate": ({"background_rate": float("inf")}, "background_rate"),
     "float worker count": ({"workers_per_market": 50.0}, "workers_per_market"),
     "fractional seed": ({"seed": 1.5}, "seed"),
@@ -226,6 +227,32 @@ def test_python_built_config_held_to_the_file_rules(tmp_path, case):
     for encode in (config_to_dict, config_hash):
         with pytest.raises(SchemaError, match=f"^{field}: expected "):
             encode(config)
+
+
+_LOGISTIC = MarketPotentialSpec(PotentialFamily.LOGISTIC_ADOPTION, S0=10.0, mu=1.5, s=0.3)
+
+#: each range-checked float field -> (a valid object holding it, the message a nan in it raises)
+NAN_RULES = {
+    **{name: (small_config(), f"{name} must be nonnegative, got nan")
+       for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate")},
+    **{name: (small_config(), f"{name} must be positive, got nan") for name in ("jobs_scale", "weekly_scale")},
+    "multiplier": (ModeratorBoost("us", 1.5), "moderator multiplier must be nonnegative, got nan"),
+    "c": (reference_market(), "baseline marginal cost c must be positive, got nan"),
+    "b": (reference_market(), "demand slope b must be positive, got nan"),
+    "S0": (reference_market().potential, "S0 must be positive, got nan"),
+    "kappa": (reference_market().potential, "quadratic family needs kappa > 0, got nan"),
+    "s": (_LOGISTIC, "logistic family needs scale s > 0, got nan"),
+    "mu": (_LOGISTIC, "logistic family needs adoption midpoint mu >= 1 for concavity on [0, 1], got nan"),
+}
+
+
+@pytest.mark.parametrize("field", NAN_RULES)
+def test_nan_fails_the_range_rule_on_construction(field):
+    # a rule written ``v < 0`` lets nan through, and an object built in Python
+    # meets the codec's finiteness check only on its way to a file or a run
+    valid, message = NAN_RULES[field]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(valid, **{field: float("nan")})
 
 
 def test_python_built_config_runs_as_given(tmp_path):
@@ -551,8 +578,9 @@ class TestRunPipeline:
 
     def test_batched_fits_equal_single_fits(self, tmp_path):
         single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
-        manifest = RunManifest(config_hash="", seed=5, version="", stages=[], options={})
-        run = _Run(small_config(), tmp_path, manifest, {"caliper": 0.02}, fit_kinds=tuple(single))
+        # the fitted designs are those the running tokens read: ``estimate`` reads every kind
+        manifest = RunManifest(config_hash="", seed=5, version="", stages=["estimate"], options={})
+        run = _Run(small_config(), tmp_path, manifest, {"caliper": 0.02})
         for market_id, fits in run.fits.items():
             sample = run.matches[market_id]["sample"]
             for spec in OUTCOME_SPECS:
@@ -661,6 +689,18 @@ class TestCli:
         assert taken == {"--config", "--out", "--seed"} | options
         positionals = [a.dest for a in parser._actions if not a.option_strings]
         assert positionals == (["kind"] if command == "estimate" else [])
+
+    def test_every_stage_token_names_a_run_method(self):
+        # a token runs the no-argument ``_Run`` method its stem names; a token added
+        # without one would fail only when a run requests it
+        for token in STAGES:
+            method = getattr(_Run, token.partition("_")[0], None)
+            assert callable(method), token
+            assert list(inspect.signature(method).parameters) == ["self"], token
+        assert [t for t in STAGES if t.startswith("estimate_")] == [f"estimate_{k}" for k in STAGES["estimate"]]
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (kind,) = [a for a in sub.choices["estimate"]._actions if a.dest == "kind"]
+        assert list(kind.choices) == list(STAGES["estimate"])
 
     @pytest.mark.parametrize(
         "argv, unread",

@@ -212,6 +212,12 @@ class TestOls:
         with pytest.raises(ValidationError, match=f"^row 11: y must be finite, got {value}$"):
             ols_fit(x, y)
 
+    def test_row_count_mismatch_names_the_counts(self):
+        # numpy's matmul used to raise its own ValueError
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValidationError, match="^got 4 outcome rows for 5 design rows$"):
+            ols_fit(rng.standard_normal((5, 2)), np.ones(4))
+
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal(30)

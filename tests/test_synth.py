@@ -9,17 +9,18 @@ from conftest import assert_same_columns
 from scipy import special, stats
 
 from olmsim import synth
+from olmsim.cli import BUILTIN_DEMO, _resolve_config
 from olmsim.errors import ValidationError
 from olmsim.market import cournot_equilibrium
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays
+from olmsim.pipeline import parse_scenario
 from olmsim.regression import RegressionSpec, did_fit
 from olmsim.scenarios import (
-    crossing_config,
+    CROSSING_PATH,
     honeymoon_config,
     null_config,
     reference_market,
     substitution_config,
-    sweep_config,
     two_market_config,
 )
 from olmsim.synth import (
@@ -459,12 +460,18 @@ class TestGroundTruth:
         assert (gt.att, gt.mc_se) == (golden["att"], golden["mc_se"])
 
 
+def demo_config(workers, seed):
+    """The bundled demo scenario at ``workers`` and ``seed``: the control first, then
+    one treated market on each of the nine ``SWEEP_PATHS``."""
+    return dataclasses.replace(parse_scenario(_resolve_config(BUILTIN_DEMO)), workers_per_market=workers, seed=seed)
+
+
 _DRAW_CONFIGS = pytest.mark.parametrize(
     "config",
     [
-        sweep_config(workers=6, seed=5),
+        demo_config(workers=6, seed=5),
         substitution_config(workers=8, seed=3),
-        crossing_config(workers=7, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
+        two_market_config(CROSSING_PATH, workers=7, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
     ],
     ids=["control-first", "control-last", "experienced-boost"],
 )
@@ -532,10 +539,10 @@ def _reference_att(config, outcome, reps):
 @pytest.mark.parametrize(
     "config",
     [
-        sweep_config(workers=12, seed=5),
+        demo_config(workers=12, seed=5),
         substitution_config(workers=30),
         two_market_config(AiPath(0.3, 0.5, 0.6), workers=30, seed=11, moderator_boost=ModeratorBoost("us", 1.5)),
-        crossing_config(workers=30, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
+        two_market_config(CROSSING_PATH, workers=30, seed=2, moderator_boost=ModeratorBoost("experienced", 1.2)),
     ],
     ids=["sweep", "substitution", "us-boost", "experienced-boost"],
 )
