@@ -81,6 +81,7 @@ class MarketPotentialSpec:
                 )
         else:  # a family given as a string that names no member, e.g. "cubic"
             raise ValidationError(f"unknown potential family {self.family!r}")
+        check_finite(self.S0, "S0")
 
 
 def check_ai_level(a: float, what: str = "AI level") -> float:
@@ -88,6 +89,15 @@ def check_ai_level(a: float, what: str = "AI level") -> float:
     if not (0.0 <= a <= 1.0):
         raise ValidationError(f"{what} must lie in [0, 1], got {a}")
     return float(a)
+
+
+def check_finite(value: float, what: str) -> None:
+    """Reject a float ``value`` that is infinite or nan, named ``what``: a range
+    rule such as ``v > 0`` lets an infinity through. Each class runs it after
+    its range rules, so a value those reject keeps their message, and it
+    leaves a value of another type to the scenario codec's type rule."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
 
 
 def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
@@ -135,6 +145,7 @@ class MarketSpec:
                 f"boundary conditions violated: need |S'(0)| < c < |S'(1)|, "
                 f"got |S'(0)|={s0:.6g}, c={self.c:.6g}, |S'(1)|={s1:.6g}"
             )
+        check_finite(self.b, "demand slope b")
 
     def marginal_cost(self, a: float) -> float:
         return (1.0 - a) * self.c

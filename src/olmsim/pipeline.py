@@ -16,11 +16,12 @@ locale, and each output's manifest hash is of the bytes written.
 A run executes stages from one table, ``STAGES``: simulate -> match ->
 estimate -> tost -> report, mapping each token to the fit kinds it reads;
 a token runs the method of the private run object that its stem, the
-text before any ``_``, names. The run object computes the panel, the
-matches and the fits once, on first use, and the stages write
-every artifact into one output directory. A stage reads each run option
-through the run object, which records it in the manifest, so the manifest
-holds exactly the options the stages that ran read. Every file's contents
+text before any ``_``, names. The run object computes the panel once,
+and once per market pair its match, balance table and fits, all on first
+use; it keeps no pair's rows. The stages write every artifact into one
+output directory. A stage reads each run option through the run object,
+which records it in the manifest, so the manifest holds exactly the
+options the stages that ran read. Every file's contents
 depend only on the config, the seed, the options read and the package
 version, except ``tables.txt``, which holds the tables of the stages that
 ran in that call. The manifest lists the stages that ran, in table order,
@@ -281,8 +282,11 @@ class _Run:
     """One run: its settings, the products its stages share, and the stages.
 
     Each product is computed on first use, so a stage can read an upstream
-    product without that upstream stage writing its files. The fit kinds
-    come from the ``STAGES`` rows of the tokens in ``manifest.stages``.
+    product without that upstream stage writing its files; the first stage
+    that reads a product carries its time and its failures. The products are
+    the panel, the demand series and ``pairs``, one entry per market pair.
+    The fit kinds come from the ``STAGES`` rows of the tokens in
+    ``manifest.stages``.
     """
 
     config: ScenarioConfig
@@ -310,36 +314,32 @@ class _Run:
         """The rows of one treated market and of the control market, in their order."""
         return arrays.subset((arrays.market_id == market_id) | (arrays.market_id == self.config.control_market_id))
 
-    @cached_property
-    def matches(self) -> dict:
-        """Per treated market: the match against the control market, its
-        balance table, and the matched sample (every row of a matched worker)."""
-        matches = {}
-        for market_id in self.config.treated_ids():
-            pair = self._pair(self.panel, market_id)
-            ids, covariates, names, treat = derive_worker_covariates(pair)
-            model = logit_fit(covariates, treat, names=names)
-            scores = model.predict_proba(covariates)
-            result = propensity_match(scores, treat, self.option("caliper"))
-            balance = balance_table(covariates, treat, result, names=names)
-            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
-            matches[market_id] = {
-                "result": result,
-                "balance": balance,
-                "sample": pair.subset(np.isin(pair.worker_id, matched)),
-            }
-        return matches
-
     def _kinds(self, stem: str = "") -> set[str]:
         """The fit kinds the running tokens that start with ``stem`` read."""
         return {kind for token in self.manifest.stages if token.startswith(stem) for kind in STAGES[token]}
 
     @cached_property
-    def fits(self) -> dict:
-        """Per treated market: the fits of every outcome, keyed ``(kind, outcome)``,
-        of the designs the running tokens read, fitted together once per run."""
+    def pairs(self) -> dict:
+        """Per treated market, in ``treated_ids`` order: ``(result, balance,
+        fits)``, the match against the control market, its balance table, and
+        the fits of every outcome, keyed ``(kind, outcome)``, of the designs
+        the running tokens read. A pair's rows live only while it is matched
+        and fitted, so the run holds the panel's rows once."""
         kinds = tuple(kind for kind in FIT_TITLES if kind in self._kinds())
-        return {m: fit_designs(match["sample"], OUTCOME_SPECS, kinds) for m, match in self.matches.items()}
+        return {market_id: self._match_and_fit(market_id, kinds) for market_id in self.config.treated_ids()}
+
+    def _match_and_fit(self, market_id: str, kinds: tuple[str, ...]) -> tuple:
+        """Match one treated market against the control market, then fit ``kinds``
+        together, once, on the matched sample (every row of a matched worker)."""
+        pair = self._pair(self.panel, market_id)
+        ids, covariates, names, treat = derive_worker_covariates(pair)
+        model = logit_fit(covariates, treat, names=names)
+        scores = model.predict_proba(covariates)
+        result = propensity_match(scores, treat, self.option("caliper"))
+        balance = balance_table(covariates, treat, result, names=names)
+        matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
+        sample = pair.subset(np.isin(pair.worker_id, matched))
+        return result, balance, fit_designs(sample, OUTCOME_SPECS, kinds) if kinds else {}
 
     def _emit(self, name: str, lines: list[str]) -> None:
         """Write ``lines`` as the output file ``name`` and list it in the manifest."""
@@ -351,7 +351,8 @@ class _Run:
 
     def _sample_fits(self, kind: str) -> list[tuple[str, str, object]]:
         """(market, outcome, fit) of one kind, sorted by market and outcome."""
-        return [(m, o, self.fits[m][(kind, o)]) for m in sorted(self.fits) for o in sorted(OUTCOME_TRANSFORMS)]
+        pairs = sorted(self.pairs.items())
+        return [(m, o, fits[(kind, o)]) for m, (_, _, fits) in pairs for o in sorted(OUTCOME_TRANSFORMS)]
 
     def simulate(self) -> None:
         self._emit("panel.csv", panel_csv_lines(self.panel))
@@ -361,16 +362,16 @@ class _Run:
             self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))
 
     def match(self) -> None:
-        for market_id, match in self.matches.items():
-            self._emit(f"match_{market_id}.csv", match_csv_lines(match["result"]))
-            self._emit(f"balance_{market_id}.csv", balance_csv_lines(match["balance"]))
-            self.tables.append(balance_text_table(match["balance"], f"balance: {market_id} vs control"))
+        for market_id, (result, balance, _) in self.pairs.items():
+            self._emit(f"match_{market_id}.csv", match_csv_lines(result))
+            self._emit(f"balance_{market_id}.csv", balance_csv_lines(balance))
+            self.tables.append(balance_text_table(balance, f"balance: {market_id} vs control"))
 
     def estimate(self) -> None:
         kinds = self._kinds("estimate")
         sample_kinds = [kind for kind in FIT_TITLES if kind in kinds]
         if sample_kinds:
-            for market_id, fits in self.fits.items():
+            for market_id, (_, _, fits) in self.pairs.items():
                 for outcome, transform in OUTCOME_TRANSFORMS.items():
                     label = f"{market_id}_{outcome}"
                     for kind in sample_kinds:

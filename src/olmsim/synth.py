@@ -21,9 +21,11 @@ per-worker draws, and only the outcome cells are computed market by market.
 
 The config classes check their ranges on construction, and each message
 names the value it rejects; an AI path's levels follow
-:func:`olmsim.market.check_ai_level`. :func:`config_to_dict` decodes the
-document it encodes, so a config that a scenario file cannot hold, such as
-one with a nan ``noise_sigma``, raises there rather than being hashed.
+:func:`olmsim.market.check_ai_level`, and each unbounded float field is
+held finite by :func:`olmsim.market.check_finite` after its range rule.
+:func:`config_to_dict` decodes the document it encodes, so a config that a
+scenario file cannot hold, such as one with a bool ``noise_sigma``, raises
+there rather than being hashed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from scipy import special
 
 from .errors import SchemaError, ValidationError
-from .market import Equilibrium, MarketSpec, check_ai_level, cournot_equilibrium
+from .market import Equilibrium, MarketSpec, check_ai_level, check_finite, cournot_equilibrium
 from .panel import (
     MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, check_moderator, transform_outcome,
 )
@@ -173,6 +175,7 @@ class MarketScenario:
 
     def __post_init__(self):
         check_market_id(self.market_id)
+        check_finite(self.worker_fe_mean, "worker_fe_mean")
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,7 @@ class ModeratorBoost:
         check_moderator(self.column)
         if not self.multiplier >= 0:
             raise ValidationError(f"moderator multiplier must be nonnegative, got {self.multiplier}")
+        check_finite(self.multiplier, "moderator multiplier")
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,9 @@ class ScenarioConfig:
                     raise ValidationError(
                         f"moderator boost pushes market {m.market_id!r} past a=1 ({boosted:.3f})"
                     )
+        for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate", "jobs_scale",
+                     "weekly_scale"):
+            check_finite(getattr(self, name), name)
 
     def market(self, market_id: str) -> MarketScenario:
         for m in self.markets:

@@ -12,10 +12,13 @@ that propensity matching restores covariate balance.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.special import expit
 
 from olmsim import regression
+from olmsim.cli import BUILTIN_DEMO, _resolve_config
 from olmsim.market import (
     MarketPotentialSpec,
     MarketSpec,
@@ -23,6 +26,13 @@ from olmsim.market import (
     eval_potential,
     potential_slope,
 )
+from olmsim.pipeline import parse_scenario
+
+
+def demo_config(workers, seed):
+    """The bundled demo scenario at ``workers`` and ``seed``: the control first, then
+    one treated market on each of the nine ``SWEEP_PATHS``."""
+    return dataclasses.replace(parse_scenario(_resolve_config(BUILTIN_DEMO)), workers_per_market=workers, seed=seed)
 
 
 def random_quadratic_market(rng: np.random.Generator) -> MarketSpec:

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_columns, assert_same_fit, random_logistic_market, spy_blocks
+from conftest import assert_same_columns, assert_same_fit, demo_config, random_logistic_market, spy_blocks
 
 import olmsim
+from olmsim import pipeline
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
-from olmsim.errors import BoundaryConditionError, SchemaError, ValidationError
+from olmsim.errors import BoundaryConditionError, PipelineError, SchemaError, ValidationError
 from olmsim.market import MarketPotentialSpec, PotentialFamily
+from olmsim.matching import derive_worker_covariates
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
@@ -205,7 +207,7 @@ def test_malformed_scenario_exits_2_naming_field(tmp_path, capsys, case):
 
 #: a change to a config built in Python that breaks a scenario file's rule, and the field the error names
 PYTHON_BUILT = {
-    "infinite background rate": ({"background_rate": float("inf")}, "background_rate"),
+    "bool background rate": ({"background_rate": True}, "background_rate"),
     "float worker count": ({"workers_per_market": 50.0}, "workers_per_market"),
     "fractional seed": ({"seed": 1.5}, "seed"),
 }
@@ -253,6 +255,31 @@ def test_nan_fails_the_range_rule_on_construction(field):
     valid, message = NAN_RULES[field]
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(valid, **{field: float("nan")})
+
+
+#: each float field that a range rule lets an infinity through, or that has no
+#: range rule -> (a valid object holding it, the name its message gives)
+FINITE_RULES = {
+    **{name: (small_config(), name) for name in
+       ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate", "jobs_scale", "weekly_scale")},
+    "multiplier": (ModeratorBoost("us", 1.5), "moderator multiplier"),
+    "b": (reference_market(), "demand slope b"),
+    "S0": (reference_market().potential, "S0"),
+    "worker_fe_mean": (small_config().markets[0], "worker_fe_mean"),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [*((field, float("inf")) for field in FINITE_RULES), ("worker_fe_mean", float("-inf")),
+     ("worker_fe_mean", float("nan"))],
+)
+def test_non_finite_value_fails_on_construction(field, value):
+    # ``v > 0`` holds for inf, so each of these constructed, and the generator
+    # turned an infinite sigma or scale into inf and nan outcome cells
+    valid, name = FINITE_RULES[field]
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be finite, got {value}$"):
+        dataclasses.replace(valid, **{field: value})
 
 
 def test_python_built_config_runs_as_given(tmp_path):
@@ -581,11 +608,68 @@ class TestRunPipeline:
         # the fitted designs are those the running tokens read: ``estimate`` reads every kind
         manifest = RunManifest(config_hash="", seed=5, version="", stages=["estimate"], options={})
         run = _Run(small_config(), tmp_path, manifest, {"caliper": 0.02})
-        for market_id, fits in run.fits.items():
-            sample = run.matches[market_id]["sample"]
+        for market_id, (result, _, fits) in run.pairs.items():
+            # the run keeps no sample: rebuild it from the pair's rows and its match
+            pair = run._pair(run.panel, market_id)
+            ids = derive_worker_covariates(pair)[0]
+            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
+            sample = pair.subset(np.isin(pair.worker_id, matched))
             for spec in OUTCOME_SPECS:
                 for kind, fit_fn in single.items():
                     assert_same_fit(fits[(kind, spec.outcome)], fit_fn(sample, spec))
+
+    def test_run_holds_the_panel_rows_once(self, tmp_path):
+        # after every stage, the panel is the one container of panel rows the run
+        # reaches: no pair's rows and no matched sample outlive their fits
+        manifest = RunManifest(config_hash="", seed=5, version="", stages=list(STAGES), options={})
+        options = {"alpha": 0.05, "caliper": 0.02, "bounds": None, "weeks": DEFAULT_WEEKS}
+        run = _Run(demo_config(workers=30, seed=5), tmp_path, manifest, options)
+        for stem in dict.fromkeys(token.partition("_")[0] for token in STAGES):
+            getattr(run, stem)()
+        found, seen, todo = [], set(), list(vars(run).values())
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, PanelArrays):
+                found.append(obj)
+            if isinstance(obj, dict):
+                todo.extend([*obj.keys(), *obj.values()])
+            elif isinstance(obj, (list, tuple, set)):
+                todo.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                todo.extend(vars(obj).values())
+        assert len(found) == 1 and found[0] is run.panel
+        assert len(run.pairs) == len(run.config.treated_ids())
+
+    @pytest.mark.parametrize(
+        "stages, designs",
+        [(["match"], None), (["estimate_did"], ("did",)), (["tost"], ("event",)), (["report"], ("dual",)),
+         (None, ("did", "event", "dual"))],
+    )
+    def test_each_token_fits_its_designs_once_per_pair(self, tmp_path, monkeypatch, stages, designs):
+        # one fit_designs call per treated market, in market order, over the kinds the tokens read
+        calls, fit = [], pipeline.fit_designs
+
+        def counting(sample, specs, kinds):
+            calls.append((set(sample.market_id.tolist()) - {config.control_market_id}, kinds))
+            return fit(sample, specs, kinds)
+
+        monkeypatch.setattr(pipeline, "fit_designs", counting)
+        config = demo_config(workers=30, seed=5)
+        run_pipeline(config, tmp_path, stages=stages)
+        assert calls == ([] if designs is None else [({m}, designs) for m in config.treated_ids()])
+
+    @pytest.mark.parametrize("stages, blamed", [(None, "match"), (["estimate"], "estimate"), (["tost"], "tost")])
+    def test_a_fit_failure_names_the_first_stage_that_reads_the_fits(self, tmp_path, monkeypatch, stages, blamed):
+        # the fits are part of each pair's product, so a full run fits them in ``match``
+        def failing(sample, specs, kinds):
+            raise ValidationError("no fit today")
+
+        monkeypatch.setattr(pipeline, "fit_designs", failing)
+        with pytest.raises(PipelineError, match=f"^stage '{blamed}': no fit today$"):
+            run_pipeline(small_config(), tmp_path, stages=stages)
 
     @pytest.mark.parametrize(
         "stages", [["tost"], ["estimate_dual", "report"], *([token] for token in STAGES if token != "tost")]

@@ -5,15 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_columns
+from conftest import assert_same_columns, demo_config
 from scipy import special, stats
 
 from olmsim import synth
-from olmsim.cli import BUILTIN_DEMO, _resolve_config
 from olmsim.errors import ValidationError
 from olmsim.market import cournot_equilibrium
 from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays
-from olmsim.pipeline import parse_scenario
 from olmsim.regression import RegressionSpec, did_fit
 from olmsim.scenarios import (
     CROSSING_PATH,
@@ -458,12 +456,6 @@ class TestGroundTruth:
         golden = json.loads(path.read_text(encoding="utf-8"))["montecarlo"]["0"]
         gt = ground_truth_att(substitution_config(workers=250, seed=0), reps=400)
         assert (gt.att, gt.mc_se) == (golden["att"], golden["mc_se"])
-
-
-def demo_config(workers, seed):
-    """The bundled demo scenario at ``workers`` and ``seed``: the control first, then
-    one treated market on each of the nine ``SWEEP_PATHS``."""
-    return dataclasses.replace(parse_scenario(_resolve_config(BUILTIN_DEMO)), workers_per_market=workers, seed=seed)
 
 
 _DRAW_CONFIGS = pytest.mark.parametrize(
