@@ -56,5 +56,6 @@ class EmptySideError(NumericError):
 
 
 class PipelineError(OlmsimError):
-    """A pipeline stage failed; the message names the stage and
-    ``__cause__`` holds the error it raised."""
+    """A pipeline stage failed; the message names the stage, and the market
+    pair when a pair's match or fit failed, and ``__cause__`` holds the
+    error raised there."""

@@ -63,8 +63,7 @@ class MarketPotentialSpec:
     s: float | None = None
 
     def __post_init__(self):
-        if not self.S0 > 0:
-            raise ValidationError(f"S0 must be positive, got {self.S0}")
+        check_number(self.S0, "S0", "be positive")
         if self.family == PotentialFamily.QUADRATIC:
             if self.kappa is None or not self.kappa > 0:
                 raise ValidationError(f"quadratic family needs kappa > 0, got {self.kappa}")
@@ -81,23 +80,32 @@ class MarketPotentialSpec:
                 )
         else:  # a family given as a string that names no member, e.g. "cubic"
             raise ValidationError(f"unknown potential family {self.family!r}")
-        check_finite(self.S0, "S0")
+
+
+#: the range rules a scenario number may follow, by the words of their
+#: message; each is false for nan
+NUMBER_RULES = {
+    "be nonnegative": lambda v: v >= 0,
+    "be positive": lambda v: v > 0,
+    "lie in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
+
+
+def check_number(value, what: str, rule: str | None = None):
+    """Return ``value``, a scenario number named ``what``, once it follows
+    ``rule``, a key of :data:`NUMBER_RULES` or None for no range, and, as a
+    float, is finite: a rule such as ``v > 0`` lets an infinity through. A
+    value of another type is left to the scenario codec's type rule."""
+    if rule is not None and not NUMBER_RULES[rule](value):
+        raise ValidationError(f"{what} must {rule}, got {value}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
 
 
 def check_ai_level(a: float, what: str = "AI level") -> float:
     """Reject an AI level outside [0, 1], nan included; return it as a float."""
-    if not (0.0 <= a <= 1.0):
-        raise ValidationError(f"{what} must lie in [0, 1], got {a}")
-    return float(a)
-
-
-def check_finite(value: float, what: str) -> None:
-    """Reject a float ``value`` that is infinite or nan, named ``what``: a range
-    rule such as ``v > 0`` lets an infinity through. Each class runs it after
-    its range rules, so a value those reject keeps their message, and it
-    leaves a value of another type to the scenario codec's type rule."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value}")
+    return float(check_number(a, what, "lie in [0, 1]"))
 
 
 def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
@@ -134,10 +142,8 @@ class MarketSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"worker count n must be a positive integer, got {self.n}")
-        if not self.c > 0:
-            raise ValidationError(f"baseline marginal cost c must be positive, got {self.c}")
-        if not self.b > 0:
-            raise ValidationError(f"demand slope b must be positive, got {self.b}")
+        check_number(self.c, "baseline marginal cost c", "be positive")
+        check_number(self.b, "demand slope b", "be positive")
         s0 = abs(potential_slope(self.potential, 0.0))
         s1 = abs(potential_slope(self.potential, 1.0))
         if s0 >= self.c or s1 <= self.c:
@@ -145,7 +151,6 @@ class MarketSpec:
                 f"boundary conditions violated: need |S'(0)| < c < |S'(1)|, "
                 f"got |S'(0)|={s0:.6g}, c={self.c:.6g}, |S'(1)|={s1:.6g}"
             )
-        check_finite(self.b, "demand slope b")
 
     def marginal_cost(self, a: float) -> float:
         return (1.0 - a) * self.c

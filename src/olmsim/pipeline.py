@@ -49,7 +49,7 @@ from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, check_caliper, derive_worker_covariates, logit_fit, propensity_match
 from .panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, DemandArrays, PanelArrays
-from .regression import RegressionSpec, check_alpha, check_bounds, demand_did_fit, fit_designs, tost_pretrends
+from .regression import check_alpha, check_bounds, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
     balance_text_table,
@@ -74,8 +74,6 @@ STATICS_GRID = 101
 #: rows the CSV writer formats at a time; whole-column formatting holds
 #: every cell's string at once and raises peak memory
 _CSV_BLOCK_ROWS = 4096
-
-OUTCOME_SPECS = tuple(RegressionSpec(outcome=o, transform=t) for o, t in OUTCOME_TRANSFORMS.items())
 
 #: table titles of the fit kinds fitted on the matched samples, in the
 #: order every estimation stage emits them
@@ -277,6 +275,16 @@ def config_hash(config: ScenarioConfig) -> str:
 # pipeline
 
 
+@contextmanager
+def _naming_market(market_id: str):
+    """Report an ``OlmsimError`` of the block as a ``PipelineError`` that names
+    the market pair; its ``__cause__`` is the error."""
+    try:
+        yield
+    except OlmsimError as exc:
+        raise PipelineError(f"market {market_id}: {exc}") from exc
+
+
 @dataclass
 class _Run:
     """One run: its settings, the products its stages share, and the stages.
@@ -332,14 +340,15 @@ class _Run:
         """Match one treated market against the control market, then fit ``kinds``
         together, once, on the matched sample (every row of a matched worker)."""
         pair = self._pair(self.panel, market_id)
-        ids, covariates, names, treat = derive_worker_covariates(pair)
-        model = logit_fit(covariates, treat, names=names)
-        scores = model.predict_proba(covariates)
-        result = propensity_match(scores, treat, self.option("caliper"))
-        balance = balance_table(covariates, treat, result, names=names)
-        matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
-        sample = pair.subset(np.isin(pair.worker_id, matched))
-        return result, balance, fit_designs(sample, OUTCOME_SPECS, kinds) if kinds else {}
+        with _naming_market(market_id):
+            ids, covariates, names, treat = derive_worker_covariates(pair)
+            model = logit_fit(covariates, treat, names=names)
+            scores = model.predict_proba(covariates)
+            result = propensity_match(scores, treat, self.option("caliper"))
+            balance = balance_table(covariates, treat, result, names=names)
+            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
+            sample = pair.subset(np.isin(pair.worker_id, matched))
+            return result, balance, fit_designs(sample, OUTCOME_TRANSFORMS, kinds) if kinds else {}
 
     def _emit(self, name: str, lines: list[str]) -> None:
         """Write ``lines`` as the output file ``name`` and list it in the manifest."""
@@ -379,7 +388,9 @@ class _Run:
                         self._emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
         if "demand" in kinds:
             for market_id in self.config.treated_ids():
-                fit = demand_did_fit(self._pair(self.demand, market_id))
+                pair = self._pair(self.demand, market_id)
+                with _naming_market(market_id):
+                    fit = demand_did_fit(pair)
                 self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")
 
     def tost(self) -> None:
@@ -475,7 +486,9 @@ def run_pipeline(
         try:
             getattr(run, stem)()
         except OlmsimError as exc:
-            raise PipelineError(f"stage {token!r}: {exc}") from exc
+            # a pair's error already names its market, and its cause is the error the pair raised
+            cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+            raise PipelineError(f"stage {token!r}: {exc}") from cause
         manifest.timings[token] = round(time.perf_counter() - start, 6)
 
     _write(out / "manifest.json", [json.dumps(manifest.to_dict(), indent=2, sort_keys=True)])

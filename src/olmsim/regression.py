@@ -15,10 +15,11 @@ is a pure function of its inputs.
 
 The input rules a fit reads are :mod:`olmsim.panel`'s: every panel fit runs
 its shock-flag and one-row-per-cell rules, a ``het_*`` design its moderator
-rules, and a spec its transform rule, so a fit and ``PanelArrays.validate``
-reject a bad row with the same message. :func:`absorb_two_way` and
-:func:`ols_fit`, called on their own, reject a nan or infinite cell by its
-row and column before any pass or factorization.
+rules, and each outcome its transform rule, so a fit and
+``PanelArrays.validate`` reject a bad row with the same message.
+:func:`absorb_two_way` and :func:`ols_fit`, called on their own, reject a
+nan or infinite cell by its row and column before any pass or
+factorization.
 
 Group sums take one of two paths, chosen by an O(n) check of a fit's own
 codes (:func:`_blocks`), with the same bits on either. Rows that run unit by
@@ -40,10 +41,10 @@ import math
 import os
 import re
 import threading
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -56,8 +57,8 @@ from .errors import (
     ValidationError,
 )
 from .panel import (
-    MODERATORS, DemandArrays, PanelArrays, _binary, _finite, _one_row_per, _reject, _row_label, _same_within,
-    check_flags, check_moderator, check_transform, transform_outcome,
+    MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, _binary, _finite, _one_row_per, _reject, _row_label,
+    _same_within, check_flags, check_moderator, check_transform, transform_outcome,
 )
 
 #: a column stops absorbing once no cell moves by more than this fraction
@@ -419,7 +420,8 @@ def _fit_columns(
     stack = np.empty((len(unit_codes), len(names)), order="F")
     for j, v in enumerate([*outcomes.values(), *columns.values()]):
         stack[:, j] = v
-    # absorption cannot settle a non-finite column: it would run every pass, then fail as numeric
+    # ``absorb_two_way`` rejects a non-finite cell too, before any pass, but by
+    # its column number; this scan stays because it names the fit column
     finite = np.isfinite(stack)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -502,35 +504,37 @@ DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms,
 
 
 def fit_designs(
-    panel: PanelArrays, specs: Sequence[RegressionSpec], designs=("did", "dual", "event")
+    panel: PanelArrays, outcomes: Mapping[str, str] = OUTCOME_TRANSFORMS, designs=("did", "dual", "event"),
+    controls: tuple[str, ...] = RegressionSpec.controls,
 ) -> dict[tuple[str, str], FitResult]:
-    """Fit each design on each outcome of ``specs``, keyed ``(design, outcome)``.
+    """Fit each design on each outcome, keyed ``(design, outcome)``.
 
-    ``designs`` names entries of :data:`DESIGNS`. The specs may differ
-    only in outcome and transform. Every fit runs on all of the panel's
-    rows, which must pass :func:`~olmsim.panel.check_flags`, hold each
-    (worker, month) cell once, and whose ``log1p`` outcomes must exceed
-    -1: the outcomes and the design columns are absorbed together, once,
-    with worker and month effects, and every fit clusters on workers.
+    ``outcomes`` maps each outcome column to its transform, as
+    :data:`~olmsim.panel.OUTCOME_TRANSFORMS` does, ``designs`` names
+    entries of :data:`DESIGNS`, and ``controls`` names the panel columns
+    that follow the interest terms in every design; each outcome and
+    control must be a numeric panel column. Every fit runs on all of the
+    panel's rows, which must pass :func:`~olmsim.panel.check_flags`, hold
+    each (worker, month) cell once, and whose ``log1p`` outcomes must
+    exceed -1: the outcomes and the design columns are absorbed together,
+    once, with worker and month effects, and every fit clusters on workers.
     """
     if unknown := [kind for kind in designs if kind not in DESIGNS]:
         raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
-    if not specs:
-        raise ValidationError("fit_designs needs at least one outcome spec")
-    base = specs[0]
-    if len({spec.outcome for spec in specs}) != len(specs):
-        raise ValidationError(f"each outcome may be fitted once, got {[spec.outcome for spec in specs]}")
-    if any(spec.controls != base.controls for spec in specs):
-        raise ValidationError("specs fitted together must differ only in outcome and transform")
+    if not outcomes:
+        raise ValidationError("fit_designs needs at least one outcome")
     check_flags(panel)
     if _blocks(panel.worker_id, panel.month_index) is None:  # rows in blocks hold each cell once
         _one_row_per(panel, ("worker_id", "month_index"), _row_label)
-    for spec in specs:  # log1p is nan or -inf at or below -1
-        if spec.transform == "log1p":
-            y = panel.column(spec.outcome)
-            _reject(y <= -1, _row_label, lambda i: f"{spec.outcome} must exceed -1 for log1p, got {y[i]}")
-    ys = {spec.outcome: transform_outcome(panel.column(spec.outcome), spec.transform) for spec in specs}
-    controls = {name: panel.column(name).astype(np.float64) for name in base.controls}
+    for name in (*outcomes, *controls):  # bool, integer or float columns
+        if (dtype := panel.column(name).dtype).kind not in "biuf":
+            raise ValidationError(f"fit column {name} must be numeric, got dtype {dtype}")
+    for outcome, transform in outcomes.items():  # log1p is nan or -inf at or below -1
+        if transform == "log1p":
+            y = panel.column(outcome)
+            _reject(y <= -1, _row_label, lambda i: f"{outcome} must exceed -1 for log1p, got {y[i]}")
+    ys = {outcome: transform_outcome(panel.column(outcome), transform) for outcome, transform in outcomes.items()}
+    controls = {name: panel.column(name).astype(np.float64) for name in controls}
     columns: dict[str, np.ndarray] = {}
     terms: dict[str, list[str]] = {}
     for kind in designs:
@@ -542,7 +546,7 @@ def fit_designs(
 
 def _fit_one(panel: PanelArrays, spec: RegressionSpec | None, kind: str) -> FitResult:
     spec = spec or RegressionSpec()
-    return fit_designs(panel, [spec], (kind,))[(kind, spec.outcome)]
+    return fit_designs(panel, {spec.outcome: spec.transform}, (kind,), spec.controls)[(kind, spec.outcome)]
 
 
 def did_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> FitResult:

@@ -20,9 +20,10 @@ tile per-market and per-month values, worker traits are the concatenated
 per-worker draws, and only the outcome cells are computed market by market.
 
 The config classes check their ranges on construction, and each message
-names the value it rejects; an AI path's levels follow
-:func:`olmsim.market.check_ai_level`, and each unbounded float field is
-held finite by :func:`olmsim.market.check_finite` after its range rule.
+names the value it rejects: every number field but the seed goes through
+:func:`olmsim.market.check_number` once, which applies its range rule, if
+any, and holds a float finite; an AI path's levels follow
+:func:`olmsim.market.check_ai_level`, the same check on [0, 1].
 :func:`config_to_dict` decodes the document it encodes, so a config that a
 scenario file cannot hold, such as one with a bool ``noise_sigma``, raises
 there rather than being hashed.
@@ -44,7 +45,7 @@ import numpy as np
 from scipy import special
 
 from .errors import SchemaError, ValidationError
-from .market import Equilibrium, MarketSpec, check_ai_level, check_finite, cournot_equilibrium
+from .market import Equilibrium, MarketSpec, check_ai_level, check_number, cournot_equilibrium
 from .panel import (
     MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, check_moderator, transform_outcome,
 )
@@ -175,7 +176,7 @@ class MarketScenario:
 
     def __post_init__(self):
         check_market_id(self.market_id)
-        check_finite(self.worker_fe_mean, "worker_fe_mean")
+        check_number(self.worker_fe_mean, "worker_fe_mean")
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,16 @@ class ModeratorBoost:
 
     def __post_init__(self):
         check_moderator(self.column)
-        if not self.multiplier >= 0:
-            raise ValidationError(f"moderator multiplier must be nonnegative, got {self.multiplier}")
-        check_finite(self.multiplier, "moderator multiplier")
+        check_number(self.multiplier, "moderator multiplier", "be nonnegative")
+
+
+#: the range rule of each number field of :class:`ScenarioConfig` but the seed
+_CONFIG_RULES = {
+    "workers_per_market": "be positive",
+    **dict.fromkeys(("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate"), "be nonnegative"),
+    **dict.fromkeys(("jobs_scale", "weekly_scale"), "be positive"),
+    **dict.fromkeys(("us_share", "experienced_share"), "lie in [0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,6 @@ class ScenarioConfig:
         control = self.market(self.control_market_id)
         if not control.a_path.constant:
             raise ValidationError(f"control market must have a constant a_path, got {control.a_path}")
-        if self.workers_per_market < 1:
-            raise ValidationError(f"workers_per_market must be positive, got {self.workers_per_market}")
         n_months = len(self.months)
         if n_months < 2:
             raise ValidationError(f"need at least 2 months, got {n_months}")
@@ -238,15 +244,8 @@ class ScenarioConfig:
                 f"need 1 <= shock1_index <= shock2_index < {n_months}, "
                 f"got {self.shock1_index}, {self.shock2_index}"
             )
-        for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate"):
-            if not (v := getattr(self, name)) >= 0:
-                raise ValidationError(f"{name} must be nonnegative, got {v}")
-        for name in ("jobs_scale", "weekly_scale"):
-            if not (v := getattr(self, name)) > 0:
-                raise ValidationError(f"{name} must be positive, got {v}")
-        for name in ("us_share", "experienced_share"):
-            if not 0.0 <= (v := getattr(self, name)) <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        for name, rule in _CONFIG_RULES.items():
+            check_number(getattr(self, name), name, rule)
         if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.moderator_boost is not None:
@@ -256,9 +255,6 @@ class ScenarioConfig:
                     raise ValidationError(
                         f"moderator boost pushes market {m.market_id!r} past a=1 ({boosted:.3f})"
                     )
-        for name in ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate", "jobs_scale",
-                     "weekly_scale"):
-            check_finite(getattr(self, name), name)
 
     def market(self, market_id: str) -> MarketScenario:
         for m in self.markets:

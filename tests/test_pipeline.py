@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -21,10 +22,9 @@ from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser,
 from olmsim.errors import BoundaryConditionError, PipelineError, SchemaError, ValidationError
 from olmsim.market import MarketPotentialSpec, PotentialFamily
 from olmsim.matching import derive_worker_covariates
-from olmsim.panel import DEMAND_COLUMNS, PANEL_COLUMNS, DemandArrays, PanelArrays
+from olmsim.panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
-    OUTCOME_SPECS,
     STAGES,
     RunManifest,
     _Run,
@@ -36,7 +36,7 @@ from olmsim.pipeline import (
     run_pipeline,
     write_scenario,
 )
-from olmsim.regression import did_fit, dual_shock_fit, event_study_fit
+from olmsim.regression import RegressionSpec, did_fit, dual_shock_fit, event_study_fit
 from olmsim.scenarios import honeymoon_config, reference_market, substitution_config, two_market_config
 from olmsim.synth import (
     DEFAULT_WEEKS,
@@ -263,6 +263,7 @@ FINITE_RULES = {
     **{name: (small_config(), name) for name in
        ("worker_fe_sigma", "month_fe_sigma", "noise_sigma", "background_rate", "jobs_scale", "weekly_scale")},
     "multiplier": (ModeratorBoost("us", 1.5), "moderator multiplier"),
+    "c": (reference_market(), "baseline marginal cost c"),
     "b": (reference_market(), "demand slope b"),
     "S0": (reference_market().potential, "S0"),
     "worker_fe_mean": (small_config().markets[0], "worker_fe_mean"),
@@ -279,6 +280,24 @@ def test_non_finite_value_fails_on_construction(field, value):
     # turned an infinite sigma or scale into inf and nan outcome cells
     valid, name = FINITE_RULES[field]
     with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be finite, got {value}$"):
+        dataclasses.replace(valid, **{field: value})
+
+
+#: every ``float`` field of the scenario classes, read from their annotations,
+#: with a valid object holding it: a field added later is checked here too
+FLOAT_FIELDS = [
+    (valid, name)
+    for valid in (small_config(), small_config().markets[0], ModeratorBoost("us", 1.5), AiPath(0.2, 0.45, 0.6),
+                  reference_market(), reference_market().potential)
+    for name, annotation in get_type_hints(type(valid)).items() if annotation is float
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("valid, field", FLOAT_FIELDS, ids=[f"{type(v).__name__}.{f}" for v, f in FLOAT_FIELDS])
+def test_every_float_field_rejects_a_non_finite_value(valid, field, value):
+    # each message names the field, whether its range rule or the finiteness rule rejects the value
+    with pytest.raises(ValidationError, match=rf"(^|\s){field} must "):
         dataclasses.replace(valid, **{field: value})
 
 
@@ -614,9 +633,9 @@ class TestRunPipeline:
             ids = derive_worker_covariates(pair)[0]
             matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
             sample = pair.subset(np.isin(pair.worker_id, matched))
-            for spec in OUTCOME_SPECS:
+            for outcome, transform in OUTCOME_TRANSFORMS.items():
                 for kind, fit_fn in single.items():
-                    assert_same_fit(fits[(kind, spec.outcome)], fit_fn(sample, spec))
+                    assert_same_fit(fits[(kind, outcome)], fit_fn(sample, RegressionSpec(outcome, transform)))
 
     def test_run_holds_the_panel_rows_once(self, tmp_path):
         # after every stage, the panel is the one container of panel rows the run
@@ -652,9 +671,9 @@ class TestRunPipeline:
         # one fit_designs call per treated market, in market order, over the kinds the tokens read
         calls, fit = [], pipeline.fit_designs
 
-        def counting(sample, specs, kinds):
+        def counting(sample, outcomes, kinds):
             calls.append((set(sample.market_id.tolist()) - {config.control_market_id}, kinds))
-            return fit(sample, specs, kinds)
+            return fit(sample, outcomes, kinds)
 
         monkeypatch.setattr(pipeline, "fit_designs", counting)
         config = demo_config(workers=30, seed=5)
@@ -664,12 +683,13 @@ class TestRunPipeline:
     @pytest.mark.parametrize("stages, blamed", [(None, "match"), (["estimate"], "estimate"), (["tost"], "tost")])
     def test_a_fit_failure_names_the_first_stage_that_reads_the_fits(self, tmp_path, monkeypatch, stages, blamed):
         # the fits are part of each pair's product, so a full run fits them in ``match``
-        def failing(sample, specs, kinds):
+        def failing(sample, outcomes, kinds):
             raise ValidationError("no fit today")
 
         monkeypatch.setattr(pipeline, "fit_designs", failing)
-        with pytest.raises(PipelineError, match=f"^stage '{blamed}': no fit today$"):
+        with pytest.raises(PipelineError, match=f"^stage '{blamed}': market treated: no fit today$") as exc:
             run_pipeline(small_config(), tmp_path, stages=stages)
+        assert type(exc.value.__cause__) is ValidationError
 
     @pytest.mark.parametrize(
         "stages", [["tost"], ["estimate_dual", "report"], *([token] for token in STAGES if token != "tost")]
@@ -835,7 +855,7 @@ class TestCli:
         bad.write_text("{}")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_numeric_failure_exit_code(self, tmp_path):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a treated group shifted far beyond the control separates the
         # propensity model, a numeric failure in the match stage
         import dataclasses
@@ -849,6 +869,20 @@ class TestCli:
         path = tmp_path / "separated.json"
         write_scenario(config, path)
         assert main(["match", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        # the error names the market pair that failed
+        assert capsys.readouterr().err == (
+            "error: stage 'match': market treated: propensity coefficients diverging (|coef| > 30.0): separation\n"
+        )
+
+    def test_a_pair_input_error_names_its_market_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing(series):
+            raise ValidationError("no demand fit today")
+
+        monkeypatch.setattr(pipeline, "demand_did_fit", failing)
+        path = tmp_path / "scenario.json"
+        write_scenario(small_config(), path)
+        assert main(["estimate", "demand", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: stage 'estimate_demand': market treated: no demand fit today\n"
 
     def test_match_and_tost_subcommands(self, tmp_path):
         config_path = tmp_path / "scenario.json"

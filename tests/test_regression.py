@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from olmsim.errors import (
     SingleClusterError,
     ValidationError,
 )
+from olmsim.matching import MatchResult, balance_table, logit_fit, propensity_match
 from olmsim.panel import PanelArrays
 from olmsim.regression import (
     DESIGNS,
@@ -522,16 +524,12 @@ class TestFitDesigns:
     def test_equals_single_fits_exactly(self, controls):
         # without tenure, the did columns stop absorbing before the others
         panel = self.panel()
-        specs = [
-            RegressionSpec(outcome="fjobnum", transform="log1p", controls=controls),
-            RegressionSpec(outcome="fjobratio", transform="identity", controls=controls),
-            RegressionSpec(outcome="fjobearn", transform="log1p", controls=controls),
-        ]
+        outcomes = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
         assert list(self.SINGLE) == list(DESIGNS)
-        fits = fit_designs(panel, specs, designs=tuple(DESIGNS))
-        assert set(fits) == {(kind, s.outcome) for kind in self.SINGLE for s in specs}
+        fits = fit_designs(panel, outcomes, designs=tuple(DESIGNS), controls=controls)
+        assert set(fits) == {(kind, outcome) for kind in self.SINGLE for outcome in outcomes}
         for (kind, outcome), fit in fits.items():
-            spec = next(s for s in specs if s.outcome == outcome)
+            spec = RegressionSpec(outcome=outcome, transform=outcomes[outcome], controls=controls)
             assert_same_fit(fit, self.SINGLE[kind](panel, spec))
 
     def test_ols_fit_equals_did_fit_and_vcov_equals_dummy_cr1(self):
@@ -564,7 +562,7 @@ class TestFitDesigns:
     @pytest.mark.parametrize(
         "fit",
         [did_fit, dual_shock_fit, event_study_fit, heterogeneity_fit,
-         lambda panel: fit_designs(panel, [RegressionSpec(), RegressionSpec(outcome="fjobearn")])],
+         lambda panel: fit_designs(panel, {"fjobnum": "log1p", "fjobearn": "log1p"})],
     )
     def test_duplicate_worker_month_rejected_naming_rows(self, fit):
         # a repeated cell would otherwise be fitted as a second observation
@@ -581,16 +579,51 @@ class TestFitDesigns:
         with pytest.raises(ValidationError, match="at least one row"):
             fit(panel.subset(np.zeros(panel.n_rows, dtype=bool)))
 
-    def test_specs_must_share_settings(self):
-        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn", controls=())]
-        with pytest.raises(ValidationError, match="differ only"):
-            fit_designs(self.panel(), specs)
-        with pytest.raises(ValidationError, match="once"):
-            fit_designs(self.panel(), [RegressionSpec(), RegressionSpec(transform="identity")])
+    def test_unknown_design_rejected(self):
         with pytest.raises(ValidationError, match="unknown design"):
-            fit_designs(self.panel(), [RegressionSpec()], designs=("triple",))
+            fit_designs(self.panel(), designs=("triple",))
         with pytest.raises(ValidationError, match=r"unknown design\(s\) \['mine'\]"):  # names only, no builders
-            fit_designs(self.panel(), [RegressionSpec()], designs={"mine": DESIGNS["did"]})
+            fit_designs(self.panel(), designs={"mine": DESIGNS["did"]})
+
+    @pytest.mark.parametrize(
+        "outcomes, controls, column",
+        [({"fjobnum": "log1p"}, ("market_id",), "market_id"), ({"market_id": "identity"}, (), "market_id")],
+    )
+    def test_non_numeric_fit_column_rejected_naming_it(self, outcomes, controls, column):
+        # without the rule, numpy's float conversion raises a bare ValueError, not an OlmsimError
+        panel = self.panel()
+        with pytest.raises(ValidationError, match=f"^fit column {column} must be numeric, got dtype object$"):
+            fit_designs(panel, outcomes, designs=("did",), controls=controls)
+        if controls:
+            with pytest.raises(ValidationError, match=f"^fit column {column} must be numeric"):
+                did_fit(panel, RegressionSpec(controls=controls))
+
+
+#: an input rule of the fits, the propensity model, matching or the panel, a
+#: call that breaks it, and the whole message
+INPUT_RULES = {
+    "no outcomes": (lambda: fit_designs(toy_panel(np.ones((4, 6)), {0, 1}, 3), {}),
+                    "fit_designs needs at least one outcome"),
+    "no baseline month": (lambda: event_study_fit(toy_panel(np.ones((4, 6)), {0, 1}, 0)),
+                          "baseline period -1 not present in panel"),
+    "absorption codes": (lambda: absorb_two_way(np.ones((4, 1)), np.arange(3), np.arange(4)),
+                         "fixed-effect codes have shape (3,), expected (4,)"),
+    "ols names": (lambda: ols_fit(np.ones((3, 2)), np.ones(3), names=["x"]), "got 1 names for 2 columns"),
+    "logit names": (lambda: logit_fit(np.eye(4)[:, :2], [0, 1, 0, 1], names=("x",)), "got 1 names for 2 covariates"),
+    "match lengths": (lambda: propensity_match([0.2, 0.4], [1, 0, 0], 0.1),
+                      "scores and treatment labels must have equal length"),
+    "no matched pair": (lambda: balance_table(np.ones((2, 1)), [1, 0], MatchResult([], []), names=("x",)),
+                        "balance table needs at least one matched pair"),
+    "unknown panel column": (lambda: toy_panel(np.ones((4, 6)), {0, 1}, 3).column("bogus"),
+                             "unknown panel column 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_RULES)
+def test_input_rule_names_the_offender(case):
+    call, message = INPUT_RULES[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestBlockPath:
@@ -634,10 +667,10 @@ class TestBlockPath:
     def test_fits_give_the_general_path_bytes(self, monkeypatch):
         panel = self.panel()
         assert self.blocks(panel) is not None
-        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobratio", transform="identity")]
-        blocked = fit_designs(panel, specs, designs=tuple(DESIGNS))
+        outcomes = {"fjobnum": "log1p", "fjobratio": "identity"}
+        blocked = fit_designs(panel, outcomes, designs=tuple(DESIGNS))
         monkeypatch.setattr(regression, "_blocks", lambda unit_codes, time_codes: None)
-        general = fit_designs(panel, specs, designs=tuple(DESIGNS))
+        general = fit_designs(panel, outcomes, designs=tuple(DESIGNS))
         assert blocked.keys() == general.keys()
         for key in blocked:
             assert_same_fit(blocked[key], general[key])
@@ -942,11 +975,11 @@ class TestBlasThreads:
     @pytest.mark.parametrize("workers", [200, 1000])
     def test_fits_identical_on_two_threads(self, two_threads, monkeypatch, workers):
         panel = self.make_panel(workers)
-        specs = [RegressionSpec(outcome="fjobnum"), RegressionSpec(outcome="fjobearn")]
-        limited = fit_designs(panel, specs)
+        outcomes = {"fjobnum": "log1p", "fjobearn": "log1p"}
+        limited = fit_designs(panel, outcomes)
         seen = self.spy_counts(monkeypatch)
         monkeypatch.setattr(regression, "_fit_columns", regression._fit_columns.__wrapped__)
-        unlimited = fit_designs(panel, specs)
+        unlimited = fit_designs(panel, outcomes)
         assert seen == [[2] * len(blas_controls)]
         assert limited.keys() == unlimited.keys()
         n = panel.n_rows
