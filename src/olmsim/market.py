@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import expit
-
 from .errors import BoundaryConditionError, ValidationError
 
 #: absolute tolerance on S'(a*) + c accepted from the closed-form root
@@ -80,6 +78,8 @@ class MarketPotentialSpec:
                 )
         else:  # a family given as a string that names no member, e.g. "cubic"
             raise ValidationError(f"unknown potential family {self.family!r}")
+        for name in ("kappa", "mu", "s"):  # the family rules above let an infinity through
+            check_number(getattr(self, name), name)
 
 
 #: the range rules a scenario number may follow, by the words of their
@@ -108,12 +108,21 @@ def check_ai_level(a: float, what: str = "AI level") -> float:
     return float(check_number(a, what, "lie in [0, 1]"))
 
 
+def _expit(x: float) -> float:
+    """The standard logistic CDF, bit for bit ``scipy.special.expit`` on a
+    float: 0.0 where ``exp(-x)`` overflows, as there."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def eval_potential(spec: MarketPotentialSpec, a: float) -> float:
     """Evaluate S(a). Strictly decreasing in ``a`` on (0, 1]."""
     a = check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return spec.S0 - spec.kappa * a * a
-    return spec.S0 * (1.0 - float(expit((a - spec.mu) / spec.s)))
+    return spec.S0 * (1.0 - _expit((a - spec.mu) / spec.s))
 
 
 def potential_slope(spec: MarketPotentialSpec, a: float) -> float:
@@ -121,7 +130,7 @@ def potential_slope(spec: MarketPotentialSpec, a: float) -> float:
     a = check_ai_level(a)
     if spec.family == PotentialFamily.QUADRATIC:
         return -2.0 * spec.kappa * a
-    level = float(expit((a - spec.mu) / spec.s))
+    level = _expit((a - spec.mu) / spec.s)
     return -(spec.S0 / spec.s) * (level * (1.0 - level))
 
 

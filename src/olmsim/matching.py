@@ -19,7 +19,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, stdtr
 
 from .errors import EmptySideError, RankDeficiencyError, SeparationError, ValidationError
 from .panel import PanelArrays, _binary, _finite, _row_label
@@ -42,6 +41,8 @@ class PropensityModel:
     n_iter: int
 
     def predict_proba(self, covariates: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         x = _with_intercept(np.asarray(covariates, dtype=np.float64))
         return expit(x @ self.coefficients)
 
@@ -63,6 +64,8 @@ def logit_fit(covariates: np.ndarray, treat: np.ndarray, names: tuple[str, ...] 
     above 30, a singular Hessian, or hitting the iteration cap) is
     reported as separation.
     """
+    from scipy.special import expit
+
     x = np.asarray(covariates, dtype=np.float64)
     y = np.asarray(treat, dtype=np.float64)
     if len(x) != len(y):
@@ -250,6 +253,8 @@ def _sample_var(x: np.ndarray, mean: float) -> float:
 
 
 def _balance_side(x_t: np.ndarray, x_c: np.ndarray) -> BalanceSide:
+    from scipy.special import stdtr
+
     n_t, n_c = len(x_t), len(x_c)
     m_t, m_c = float(x_t.mean()), float(x_c.mean())
     v_t, v_c = _sample_var(x_t, m_t), _sample_var(x_c, m_c)

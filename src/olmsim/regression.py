@@ -40,6 +40,7 @@ import functools
 import math
 import os
 import re
+import sys
 import threading
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
@@ -47,8 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy import special
 
 from .errors import (
     ConvergenceError,
@@ -181,6 +180,8 @@ class OlsResult:
 
 def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
     """Economic pivoted QR of ``X``; raises on a rank-deficient design."""
+    import scipy.linalg
+
     n, k = X.shape
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -198,6 +199,8 @@ def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
 
 def _solve(q: np.ndarray, r: np.ndarray, piv: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients of ``y`` on the design that :func:`_pivoted_qr` factored."""
+    import scipy.linalg
+
     beta = np.empty(r.shape[1])
     beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
     return beta
@@ -332,6 +335,8 @@ class TostResult:
 
 def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
     """Two-sided t-test p-values; a zero SE gives 0 (nonzero beta) or 1."""
+    from scipy import special
+
     with np.errstate(divide="ignore", invalid="ignore"):
         p = 2.0 * special.stdtr(df, -np.abs(beta / se))
     return np.where(se == 0.0, np.where(beta != 0.0, 0.0, 1.0), p)
@@ -340,18 +345,22 @@ def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
 #: the OpenBLAS builds bundled in the numpy and scipy wheels: (package,
 #: library path relative to the package's parent, thread-count symbol suffix)
 _OPENBLAS_LIBS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+    ("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    ("scipy", "scipy.libs/libscipy_openblas-*.so", ""),
 )
 
 
 @functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each bundled OpenBLAS already
-    loaded in this process; empty with another BLAS."""
+    """(get, set) thread-count functions of each bundled OpenBLAS loaded in
+    this process, scipy's included; empty with another BLAS."""
+    # the probe finds only loaded libraries and its result is cached, so load
+    # scipy's OpenBLAS, which the fits' QR runs on, before probing
+    import scipy.linalg  # noqa: F401
+
     controls = []
     for package, pattern, suffix in _OPENBLAS_LIBS:
-        for path in sorted(Path(package.__file__).parent.parent.glob(pattern)):
+        for path in sorted(Path(sys.modules[package].__file__).parent.parent.glob(pattern)):
             try:  # RTLD_NOLOAD: a library not loaded yet stays unloaded
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
@@ -643,6 +652,8 @@ def tost_pretrends(fit: FitResult, bounds: float | None = None, alpha: float = 0
     The default ``delta`` is 0.36 times the outcome standard deviation, so
     a fit of a constant outcome needs an explicit ``bounds``.
     """
+    from scipy import special
+
     check_alpha(alpha)
     if bounds is None and not fit.outcome_sd > 0:
         raise ValidationError(

@@ -42,7 +42,6 @@ from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import special
 
 from .errors import SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, check_ai_level, check_number, cournot_equilibrium
@@ -99,6 +98,8 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """scipy's ``poisson.ppf`` count: the ceiling of ``pdtrik``, stepped back
     one where the CDF already reaches ``u``."""
+    from scipy import special
+
     upper = np.ceil(special.pdtrik(u, lam))
     lower = np.maximum(upper - 1, 0)
     return np.where(special.pdtr(lower, lam) >= u, lower, upper).astype(np.int64)

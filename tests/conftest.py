@@ -13,10 +13,15 @@ that propensity matching restores covariate balance.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
+import olmsim
 from olmsim import regression
 from olmsim.cli import BUILTIN_DEMO, _resolve_config
 from olmsim.market import (
@@ -27,6 +32,13 @@ from olmsim.market import (
     potential_slope,
 )
 from olmsim.pipeline import parse_scenario
+
+
+def fresh_python(*argv: str, env: dict | None = None, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter that imports this olmsim."""
+    path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=check)
 
 
 def demo_config(workers, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from conftest import (
     random_quadratic_market,
 )
 from scipy.optimize import brentq
+from scipy.special import expit
 
 from olmsim.errors import BoundaryConditionError, ValidationError
 from olmsim.market import (
@@ -19,6 +21,7 @@ from olmsim.market import (
     MarketSpec,
     Phase,
     PotentialFamily,
+    _expit,
     check_ai_level,
     cournot_equilibrium,
     equilibrium_from_primitives,
@@ -123,6 +126,40 @@ def test_market_range_rule_names_the_value(case):
 def test_logistic_scale_must_be_positive(s):
     with pytest.raises(ValidationError, match=rf"^logistic family needs scale s > 0, got {s}$"):
         MarketPotentialSpec(PotentialFamily.LOGISTIC_ADOPTION, S0=10.0, mu=1.5, s=s)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["kappa", "mu", "s"])
+@pytest.mark.parametrize("spec", [QUAD, LOGI], ids=["quadratic", "logistic"])
+def test_non_finite_potential_parameter_rejected_naming_it(spec, field, value):
+    # mu = inf and s = inf passed the logistic rules and made the potential flat; a
+    # field the family does not read, or a value its own rule rejects, is named too
+    with pytest.raises(ValidationError, match=rf"\b{field}\b"):
+        dataclasses.replace(spec, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["mu", "s"])
+def test_infinite_logistic_parameter_fails_the_finiteness_rule(field):
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite, got inf$"):
+        dataclasses.replace(LOGI, **{field: math.inf})
+
+
+class TestExpit:
+    """``market._expit`` is bit for bit ``scipy.special.expit`` on a float."""
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 1e-300, -1e-300, 709.78, -709.78, 710.0, -710.0, 800.0, -800.0, math.inf, -math.inf, math.nan]
+    )
+    def test_edge_values(self, x):
+        assert _expit(x).hex() == float(expit(x)).hex()
+
+    def test_overflow_gives_zero(self):
+        # math.exp(800.0) raises OverflowError, where expit gives 0.0
+        assert _expit(-800.0) == 0.0
+
+    def test_normal_draws(self):
+        xs = np.random.default_rng(11).normal(size=100_000)
+        assert [_expit(x).hex() for x in xs.tolist()] == [v.hex() for v in expit(xs).tolist()]
 
 
 class TestEquilibrium:

@@ -4,19 +4,17 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from conftest import assert_same_columns, assert_same_fit, demo_config, random_logistic_market, spy_blocks
+from conftest import (
+    assert_same_columns, assert_same_fit, demo_config, fresh_python, random_logistic_market, spy_blocks,
+)
 
-import olmsim
 from olmsim import pipeline
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, PipelineError, SchemaError, ValidationError
@@ -910,33 +908,27 @@ class TestCli:
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
             "print(sorted(n for n in vars(olmsim) if not n.startswith('_')))"
         )
-        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.split("\n")[:2] == ["[]", "[]"]
+        assert fresh_python("-c", code).stdout.split("\n")[:2] == ["[]", "[]"]
 
-    def test_import_leaves_out_scipy_stats_and_optimize(self):
-        code = "import sys, olmsim.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
-        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
-
-    @pytest.mark.parametrize("module", ["olmsim.synth", "olmsim.scenarios"])
-    def test_generator_loads_neither_the_estimator_nor_scipy_linalg(self, module):
-        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m in ('olmsim.regression', 'scipy.linalg')))"
-        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+    def test_loading_and_validating_a_scenario_loads_no_scipy(self):
+        # scipy is loaded by the first logit, balance table, fit or large-rate
+        # Poisson draw; the CLI, a scenario and the market model need none of it
+        code = (
+            "import sys, olmsim.cli\n"
+            "from olmsim import market, scenarios\n"
+            "from olmsim.pipeline import parse_scenario\n"
+            "config = parse_scenario(olmsim.cli._resolve_config(olmsim.cli.BUILTIN_DEMO))\n"
+            "scenarios.substitution_config(workers=250)\n"
+            "market.sweep_comparative_statics(config.markets[1].market, 21)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert fresh_python("-c", code).stdout.strip() == "[]"
 
     def test_run_opens_no_file_in_the_locale_encoding(self, tmp_path):
         # the default-encoding warning, raised as an error, fails any open that leaves the encoding to the locale
         argv = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "olmsim.cli", "run",
                 "--config", BUILTIN_DEMO, "--out", str(tmp_path / "out")]
-        path = [str(Path(olmsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        result = fresh_python(*argv, check=False)
         assert result.returncode == 0, result.stderr
 
     def test_builtin_demo_resolves(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import re
 import sys
@@ -8,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import assert_same_fit, spy_blocks
+from conftest import assert_same_fit, fresh_python, spy_blocks
 from scipy import stats
 
 from olmsim import regression
@@ -870,6 +871,38 @@ class TestEffectSize:
 
 
 blas_controls = regression._openblas_thread_controls()
+
+#: a fresh process that has not loaded scipy runs one fit; it prints whether
+#: scipy was loaded before, the cached controls' symbols, and each OpenBLAS
+#: count read inside the fit, right after its QR, by an uncached probe
+FIRST_FIT = """
+import json, sys
+from olmsim import regression
+from olmsim.scenarios import substitution_config
+from olmsim.synth import generate_panel_arrays
+
+panel = generate_panel_arrays(substitution_config(workers=50, seed=3))
+before = "scipy" in sys.modules
+factor, inside = regression._pivoted_qr, []
+
+def spy(*args):
+    result = factor(*args)
+    inside.extend(get() for get, _ in regression._openblas_thread_controls.__wrapped__())
+    return result
+
+regression._pivoted_qr = spy
+regression.did_fit(panel)
+controls = [get.__name__ for get, _ in regression._openblas_thread_controls()]
+print(json.dumps({"scipy_before": before, "controls": controls, "inside": inside}))
+"""
+
+
+@pytest.mark.skipif(len(blas_controls) != 2, reason="numpy's and scipy's bundled OpenBLAS are not both loaded")
+def test_first_fit_pins_scipys_openblas():
+    # the controls are probed once per process, so the first fit of a process that
+    # has not loaded scipy must load scipy's OpenBLAS, which the QR runs on, first
+    result = json.loads(fresh_python("-c", FIRST_FIT, env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
+    assert result == {"scipy_before": False, "controls": [get.__name__ for get, _ in blas_controls], "inside": [1, 1]}
 
 
 @pytest.mark.skipif(not blas_controls, reason="no bundled OpenBLAS loaded")
