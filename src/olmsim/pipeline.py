@@ -4,9 +4,10 @@ reproducibility manifests.
 Panels and demand series stay columnar (``PanelArrays``, ``DemandArrays``)
 from generation to output: ``ingest_panel_csv`` returns the validated
 columns it parsed, and the CSV writer formats blocks of rows column by
-column. A numeric column with few distinct values in a block goes through
-a value table (each distinct value, floats keyed by bit pattern, is
-formatted once); every cell is ``str`` of its value either way. Market
+column, which ``simulate`` writes to disk one block at a time. A numeric
+column with few distinct values in a block goes through a value table
+(each distinct value, floats keyed by bit pattern, is formatted once);
+every cell is ``str`` of its value either way. Market
 ids, which are CSV cells and parts of file names, are limited to
 ``[A-Za-z0-9_.-]`` by ``panel.check_market_id``, which both a
 ``MarketScenario`` and an ingested panel pass, so the writer never has
@@ -36,7 +37,7 @@ import csv
 import hashlib
 import json
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -71,8 +72,9 @@ from .synth import (
 
 STATICS_GRID = 101
 
-#: rows the CSV writer formats at a time; whole-column formatting holds
-#: every cell's string at once and raises peak memory
+#: rows the CSV writer formats and ``simulate`` writes at a time;
+#: whole-column formatting holds every cell's string at once and raises
+#: peak memory
 _CSV_BLOCK_ROWS = 4096
 
 #: table titles of the fit kinds fitted on the matched samples, in the
@@ -93,13 +95,22 @@ def _writing(path: Path):
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write(path: Path, lines: list[str]) -> bytes:
+def _write(path: Path, lines: Iterable[str]) -> str:
     """Write ``lines`` to ``path`` in UTF-8, each ending in a newline, and
-    return the bytes written; every file olmsim writes goes through here."""
-    data = "\n".join([*lines, ""]).encode()
-    with _writing(path):
-        path.write_bytes(data)
-    return data
+    return the SHA-256 hex digest of the bytes written; every file olmsim
+    writes goes through here.
+
+    A line may be a block of lines joined by newlines. Each is encoded,
+    hashed and written as it comes, so a file streamed in blocks is never
+    held whole, in text or in bytes.
+    """
+    digest = hashlib.sha256()
+    with _writing(path), path.open("wb") as handle:
+        for line in lines:
+            data = (line + "\n").encode()
+            digest.update(data)
+            handle.write(data)
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -150,24 +161,23 @@ def _cells(column: np.ndarray) -> Iterable[str]:
     return map(str, column.tolist())
 
 
-def _csv_lines(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> list[str]:
-    """Header plus one line per row, formatted ``_CSV_BLOCK_ROWS`` rows at a time."""
+def _csv_blocks(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> Iterator[list[str]]:
+    """The header line, then the lines of each ``_CSV_BLOCK_ROWS`` rows, one list at a time."""
     # the data CSVs' own writer, apart from ``report.csv_lines``: they must read
     # back exactly, and str of a Python float is its repr, the shortest such form
     values = [getattr(arrays, name) for name in columns]
-    lines = [",".join(columns)]
+    yield [",".join(columns)]
     for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        lines.extend(map(",".join, zip(*(_cells(column[block]) for column in values))))
-    return lines
+        yield list(map(",".join, zip(*(_cells(column[block]) for column in values))))
 
 
 def panel_csv_lines(arrays: PanelArrays) -> list[str]:
-    return _csv_lines(arrays, PANEL_COLUMNS)
+    return [line for block in _csv_blocks(arrays, PANEL_COLUMNS) for line in block]
 
 
 def demand_csv_lines(arrays: DemandArrays) -> list[str]:
-    return _csv_lines(arrays, DEMAND_COLUMNS)
+    return [line for block in _csv_blocks(arrays, DEMAND_COLUMNS) for line in block]
 
 
 #: the dtype ``ingest_panel_csv`` reads each panel column as
@@ -348,11 +358,12 @@ class _Run:
             balance = balance_table(covariates, treat, result, names=names)
             matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
             sample = pair.subset(np.isin(pair.worker_id, matched))
+            del pair
             return result, balance, fit_designs(sample, OUTCOME_TRANSFORMS, kinds) if kinds else {}
 
-    def _emit(self, name: str, lines: list[str]) -> None:
+    def _emit(self, name: str, lines: Iterable[str]) -> None:
         """Write ``lines`` as the output file ``name`` and list it in the manifest."""
-        self.manifest.outputs[name] = hashlib.sha256(_write(self.out / name, lines)).hexdigest()
+        self.manifest.outputs[name] = _write(self.out / name, lines)
 
     def _emit_fit(self, name: str, fit, title: str) -> None:
         self._emit(name, fit_csv_lines(fit))
@@ -364,8 +375,9 @@ class _Run:
         return [(m, o, fits[(kind, o)]) for m, (_, _, fits) in pairs for o in sorted(OUTCOME_TRANSFORMS)]
 
     def simulate(self) -> None:
-        self._emit("panel.csv", panel_csv_lines(self.panel))
-        self._emit("demand.csv", demand_csv_lines(self.demand))
+        # streamed a block at a time: a file's text is never held whole
+        self._emit("panel.csv", map("\n".join, _csv_blocks(self.panel, PANEL_COLUMNS)))
+        self._emit("demand.csv", map("\n".join, _csv_blocks(self.demand, DEMAND_COLUMNS)))
         for scenario in self.config.markets:
             rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
             self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))

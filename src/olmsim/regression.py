@@ -179,11 +179,15 @@ class OlsResult:
 
 
 def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
-    """Economic pivoted QR of ``X``; raises on a rank-deficient design."""
+    """Economic pivoted QR of ``X``, whose cells the caller has checked are
+    finite; raises on a rank-deficient design."""
     import scipy.linalg
 
     n, k = X.shape
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    # factored in place in one private copy; scipy copies a C-ordered ``X`` twice. Never
+    # ``np.asfortranarray``: an (n, 1) C-ordered ``X`` is F-contiguous, so it returns ``X``
+    q, r, piv = scipy.linalg.qr(np.array(X, order="F"), mode="economic", pivoting=True, overwrite_a=True,
+                                check_finite=False)
     diag = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
     rank_tol = max(n, k) * np.finfo(np.float64).eps * scale
@@ -244,20 +248,21 @@ def _sandwich(X: np.ndarray, e: np.ndarray, codes: np.ndarray | None, g: int, br
     """Cluster-robust covariance of the coefficients of ``X``, with residuals
     ``e``, cluster codes from :func:`_cluster_codes` and ``bread = inv(X'X)``.
     ``codes`` None means the rows run cluster by cluster, ``n // g`` each.
+    The scores are summed column by column, or month by month on rows in
+    blocks, so no n-by-k product of ``X`` and ``e`` is held.
 
     The CR1 small-sample factor ``G/(G-1) * (N-1)/(N-K)`` counts only the
     columns of ``X`` in ``K``; absorbed fixed effects are not charged
     against the degrees of freedom.
     """
     n, k = X.shape
-    if codes is None:
-        scores = _block_sums((X * e[:, None]).reshape(g, n // g, k))
+    if codes is None:  # onto zeros month by month: ``_block_sums`` of ``X * e``, product for product
+        x, e = X.reshape(g, n // g, k), e.reshape(g, n // g, 1)
+        scores = np.zeros((g, k))
+        for t in range(n // g):
+            scores += x[:, t] * e[:, t]
     else:
-        # column-major, so each column ``bincount`` weights by is contiguous
-        xe = np.multiply(X, e[:, None], order="F")
-        scores = np.empty((g, k))
-        for j in range(k):
-            scores[:, j] = np.bincount(codes, weights=xe[:, j], minlength=g)
+        scores = np.column_stack([np.bincount(codes, weights=X[:, j] * e, minlength=g) for j in range(k)])
     meat = scores.T @ scores
     factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
     v = factor * bread @ meat @ bread
@@ -421,25 +426,32 @@ def _fit_columns(
     together once, and each design is factored once for all outcomes, on
     one BLAS thread. ``cluster_ids`` None clusters on the units, as rows in
     :func:`_blocks` without a sort.
+
+    So that no input outlives its copy, the fit empties ``outcomes`` and
+    ``columns`` as it fills one stack with them, and drops the stack once
+    its absorbed values exist. At its peak it holds about three copies of
+    the stack, plus any input its caller still references.
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
+    n, n_outcomes = len(unit_codes), len(outcomes)
     # filled column by column in the column-major layout absorption works in,
     # so ``absorb_two_way`` copies it without reordering
-    stack = np.empty((len(unit_codes), len(names)), order="F")
-    for j, v in enumerate([*outcomes.values(), *columns.values()]):
-        stack[:, j] = v
+    stack = np.empty((n, len(names)), order="F")
+    for j, name in enumerate(names):
+        stack[:, j] = outcomes.pop(name) if j < n_outcomes else columns.pop(name)
     # ``absorb_two_way`` rejects a non-finite cell too, before any pass, but by
     # its column number; this scan stays because it names the fit column
-    finite = np.isfinite(stack)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    if not np.isfinite(stack).all():
+        i, j = np.argwhere(~np.isfinite(stack))[0]
         raise ValidationError(f"fit column {names[j]} must be finite, got {stack[i, j]} at row {i} of the sample")
+    # after the scan, so a non-finite outcome fails by name, not in a warning
+    outcome_sds = [float(np.std(stack[:, j], ddof=1)) if n > 1 else 0.0 for j in range(n_outcomes)]
     blocks = _blocks(unit_codes, time_codes) if cluster_ids is None else None
     codes, g = (None, blocks[0]) if blocks else _cluster_codes(unit_codes if cluster_ids is None else cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
+    del stack
     values, iterations = absorbed.values, absorbed.column_iterations
-    outcome_sds = [float(np.std(y, ddof=1)) if len(y) > 1 else 0.0 for y in outcomes.values()]
     fits: dict[tuple[str, str], FitResult] = {}
     for kind, terms in designs.items():
         idx = [position[t] for t in terms]
@@ -448,7 +460,7 @@ def _fit_columns(
         X = np.take(values, idx, axis=1)
         qr = _pivoted_qr(X, terms)
         bread = np.linalg.inv(X.T @ X)
-        for j, (outcome, y) in enumerate(outcomes.items()):
+        for j, outcome in enumerate(names[:n_outcomes]):
             ya = values[:, j]
             beta = _solve(*qr, ya)
             residuals = ya - X @ beta
@@ -459,7 +471,7 @@ def _fit_columns(
                 coefficients=dict(zip(terms, beta.tolist())),
                 se=dict(zip(terms, se.tolist())),
                 pvalues=dict(zip(terms, _pvalues(beta, se, g - 1).tolist())),
-                n_obs=len(y), n_clusters=g,
+                n_obs=n, n_clusters=g,
                 within_r2=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
                 converged_fe_iterations=int(iterations[[j, *idx]].max()),
                 outcome_sd=outcome_sds[j],
@@ -544,12 +556,10 @@ def fit_designs(
             _reject(y <= -1, _row_label, lambda i: f"{outcome} must exceed -1 for log1p, got {y[i]}")
     ys = {outcome: transform_outcome(panel.column(outcome), transform) for outcome, transform in outcomes.items()}
     controls = {name: panel.column(name).astype(np.float64) for name in controls}
-    columns: dict[str, np.ndarray] = {}
-    terms: dict[str, list[str]] = {}
-    for kind in designs:
-        cols = {**DESIGNS[kind](panel), **controls}
-        terms[kind] = list(cols)
-        columns.update((name, v) for name, v in cols.items() if name not in columns)
+    designed = {kind: {**DESIGNS[kind](panel), **controls} for kind in designs}
+    terms = {kind: list(cols) for kind, cols in designed.items()}
+    columns = {name: v for cols in designed.values() for name, v in cols.items()}
+    del designed, controls  # ``_fit_columns`` frees each column once its stack holds it
     return _fit_columns(ys, columns, terms, panel.worker_id, panel.month_index)
 
 
@@ -612,10 +622,10 @@ def demand_did_fit(series: DemandArrays) -> FitResult:
         raise ValidationError("demand DiD needs at least 2 markets")
     if series.post.min() == series.post.max():
         raise ValidationError("demand window must span the shock (post must vary)")
-    y = np.log1p(series.postnum.astype(np.float64))
+    y = {"postnum": np.log1p(series.postnum.astype(np.float64))}
     cols = {"treat_x_post": series.treat * series.post}
     rows = np.arange(series.n_rows)
-    fits = _fit_columns({"postnum": y}, cols, {"demand": list(cols)}, market_codes, series.week_index, rows)
+    fits = _fit_columns(y, cols, {"demand": list(cols)}, market_codes, series.week_index, rows)
     return fits[("demand", "postnum")]
 
 

@@ -506,6 +506,35 @@ class TestCsvWriterEdgeValues:
         assert ratios == ["0.0", "-0.0", "nan", "inf", "-inf", "0.1", "-2.5e-300", "1e+16"]
 
 
+class TestStreamedDataFiles:
+    """``simulate`` streams its data files a block at a time onto disk."""
+
+    # small_config's 1,280 panel rows: exactly four blocks, or one block and one more row
+    @pytest.mark.parametrize("block_rows", [320, 1279])
+    def test_files_are_the_joined_lines_and_their_digests_are_listed(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
+        manifest = run_pipeline(small_config(), tmp_path, stages=["simulate"])
+        panel = generate_panel_arrays(small_config())
+        assert panel.n_rows % block_rows in (0, 1)
+        demand = generate_demand_arrays(small_config(), weeks=DEFAULT_WEEKS)
+        for name, lines in (("panel.csv", panel_csv_lines(panel)), ("demand.csv", demand_csv_lines(demand))):
+            data = (tmp_path / name).read_bytes()
+            assert data == ("\n".join(lines) + "\n").encode(), name
+            assert manifest.outputs[name] == hashlib.sha256(data).hexdigest(), name
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_write_error_mid_stream_exits_2_naming_the_path(self, tmp_path, monkeypatch, capsys):
+        # every write to /dev/full fails with ENOSPC; the header and the first small
+        # blocks fit in the file buffer, so the error comes from a later block
+        monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", 64)
+        config_path, out = tmp_path / "scenario.json", tmp_path / "out"
+        write_scenario(small_config(), config_path)
+        out.mkdir()
+        (out / "panel.csv").symlink_to("/dev/full")
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert f"cannot write {out / 'panel.csv'}: No space left on device" in capsys.readouterr().err
+
+
 class TestPanelInvariants:
     """Cross-row invariants of a panel, each naming the first bad CSV line or row."""
 

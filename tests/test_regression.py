@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ class TestAbsorb:
             assert np.array_equal(alone.values[:, 0], together.values[:, j])
             assert alone.column_iterations[0] == together.column_iterations[j]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_left_unchanged(self, order):
+        rng = np.random.default_rng(10)
+        unit, time = np.repeat(np.arange(20), 5), np.tile(np.arange(5), 20)
+        x = np.array(rng.standard_normal((100, 3)), order=order)
+        before = x.copy()
+        absorb_two_way(x, unit, time)
+        assert np.array_equal(x, before)
+
 
 class TestOls:
     def test_exact_linear_recovery(self):
@@ -228,6 +238,18 @@ class TestOls:
         with pytest.raises(RankDeficiencyError) as exc:
             ols_fit(x, rng.standard_normal(30), names=["alpha", "alpha_doubled", "noise"])
         assert exc.value.column in ("alpha", "alpha_doubled")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "one column", "vector"])
+    def test_inputs_left_unchanged(self, layout):
+        # the QR overwrites its own copy of X; an (n, 1) C-ordered X is F-contiguous too,
+        # so a copy taken only when X is not F-ordered would hand X itself to the QR
+        rng = np.random.default_rng(9)
+        x = {"C": rng.standard_normal((30, 3)), "F": np.asfortranarray(rng.standard_normal((30, 3))),
+             "one column": rng.standard_normal((30, 1)), "vector": rng.standard_normal(30)}[layout]
+        y = rng.standard_normal(30)
+        x_before, y_before = x.copy(), y.copy()
+        ols_fit(x, y)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
 
 
 def _cr1(x: np.ndarray, e: np.ndarray, cluster_ids: np.ndarray) -> np.ndarray:
@@ -903,6 +925,22 @@ def test_first_fit_pins_scipys_openblas():
     # has not loaded scipy must load scipy's OpenBLAS, which the QR runs on, first
     result = json.loads(fresh_python("-c", FIRST_FIT, env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
     assert result == {"scipy_before": False, "controls": [get.__name__ for get, _ in blas_controls], "inside": [1, 1]}
+
+
+def test_event_fit_peak_allocation_about_three_copies_of_its_stack():
+    # the fit's stack, one outcome and the event design, is at most 18 float64 columns. It
+    # peaks at about 3 times that: the stack, its absorbed copy and that copy in C order.
+    # Inputs alive past the stack, scipy's second QR copy or the scores' n-by-k product
+    # take it to 5.75 times
+    panel = generate_panel_arrays(substitution_config(workers=1000, seed=3))
+    event_study_fit(panel)  # scipy loaded and the BLAS controls cached outside the trace
+    tracemalloc.start()
+    try:
+        event_study_fit(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * panel.n_rows * 18 * 8
 
 
 @pytest.mark.skipif(not blas_controls, reason="no bundled OpenBLAS loaded")
