@@ -3,9 +3,11 @@
 ``PanelArrays`` and ``DemandArrays`` are the only panel and demand types:
 the generator builds them, ``ingest_panel_csv`` returns them, and every
 match, fit and CSV writer reads their columns. The CSV column orders
-``PANEL_COLUMNS`` and ``DEMAND_COLUMNS`` are their field orders. Both
-take their column checks and row count from one private base, so a column
-of the wrong length is one message whichever container holds it.
+``PANEL_COLUMNS`` and ``DEMAND_COLUMNS`` are their field orders, and
+``PANEL_DTYPES`` gives each panel column's dtype, the one the generator
+writes and ingestion reads. Both take their column checks, row count and
+joining of row blocks from one private base, so a column of the wrong
+length is one message whichever container holds it.
 
 The model also states what both sides of it read: the rule a market id
 follows, and the transform each outcome is fitted on, which the generator's
@@ -159,6 +161,11 @@ class _Columns:
     def n_rows(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
+    @classmethod
+    def joined(cls, parts: list):
+        """The rows of ``parts``, containers of this type, in order."""
+        return cls(**{f.name: np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(cls)})
+
 
 @dataclass
 class PanelArrays(_Columns):
@@ -249,3 +256,8 @@ class DemandArrays(_Columns):
 #: CSV column orders: the field orders of the two containers
 PANEL_COLUMNS = tuple(f.name for f in fields(PanelArrays))
 DEMAND_COLUMNS = tuple(f.name for f in fields(DemandArrays))
+
+#: the dtype of each panel column, as generated and as ingested
+PANEL_DTYPES = {name: np.int64 for name in PANEL_COLUMNS} | {
+    "market_id": object, "fjobearn": np.float64, "fjobratio": np.float64,
+}

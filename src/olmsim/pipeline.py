@@ -17,12 +17,15 @@ locale, and each output's manifest hash is of the bytes written.
 A run executes stages from one table, ``STAGES``: simulate -> match ->
 estimate -> tost -> report, mapping each token to the fit kinds it reads;
 a token runs the method of the private run object that its stem, the
-text before any ``_``, names. The run object computes the panel once,
-and once per market pair its match, balance table and fits, all on first
-use; it keeps no pair's rows. The stages write every artifact into one
-output directory. A stage reads each run option through the run object,
-which records it in the manifest, so the manifest holds exactly the
-options the stages that ran read. Every file's contents
+text before any ``_``, names. No stage holds the whole panel: ``simulate``
+streams ``panel.csv`` from the generator's market blocks, and the run
+object streams them a second time to compute, once per market pair and on
+first use, its match, balance table and fits, from the two markets'
+blocks; it keeps only those products and the demand series, never a
+pair's rows. The stages write every artifact into one output directory.
+A stage reads each run option through the run object, which records it in
+the manifest, so the manifest holds exactly the options the stages that
+ran read. Every file's contents
 depend only on the config, the seed, the options read and the package
 version, except ``tables.txt``, which holds the tables of the stages that
 ran in that call. The manifest lists the stages that ran, in table order,
@@ -49,7 +52,7 @@ from . import __version__
 from .errors import OlmsimError, PipelineError, SchemaError, ValidationError
 from .market import sweep_comparative_statics
 from .matching import balance_table, check_caliper, derive_worker_covariates, logit_fit, propensity_match
-from .panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, DemandArrays, PanelArrays
+from .panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, PANEL_DTYPES, DemandArrays, PanelArrays
 from .regression import check_alpha, check_bounds, demand_did_fit, fit_designs, tost_pretrends
 from .report import (
     balance_csv_lines,
@@ -67,7 +70,7 @@ from .synth import (
     config_from_dict,
     config_to_dict,
     generate_demand_arrays,
-    generate_panel_arrays,
+    generate_panel_blocks,
 )
 
 STATICS_GRID = 101
@@ -161,29 +164,25 @@ def _cells(column: np.ndarray) -> Iterable[str]:
     return map(str, column.tolist())
 
 
-def _csv_blocks(arrays: PanelArrays | DemandArrays, columns: tuple[str, ...]) -> Iterator[list[str]]:
-    """The header line, then the lines of each ``_CSV_BLOCK_ROWS`` rows, one list at a time."""
+def _csv_blocks(parts: Iterable[PanelArrays | DemandArrays], columns: tuple[str, ...]) -> Iterator[list[str]]:
+    """The header line, then the lines of each ``_CSV_BLOCK_ROWS`` rows of
+    each of ``parts`` in turn, one list at a time."""
     # the data CSVs' own writer, apart from ``report.csv_lines``: they must read
     # back exactly, and str of a Python float is its repr, the shortest such form
-    values = [getattr(arrays, name) for name in columns]
     yield [",".join(columns)]
-    for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
-        block = slice(start, start + _CSV_BLOCK_ROWS)
-        yield list(map(",".join, zip(*(_cells(column[block]) for column in values))))
+    for arrays in parts:
+        values = [getattr(arrays, name) for name in columns]
+        for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            yield list(map(",".join, zip(*(_cells(column[block]) for column in values))))
 
 
 def panel_csv_lines(arrays: PanelArrays) -> list[str]:
-    return [line for block in _csv_blocks(arrays, PANEL_COLUMNS) for line in block]
+    return [line for block in _csv_blocks([arrays], PANEL_COLUMNS) for line in block]
 
 
 def demand_csv_lines(arrays: DemandArrays) -> list[str]:
-    return [line for block in _csv_blocks(arrays, DEMAND_COLUMNS) for line in block]
-
-
-#: the dtype ``ingest_panel_csv`` reads each panel column as
-_PANEL_DTYPES = {name: np.int64 for name in PANEL_COLUMNS} | {
-    "market_id": object, "fjobearn": np.float64, "fjobratio": np.float64,
-}
+    return [line for block in _csv_blocks([arrays], DEMAND_COLUMNS) for line in block]
 
 
 def _csv_line(i: int) -> str:
@@ -192,8 +191,8 @@ def _csv_line(i: int) -> str:
 
 
 def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
-    """One panel CSV column as an array of its ``_PANEL_DTYPES`` dtype."""
-    dtype = _PANEL_DTYPES[name]
+    """One panel CSV column as an array of its ``PANEL_DTYPES`` dtype."""
+    dtype = PANEL_DTYPES[name]
     try:
         return np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
@@ -302,7 +301,9 @@ class _Run:
     Each product is computed on first use, so a stage can read an upstream
     product without that upstream stage writing its files; the first stage
     that reads a product carries its time and its failures. The products are
-    the panel, the demand series and ``pairs``, one entry per market pair.
+    the demand series and ``pairs``, one entry per market pair; the panel is
+    no product, but the market blocks that ``simulate`` and ``pairs`` each
+    stream from the generator.
     The fit kinds come from the ``STAGES`` rows of the tokens in
     ``manifest.stages``.
     """
@@ -321,16 +322,14 @@ class _Run:
         return self.options[name]
 
     @cached_property
-    def panel(self) -> PanelArrays:
-        return generate_panel_arrays(self.config)
-
-    @cached_property
     def demand(self) -> DemandArrays:
         return generate_demand_arrays(self.config, weeks=self.option("weeks"))
 
-    def _pair(self, arrays, market_id: str):
-        """The rows of one treated market and of the control market, in their order."""
-        return arrays.subset((arrays.market_id == market_id) | (arrays.market_id == self.config.control_market_id))
+    def _pair_rows(self, rows: dict, market_id: str):
+        """The rows of one treated market and of the control market, from
+        ``rows``, each market's rows in market order."""
+        parts = [part for m, part in rows.items() if m in (market_id, self.config.control_market_id)]
+        return type(parts[0]).joined(parts)
 
     def _kinds(self, stem: str = "") -> set[str]:
         """The fit kinds the running tokens that start with ``stem`` read."""
@@ -341,15 +340,30 @@ class _Run:
         """Per treated market, in ``treated_ids`` order: ``(result, balance,
         fits)``, the match against the control market, its balance table, and
         the fits of every outcome, keyed ``(kind, outcome)``, of the designs
-        the running tokens read. A pair's rows live only while it is matched
-        and fitted, so the run holds the panel's rows once."""
-        kinds = tuple(kind for kind in FIT_TITLES if kind in self._kinds())
-        return {market_id: self._match_and_fit(market_id, kinds) for market_id in self.config.treated_ids()}
+        the running tokens read.
 
-    def _match_and_fit(self, market_id: str, kinds: tuple[str, ...]) -> tuple:
+        The panel's blocks are generated one market at a time. The run holds
+        the control's block, and each treated block drawn before the control
+        until the control arrives; a treated block goes with its pair."""
+        kinds = tuple(kind for kind in FIT_TITLES if kind in self._kinds())
+        control, held, pairs = self.config.control_market_id, {}, {}
+        blocks = generate_panel_blocks(self.config)
+        for scenario in self.config.markets:
+            held[scenario.market_id] = next(blocks)
+            if control in held:
+                for market_id in [m for m in held if m != control]:
+                    pairs[market_id] = self._match_and_fit(market_id, held, kinds)
+        return pairs
+
+    def _match_and_fit(self, market_id: str, held: dict, kinds: tuple[str, ...]) -> tuple:
         """Match one treated market against the control market, then fit ``kinds``
-        together, once, on the matched sample (every row of a matched worker)."""
-        pair = self._pair(self.panel, market_id)
+        together, once, on the matched sample (every row of a matched worker).
+
+        The pair is the rows of the two markets' blocks in ``held``, in market
+        order; the treated block leaves ``held``, and the pair's rows are
+        dropped before the fits."""
+        pair = self._pair_rows(held, market_id)
+        del held[market_id]
         with _naming_market(market_id):
             ids, covariates, names, treat = derive_worker_covariates(pair)
             model = logit_fit(covariates, treat, names=names)
@@ -376,8 +390,8 @@ class _Run:
 
     def simulate(self) -> None:
         # streamed a block at a time: a file's text is never held whole
-        self._emit("panel.csv", map("\n".join, _csv_blocks(self.panel, PANEL_COLUMNS)))
-        self._emit("demand.csv", map("\n".join, _csv_blocks(self.demand, DEMAND_COLUMNS)))
+        self._emit("panel.csv", map("\n".join, _csv_blocks(generate_panel_blocks(self.config), PANEL_COLUMNS)))
+        self._emit("demand.csv", map("\n".join, _csv_blocks([self.demand], DEMAND_COLUMNS)))
         for scenario in self.config.markets:
             rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
             self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))
@@ -399,8 +413,11 @@ class _Run:
                         title = f"{FIT_TITLES[kind]}: {label} ({transform})"
                         self._emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
         if "demand" in kinds:
+            demand, weeks = self.demand, self.option("weeks")  # each market's rows, in market order
+            rows = {m.market_id: demand.subset(slice(i * weeks, (i + 1) * weeks))
+                    for i, m in enumerate(self.config.markets)}
             for market_id in self.config.treated_ids():
-                pair = self._pair(self.demand, market_id)
+                pair = self._pair_rows(rows, market_id)
                 with _naming_market(market_id):
                     fit = demand_did_fit(pair)
                 self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")

@@ -14,10 +14,14 @@ whole simulation a deterministic function of ``(config, seed)`` and lets
 One table, ``_MARKET_DRAWS``, names every draw of a market in stream
 order, so the oracle draws only the prefix of the stream that its outcome
 reads, and it inverts the counts of both paths of every treated market in
-one inverse-CDF call per replication. The generators assemble each output
-column once for the whole panel or series: identifiers and flags repeat or
-tile per-market and per-month values, worker traits are the concatenated
-per-worker draws, and only the outcome cells are computed market by market.
+one inverse-CDF call per replication. The same stream, drawn as it is
+read, gives the panel one market at a time: ``generate_panel_blocks``
+yields each market's rows, whose identifiers and flags repeat or tile
+per-market and per-month values, with worker ids offset by the market's
+index, so a caller that reads one market pair at a time never holds the
+panel. ``generate_panel_arrays`` has each block written into its rows of
+whole columns. The demand series assembles each column once for all
+markets.
 
 The config classes check their ranges on construction, and each message
 names the value it rejects: every number field but the seed goes through
@@ -39,14 +43,15 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
 from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
 from .market import Equilibrium, MarketSpec, check_ai_level, check_number, cournot_equilibrium
 from .panel import (
-    MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, check_market_id, check_moderator, transform_outcome,
+    MODERATORS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, PANEL_DTYPES, DemandArrays, PanelArrays, check_market_id,
+    check_moderator, transform_outcome,
 )
 
 #: months covered by the default panel window: six pre-shock months, a
@@ -309,9 +314,10 @@ _MARKET_DRAWS = {
 }
 
 
-def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None) -> tuple[np.ndarray, list[dict]]:
-    """All randomness for one panel replication, in a fixed order: the month
-    effects, then one dict of :data:`_MARKET_DRAWS` per market.
+def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None) -> Iterator:
+    """All randomness for one panel replication, drawn as it is read, in a
+    fixed order: the month effects, then one dict of :data:`_MARKET_DRAWS`
+    per market.
 
     ``stop``, a (market index, draw name) pair, ends the stream after that
     market's draw: its later draws and later markets are absent. What is
@@ -319,15 +325,15 @@ def _draw(config: ScenarioConfig, seed: int, stop: tuple[int, str] | None = None
     arrays bit for bit.
     """
     rng = np.random.default_rng([seed, 1])
-    month_fe = rng.standard_normal(config.n_months) * config.month_fe_sigma
-    markets = []
+    yield rng.standard_normal(config.n_months) * config.month_fe_sigma
     for idx, scenario in enumerate(config.markets):
-        markets.append(drawn := {})
+        drawn = {}
         for name, draw in _MARKET_DRAWS.items():
             drawn[name] = draw(rng, config, scenario)
             if (idx, name) == stop:
-                return month_fe, markets
-    return month_fe, markets
+                yield drawn
+                return
+        yield drawn
 
 
 def _equilibria(market: MarketSpec, levels: Sequence[float]) -> list[Equilibrium]:
@@ -412,32 +418,63 @@ def _market_columns(config: ScenarioConfig, rows: int) -> dict[str, np.ndarray]:
     return {"market_id": np.repeat(ids, rows), "treat": np.repeat(treat, rows)}
 
 
+def _market_block(config: ScenarioConfig, idx: int, month_fe: np.ndarray, d: dict, columns: dict | None) -> PanelArrays:
+    """Market ``idx``'s rows of the panel, from its draws ``d``, in new arrays
+    or, given ``columns``, written into its rows of them.
+
+    It empties ``d``, which the draw stream holds until its next draw, so no
+    draw outlives its block.
+    """
+    w, t = config.workers_per_market, config.n_months
+    rows, scenario, months = slice(idx * w * t, (idx + 1) * w * t), config.markets[idx], np.arange(t)
+    block = {name: np.empty(w * t, dtype) if columns is None else columns[name][rows]
+             for name, dtype in PANEL_DTYPES.items()}
+    cells = {name: block[name].reshape(w, t) for name in PANEL_COLUMNS}  # each row a worker
+    q, p = _equilibrium_levels(scenario, config, scenario.a_path)
+    market = _MarketCells(config, month_fe, d, slice(None))
+    jobs = market.jobs(q)
+    for name in _LAST_DRAW:
+        cells[name][:] = market.outcome(name, jobs, p)
+    cells["worker_id"][:] = np.arange(idx * w, (idx + 1) * w)[:, None]
+    cells["month_index"][:] = months
+    cells["post35"][:] = months >= config.shock1_index
+    cells["post40"][:] = months >= config.shock2_index
+    cells["tenure"][:] = ((d["reg_day"][:, None] + _month_day_offsets(config.months)[None, :]) // 30).astype(np.int64)
+    for name in MODERATORS:
+        cells[name][:] = d[name][:, None]
+    block["market_id"][:] = scenario.market_id
+    block["treat"][:] = scenario.market_id != config.control_market_id
+    d.clear()
+    return PanelArrays(**block)
+
+
+def generate_panel_blocks(config: ScenarioConfig, columns: dict[str, np.ndarray] | None = None
+                          ) -> Iterator[PanelArrays]:
+    """The panel of :func:`generate_panel_arrays`, one market's rows at a time,
+    in market order; only the market being built is held.
+
+    Rows run by worker, then month; worker ids are offset by the market's
+    index times ``workers_per_market``. Each block's columns are new arrays,
+    or, given ``columns``, whole-panel arrays of the ``PANEL_DTYPES`` dtypes,
+    views of the block's rows of them, written in place.
+    """
+    stream = _draw(config, config.seed)
+    month_fe = next(stream)
+    for idx in range(len(config.markets)):
+        # no block or draw is bound here, so the caller alone decides how long a block lives
+        yield _market_block(config, idx, month_fe, next(stream), columns)
+
+
 def generate_panel_arrays(config: ScenarioConfig) -> PanelArrays:
     """Columnar panel for one scenario; deterministic given the config seed.
 
-    Rows run by market, then worker, then month.
+    Rows run by market, then worker, then month: the blocks of
+    :func:`generate_panel_blocks`, each written into its rows of the columns.
     """
-    month_fe, draws = _draw(config, config.seed)
-    w, t = config.workers_per_market, config.n_months
-    outcomes = []
-    for idx, scenario in enumerate(config.markets):
-        q, p = _equilibrium_levels(scenario, config, scenario.a_path)
-        cells = _MarketCells(config, month_fe, draws[idx], slice(None))
-        jobs = cells.jobs(q)
-        outcomes.append({name: cells.outcome(name, jobs, p).reshape(-1) for name in _LAST_DRAW})
-    worker = {name: np.concatenate([d[name] for d in draws]) for name in ("reg_day", *MODERATORS)}
-    tenure = (worker["reg_day"][:, None] + _month_day_offsets(config.months)[None, :]) // 30
-    n, months = len(worker["reg_day"]), np.arange(t)
-    return PanelArrays(
-        worker_id=np.repeat(np.arange(n), t),
-        month_index=np.tile(months, n),
-        post35=np.tile((months >= config.shock1_index).astype(np.int64), n),
-        post40=np.tile((months >= config.shock2_index).astype(np.int64), n),
-        tenure=tenure.astype(np.int64).reshape(-1),
-        **_market_columns(config, w * t),
-        **{name: np.concatenate([o[name] for o in outcomes]) for name in _LAST_DRAW},
-        **{m: np.repeat(worker[m], t) for m in MODERATORS},
-    )
+    n = len(config.markets) * config.workers_per_market * config.n_months
+    columns = {name: np.empty(n, dtype) for name, dtype in PANEL_DTYPES.items()}
+    list(generate_panel_blocks(config, columns))  # each block is a view of its rows
+    return PanelArrays(**columns)
 
 
 @dataclass(frozen=True)
@@ -489,7 +526,7 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
     for r in range(reps):
-        month_fe, draws = _draw(config, config.seed ^ r, stop)
+        month_fe, *draws = _draw(config, config.seed ^ r, stop)
         markets = [(_MarketCells(config, month_fe, draws[idx], cols), levels) for idx, levels in treated]
         # every market's counts on both paths in one call; axes: market, path, worker, month
         lam = np.stack([[cells.rate(q) for q, _ in levels] for cells, levels in markets])

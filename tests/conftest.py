@@ -41,10 +41,14 @@ def fresh_python(*argv: str, env: dict | None = None, check: bool = True) -> sub
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=check)
 
 
-def demo_config(workers, seed):
+def demo_config(workers, seed, control_at=0):
     """The bundled demo scenario at ``workers`` and ``seed``: the control first, then
-    one treated market on each of the nine ``SWEEP_PATHS``."""
-    return dataclasses.replace(parse_scenario(_resolve_config(BUILTIN_DEMO)), workers_per_market=workers, seed=seed)
+    one treated market on each of the nine ``SWEEP_PATHS``. ``control_at`` moves the
+    control to that position, the treated markets keeping their order."""
+    demo = parse_scenario(_resolve_config(BUILTIN_DEMO))
+    markets = list(demo.markets[1:])
+    markets.insert(control_at, demo.markets[0])
+    return dataclasses.replace(demo, markets=tuple(markets), workers_per_market=workers, seed=seed)
 
 
 def random_quadratic_market(rng: np.random.Generator) -> MarketSpec:

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import get_type_hints
@@ -653,10 +654,12 @@ class TestRunPipeline:
         single = {"did": did_fit, "dual": dual_shock_fit, "event": event_study_fit}
         # the fitted designs are those the running tokens read: ``estimate`` reads every kind
         manifest = RunManifest(config_hash="", seed=5, version="", stages=["estimate"], options={})
-        run = _Run(small_config(), tmp_path, manifest, {"caliper": 0.02})
+        config = small_config()
+        run = _Run(config, tmp_path, manifest, {"caliper": 0.02})
+        panel = generate_panel_arrays(config)
         for market_id, (result, _, fits) in run.pairs.items():
-            # the run keeps no sample: rebuild it from the pair's rows and its match
-            pair = run._pair(run.panel, market_id)
+            # the run keeps no rows: rebuild the pair from the whole panel, and its sample from the match
+            pair = panel.subset((panel.market_id == market_id) | (panel.market_id == config.control_market_id))
             ids = derive_worker_covariates(pair)[0]
             matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
             sample = pair.subset(np.isin(pair.worker_id, matched))
@@ -664,30 +667,85 @@ class TestRunPipeline:
                 for kind, fit_fn in single.items():
                     assert_same_fit(fits[(kind, outcome)], fit_fn(sample, RegressionSpec(outcome, transform)))
 
-    def test_run_holds_the_panel_rows_once(self, tmp_path):
-        # after every stage, the panel is the one container of panel rows the run
-        # reaches: no pair's rows and no matched sample outlive their fits
+    def test_run_reaches_no_panel_rows_after_any_stage(self, tmp_path):
+        # each stage streams the panel's blocks: no block, pair or matched sample outlives its stage
         manifest = RunManifest(config_hash="", seed=5, version="", stages=list(STAGES), options={})
         options = {"alpha": 0.05, "caliper": 0.02, "bounds": None, "weeks": DEFAULT_WEEKS}
         run = _Run(demo_config(workers=30, seed=5), tmp_path, manifest, options)
         for stem in dict.fromkeys(token.partition("_")[0] for token in STAGES):
             getattr(run, stem)()
-        found, seen, todo = [], set(), list(vars(run).values())
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, PanelArrays):
-                found.append(obj)
-            if isinstance(obj, dict):
-                todo.extend([*obj.keys(), *obj.values()])
-            elif isinstance(obj, (list, tuple, set)):
-                todo.extend(obj)
-            elif hasattr(obj, "__dict__"):
-                todo.extend(vars(obj).values())
-        assert len(found) == 1 and found[0] is run.panel
+            found, seen, todo = [], set(), list(vars(run).values())
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, PanelArrays):
+                    found.append(obj)
+                if isinstance(obj, dict):
+                    todo.extend([*obj.keys(), *obj.values()])
+                elif isinstance(obj, (list, tuple, set)):
+                    todo.extend(obj)
+                elif hasattr(obj, "__dict__"):
+                    todo.extend(vars(obj).values())
+            assert found == [], stem
         assert len(run.pairs) == len(run.config.treated_ids())
+
+    @pytest.mark.parametrize("stems", [["simulate"], ["simulate", "match", "estimate", "tost", "report"]],
+                             ids=["simulate", "full"])
+    def test_traced_peak_is_flat_in_the_number_of_markets(self, tmp_path, stems):
+        # Besides its products (the demand series, each pair's match, balance and fits, and the
+        # text tables), a run holds one market pair's rows at a time, not the panel: from 3 to 10
+        # markets, its traced peak less those products grows by less than one market's block. The
+        # caliper is wide, so each matched sample is about its pair's rows and every pair's fits
+        # take about the same working set.
+        run_pipeline(demo_config(workers=30, seed=5), tmp_path / "warm")  # the lazy imports are not the run's
+        options = {"alpha": 0.05, "caliper": 1.0, "bounds": None, "weeks": DEFAULT_WEEKS}
+        transient = []
+        for n in (3, 10):
+            demo = demo_config(workers=200, seed=1)
+            config = dataclasses.replace(demo, markets=demo.markets[:n])
+            manifest = RunManifest(config_hash="", seed=1, version="", stages=stems, options={})
+            run = _Run(config, tmp_path / str(n), manifest, options)
+            run.out.mkdir()
+            tracemalloc.start()
+            try:
+                for stem in stems:
+                    getattr(run, stem)()
+                held, peak = tracemalloc.get_traced_memory()
+                for product in ("demand", "pairs"):
+                    run.__dict__.pop(product, None)
+                run.tables.clear()
+                transient.append(peak - (held - tracemalloc.get_traced_memory()[0]))
+            finally:
+                tracemalloc.stop()
+        panel = generate_panel_arrays(config)
+        block_bytes = sum(getattr(panel, name).nbytes for name in PANEL_COLUMNS) // len(config.markets)
+        assert transient[1] - transient[0] < block_bytes
+
+    @pytest.mark.parametrize("control_at", [0, 4, 9], ids=["control-first", "control-middle", "control-last"])
+    def test_each_pair_is_the_masked_subset_of_the_whole_panel(self, tmp_path, monkeypatch, control_at):
+        # the pair built from two markets' blocks equals the rows of the two markets in the whole panel;
+        # so does each demand pair, from the demand series
+        config = demo_config(workers=12, seed=2, control_at=control_at)
+        pairs = {"panel": [], "demand": []}
+
+        def recording(kind, fn):
+            def record(rows):
+                pairs[kind].append(rows)
+                return fn(rows)
+            return record
+
+        monkeypatch.setattr(pipeline, "derive_worker_covariates", recording("panel", pipeline.derive_worker_covariates))
+        monkeypatch.setattr(pipeline, "demand_did_fit", recording("demand", pipeline.demand_did_fit))
+        run_pipeline(config, tmp_path, stages=["match", "estimate_demand"])
+        whole = {"panel": (generate_panel_arrays(config), PANEL_COLUMNS),
+                 "demand": (generate_demand_arrays(config, DEFAULT_WEEKS), DEMAND_COLUMNS)}
+        for kind, (rows, columns) in whole.items():
+            assert len(pairs[kind]) == len(config.treated_ids()), kind
+            for market_id, pair in zip(config.treated_ids(), pairs[kind]):
+                mask = (rows.market_id == market_id) | (rows.market_id == config.control_market_id)
+                assert_same_columns(pair, rows.subset(mask), columns)
 
     @pytest.mark.parametrize(
         "stages, designs",

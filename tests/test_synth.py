@@ -314,6 +314,27 @@ class TestGeneratePanel:
         config = substitution_config(workers=40, seed=123)
         assert_same_columns(generate_panel_arrays(config), generate_panel_arrays(config), PANEL_COLUMNS)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            demo_config(workers=6, seed=5),
+            substitution_config(workers=8, seed=3),
+            demo_config(workers=5, seed=1, control_at=4),
+        ],
+        ids=["control-first", "control-last", "control-middle"],
+    )
+    def test_blocks_assemble_to_the_panel(self, config):
+        blocks = list(synth.generate_panel_blocks(config))
+        # one block per market, in market order
+        assert [b.market_id.tolist() for b in blocks] == [[m.market_id] * b.n_rows for m, b in zip(config.markets, blocks)]
+        panel = generate_panel_arrays(config)
+        for name in PANEL_COLUMNS:
+            column, parts = getattr(panel, name), [getattr(b, name) for b in blocks]
+            assert {part.dtype for part in parts} == {column.dtype}, name
+            joined = np.concatenate(parts)
+            assert (joined.tolist() == column.tolist() if column.dtype == object
+                    else joined.tobytes() == column.tobytes()), name
+
     def test_different_seeds_differ(self):
         a = generate_panel_arrays(substitution_config(workers=40, seed=1))
         b = generate_panel_arrays(substitution_config(workers=40, seed=2))
@@ -471,11 +492,11 @@ _DRAW_CONFIGS = pytest.mark.parametrize(
 
 @_DRAW_CONFIGS
 def test_draw_stopped_is_a_prefix_of_the_full_draw(config):
-    full_fe, full = synth._draw(config, 9)
+    full_fe, *full = synth._draw(config, 9)
     names = list(synth._MARKET_DRAWS)
     for idx in range(len(config.markets)):
         for pos, name in enumerate(names):
-            month_fe, cut = synth._draw(config, 9, (idx, name))
+            month_fe, *cut = synth._draw(config, 9, (idx, name))
             assert np.array_equal(month_fe, full_fe)
             assert len(cut) == idx + 1
             for m in range(idx + 1):
@@ -495,7 +516,7 @@ def test_last_draw_of_each_outcome_is_the_first_stop_that_gives_its_cells(config
     cols = slice(config.shock1_index, None)
 
     def cells_outcome(draws):
-        month_fe, markets = draws
+        month_fe, *markets = draws
         cells = synth._MarketCells(config, month_fe, markets[idx], cols)
         return cells.outcome(outcome, cells.jobs(q), p)
 
