@@ -126,9 +126,7 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
     matrix without rows, or a nan or infinite cell, raises
     :class:`ValidationError`, the latter naming the cell's row and column.
     """
-    # column-major while demeaning, so each column is contiguous; every
-    # column's arithmetic is its own, so the layout changes no result
-    m = np.array(matrix, dtype=np.float64, order="F")
+    m = np.asarray(matrix, dtype=np.float64)
     if m.ndim == 1:
         m = m[:, None]
     if m.shape[0] == 0:
@@ -152,16 +150,21 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
             means = np.bincount(codes, weights=col) / counts
             col -= means[codes]
 
+    # each column is demeaned in one private contiguous column, which leaves the input as
+    # it was, a pass's moves are taken in one more, and the result is C-ordered; every
+    # column's arithmetic is its own, so the layout changes no result
+    out, col, moved = np.empty(m.shape), np.empty(m.shape[0]), np.empty(m.shape[0])
     for j in range(k):
-        col = m[:, j]
-        peak = np.abs(col).max()  # nan or inf on a column no pass can settle
+        col[:] = m[:, j]
+        peak = np.abs(col, out=moved).max()  # nan or inf on a column no pass can settle
         if not np.isfinite(peak):
             _finite(col, (f"column {j}",), _row_label)
         bound = ABSORB_TOL * peak
         for it in range(1, ABSORB_MAX_ITER + 1):
-            before = col.copy()
+            moved[:] = col
             demean(col)
-            if np.abs(col - before).max() <= bound:
+            moved -= col
+            if np.abs(moved, out=moved).max() <= bound:
                 column_iterations[j] = it
                 break
         else:
@@ -169,7 +172,8 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
                 f"two-way absorption of column {j} did not converge within {ABSORB_MAX_ITER} iterations",
                 iterations=ABSORB_MAX_ITER,
             )
-    return AbsorbResult(np.ascontiguousarray(m), column_iterations)
+        out[:, j] = col
+    return AbsorbResult(out, column_iterations)
 
 
 @dataclass
@@ -429,14 +433,16 @@ def _fit_columns(
 
     So that no input outlives its copy, the fit empties ``outcomes`` and
     ``columns`` as it fills one stack with them, and drops the stack once
-    its absorbed values exist. At its peak it holds about three copies of
-    the stack, plus any input its caller still references.
+    its absorbed values exist. A design of two or more adjacent columns of
+    ``columns`` is factored from a view of those values, any other from a
+    copy of its columns. At its peak the fit holds about two copies of the
+    stack, plus the copied designs and any input its caller still
+    references.
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
     n, n_outcomes = len(unit_codes), len(outcomes)
-    # filled column by column in the column-major layout absorption works in,
-    # so ``absorb_two_way`` copies it without reordering
+    # column-major, so each column ``absorb_two_way`` copies out is contiguous
     stack = np.empty((n, len(names)), order="F")
     for j, name in enumerate(names):
         stack[:, j] = outcomes.pop(name) if j < n_outcomes else columns.pop(name)
@@ -455,9 +461,12 @@ def _fit_columns(
     fits: dict[tuple[str, str], FitResult] = {}
     for kind, terms in designs.items():
         idx = [position[t] for t in terms]
-        # a C-ordered copy: on the F-ordered ``values[:, idx]``, ``X @ beta``
-        # sums in another order
-        X = np.take(values, idx, axis=1)
+        # adjacent columns as a view, others as a copy; both are row-major like ``values``:
+        # on column-major columns ``X @ beta`` sums in another order. One column stays a
+        # copy: numpy forms its ``X.T @ X`` as a dot product, which sums a strided column
+        # in another order
+        adjacent = len(idx) > 1 and idx == list(range(idx[0], idx[0] + len(idx)))
+        X = values[:, idx[0]:idx[0] + len(idx)] if adjacent else np.take(values, idx, axis=1)
         qr = _pivoted_qr(X, terms)
         bread = np.linalg.inv(X.T @ X)
         for j, outcome in enumerate(names[:n_outcomes]):
@@ -556,10 +565,13 @@ def fit_designs(
             _reject(y <= -1, _row_label, lambda i: f"{outcome} must exceed -1 for log1p, got {y[i]}")
     ys = {outcome: transform_outcome(panel.column(outcome), transform) for outcome, transform in outcomes.items()}
     controls = {name: panel.column(name).astype(np.float64) for name in controls}
-    designed = {kind: {**DESIGNS[kind](panel), **controls} for kind in designs}
-    terms = {kind: list(cols) for kind, cols in designed.items()}
-    columns = {name: v for cols in designed.values() for name, v in cols.items()}
-    del designed, controls  # ``_fit_columns`` frees each column once its stack holds it
+    designed = {kind: DESIGNS[kind](panel) for kind in designs}
+    terms = {kind: [*cols, *controls] for kind, cols in designed.items()}
+    # the largest design's terms last, before the controls, so it is factored from a view
+    largest = max(designed.values(), key=len)
+    columns = {name: v for cols in designed.values() for name, v in cols.items() if name not in largest}
+    columns |= {**largest, **controls}
+    del designed, largest, controls  # ``_fit_columns`` frees each column once its stack holds it
     return _fit_columns(ys, columns, terms, panel.worker_id, panel.month_index)
 
 
