@@ -171,6 +171,8 @@ class MatchResult:
 def check_caliper(caliper: float) -> None:
     if not caliper > 0:
         raise ValidationError(f"caliper must be positive, got {caliper}")
+    if not math.isfinite(caliper):
+        raise ValidationError(f"caliper must be finite, got {caliper}")
 
 
 def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> MatchResult:
@@ -180,7 +182,8 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
     (common support); the rest are processed in descending score order,
     each claiming the nearest remaining control if it lies within the
     caliper, by the tie rules of the module docstring. Once every control
-    is taken, the remaining treated units are dropped whatever the caliper.
+    is taken, the remaining treated units are dropped: no free control lies
+    within a caliper, which must be finite.
     Unit ids are positions in the input arrays.
     """
     check_caliper(caliper)
@@ -216,7 +219,7 @@ def propensity_match(scores: np.ndarray, treat: np.ndarray, caliper: float) -> M
             pos, dist = pos - 1, d_left
         else:
             dist = d_right
-        if dist <= caliper and free_ids:
+        if dist <= caliper:
             free_scores.pop(pos)
             pairs.append(MatchedPair(tid, free_ids.pop(pos), dist))
         else:

@@ -325,12 +325,6 @@ class _Run:
     def demand(self) -> DemandArrays:
         return generate_demand_arrays(self.config, weeks=self.option("weeks"))
 
-    def _pair_rows(self, rows: dict, market_id: str):
-        """The rows of one treated market and of the control market, from
-        ``rows``, each market's rows in market order."""
-        parts = [part for m, part in rows.items() if m in (market_id, self.config.control_market_id)]
-        return type(parts[0]).joined(parts)
-
     def _kinds(self, stem: str = "") -> set[str]:
         """The fit kinds the running tokens that start with ``stem`` read."""
         return {kind for token in self.manifest.stages if token.startswith(stem) for kind in STAGES[token]}
@@ -362,7 +356,7 @@ class _Run:
         The pair is the rows of the two markets' blocks in ``held``, in market
         order; the treated block leaves ``held``, and the pair's rows are
         dropped before the fits."""
-        pair = self._pair_rows(held, market_id)
+        pair = PanelArrays.joined([held[m] for m in held if m in (market_id, self.config.control_market_id)])
         del held[market_id]
         with _naming_market(market_id):
             ids, covariates, names, treat = derive_worker_covariates(pair)
@@ -413,11 +407,9 @@ class _Run:
                         title = f"{FIT_TITLES[kind]}: {label} ({transform})"
                         self._emit_fit(f"fit_{kind}_{label}.csv", fits[(kind, outcome)], title)
         if "demand" in kinds:
-            demand, weeks = self.demand, self.option("weeks")  # each market's rows, in market order
-            rows = {m.market_id: demand.subset(slice(i * weeks, (i + 1) * weeks))
-                    for i, m in enumerate(self.config.markets)}
+            demand = self.demand
             for market_id in self.config.treated_ids():
-                pair = self._pair_rows(rows, market_id)
+                pair = demand.subset(np.isin(demand.market_id, (market_id, self.config.control_market_id)))
                 with _naming_market(market_id):
                     fit = demand_did_fit(pair)
                 self._emit_fit(f"fit_demand_{market_id}.csv", fit, f"demand: {market_id} vs control")

@@ -26,11 +26,13 @@ codes (:func:`_blocks`), with the same bits on either. Rows that run unit by
 unit in strictly increasing unit codes, every one of ``g >= 2`` units
 holding the same ``T >= 2`` strictly increasing times (every generated and
 matched panel), are summed as axes of a ``(g, T)`` view, in row order, and
-hold each cell once without a sort. Panel fits cluster on those units;
-the demand fit numbers its markets in row order, so each market pair's
-absorption takes the block path too. Any other rows, such as a shuffled or
-unbalanced ingested panel, a one-month panel, or the demand fit's row
-clusters, are mapped with ``np.unique`` and summed with ``np.bincount``.
+hold each cell once without a sort. Panel fits cluster on those units.
+The demand fit codes its markets in sorted id order, as ``np.unique``
+does, so a market pair's absorption takes the block path when the rows of
+the id that sorts first come first. Any other rows, such as a shuffled or
+unbalanced ingested panel, a one-month panel, a demand pair in the other
+order, or the demand fit's row clusters, are mapped with ``np.unique`` and
+summed with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -553,6 +555,8 @@ def fit_designs(
         raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
     if not outcomes:
         raise ValidationError("fit_designs needs at least one outcome")
+    if not designs:
+        raise ValidationError("fit_designs needs at least one design")
     check_flags(panel)
     if _blocks(panel.worker_id, panel.month_index) is None:  # rows in blocks hold each cell once
         _one_row_per(panel, ("worker_id", "month_index"), _row_label)
@@ -628,8 +632,7 @@ def demand_did_fit(series: DemandArrays) -> FitResult:
     series is checked with :meth:`DemandArrays.validate` first.
     """
     series.validate()
-    markets, first, market_codes = np.unique(series.market_id, return_index=True, return_inverse=True)
-    market_codes = np.argsort(np.argsort(first))[market_codes]  # numbered in row order, so market blocks ascend
+    markets, market_codes = np.unique(series.market_id, return_inverse=True)
     if len(markets) < 2:
         raise ValidationError("demand DiD needs at least 2 markets")
     if series.post.min() == series.post.max():

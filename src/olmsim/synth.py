@@ -411,13 +411,6 @@ class _MarketCells:
         return self.earn(jobs, p) if name == "fjobearn" else self.ratio(jobs)
 
 
-def _market_columns(config: ScenarioConfig, rows: int) -> dict[str, np.ndarray]:
-    """The ``market_id`` and 0/1 ``treat`` columns of ``rows`` rows per market, in market order."""
-    ids = np.array([m.market_id for m in config.markets], dtype=object)
-    treat = (ids != config.control_market_id).astype(np.int64)
-    return {"market_id": np.repeat(ids, rows), "treat": np.repeat(treat, rows)}
-
-
 def _market_block(config: ScenarioConfig, idx: int, month_fe: np.ndarray, d: dict, columns: dict | None) -> PanelArrays:
     """Market ``idx``'s rows of the panel, from its draws ``d``, in new arrays
     or, given ``columns``, written into its rows of them.
@@ -558,12 +551,13 @@ def generate_demand_arrays(config: ScenarioConfig, weeks: int = DEFAULT_WEEKS) -
     levels = [[m.a_path.level_at(wk, s1, s2) for wk in range(weeks)] for m in config.markets]
     volume = [[m.market.n * eq.q for eq in _equilibria(m.market, a)] for m, a in zip(config.markets, levels)]
     lam = np.array(volume) * config.weekly_scale * np.exp(week_fe)
-    week_index = np.arange(weeks)
+    week_index, ids = np.arange(weeks), np.array([m.market_id for m in config.markets], dtype=object)
     return DemandArrays(
+        market_id=np.repeat(ids, weeks),
         week_index=np.tile(week_index, len(config.markets)),
         postnum=poisson_icdf(u, lam).reshape(-1),
+        treat=np.repeat((ids != config.control_market_id).astype(np.int64), weeks),
         post=np.tile((week_index >= s1).astype(np.int64), len(config.markets)),
-        **_market_columns(config, weeks),
     )
 
 

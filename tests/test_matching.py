@@ -256,9 +256,14 @@ class TestMatching:
         with pytest.raises(ValidationError):
             propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=0.0)
 
-    def test_nan_caliper_rejected(self):
-        with pytest.raises(ValidationError, match="caliper must be positive, got nan"):
-            propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=float("nan"))
+    @pytest.mark.parametrize(
+        "caliper, message", [(math.nan, "caliper must be positive, got nan"), (math.inf, "caliper must be finite, got inf")]
+    )
+    def test_non_finite_caliper_rejected(self, caliper, message):
+        # an infinite caliper too: one of 1 already spans the propensity scale, and the
+        # manifest records the caliper in JSON, which has no infinity
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            propensity_match(np.array([0.5, 0.5]), np.array([1, 0]), caliper=caliper)
 
     @pytest.mark.parametrize("row", [1, 2])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -329,8 +334,10 @@ class TestMatching:
             checked += 1
         assert checked > 250
 
-    def test_infinite_caliper_never_reuses_a_control(self):
-        res = propensity_match(np.full(4, 0.5), np.array([1, 1, 1, 0]), caliper=math.inf)
+    def test_widest_caliper_never_reuses_a_control(self):
+        # a caliper of 1 spans the propensity scale; once the one control is taken, no
+        # free control is left within it
+        res = propensity_match(np.full(4, 0.5), np.array([1, 1, 1, 0]), caliper=1.0)
         assert [(p.treated_id, p.control_id, p.distance) for p in res.pairs] == [(0, 3, 0.0)]
         assert res.dropped_treated == [DroppedUnit(1, NO_NEIGHBOR), DroppedUnit(2, NO_NEIGHBOR)]
 

@@ -24,6 +24,7 @@ from olmsim.matching import derive_worker_covariates
 from olmsim.panel import DEMAND_COLUMNS, OUTCOME_TRANSFORMS, PANEL_COLUMNS, DemandArrays, PanelArrays
 from olmsim.pipeline import (
     _CSV_BLOCK_ROWS,
+    FIT_TITLES,
     STAGES,
     RunManifest,
     _Run,
@@ -310,17 +311,16 @@ def test_python_built_config_runs_as_given(tmp_path):
 
 
 def test_pipeline_fits_take_the_block_path(tmp_path, monkeypatch):
-    # every matched sample and every demand pair runs unit by unit in equal time blocks, so
-    # each fit's layout check, cluster scores and absorption sum (g, T) blocks, not bincounts
+    # every matched sample runs unit by unit in equal time blocks, so each fit's layout check,
+    # cluster scores and absorption sum (g, T) blocks, not bincounts
     results = spy_blocks(monkeypatch)
     config = small_config()
-    manifest = run_pipeline(config, tmp_path / "out", stages=["estimate"])
+    manifest = run_pipeline(config, tmp_path / "out", stages=[f"estimate_{kind}" for kind in FIT_TITLES])
     fits = [name for name in manifest.outputs if name.startswith("fit_")]
-    assert len(fits) == 9 * len(config.treated_ids()) + len(config.treated_ids())
+    assert len(fits) == 9 * len(config.treated_ids())
     assert None not in results
-    # three checks per matched sample (one fit_designs call), one per demand absorption
-    assert [T for _, T in results] == [config.n_months] * 3 + [DEFAULT_WEEKS]
-    assert results[-1] == (2, DEFAULT_WEEKS)
+    # three checks per matched sample, in its one fit_designs call
+    assert [T for _, T in results] == [config.n_months] * 3 * len(config.treated_ids())
 
 
 def test_montecarlo_fits_take_the_block_path(monkeypatch):
@@ -835,7 +835,8 @@ class TestRunPipeline:
         "option, value, message",
         [("alpha", 2.0, "alpha must lie in"), ("alpha", 0.0, "alpha must lie in"),
          ("bounds", float("inf"), "`bounds` must be positive"), ("bounds", -1.0, "`bounds` must be positive"),
-         ("caliper", 0.0, "caliper must be positive"), ("caliper", float("nan"), "caliper must be positive")],
+         ("caliper", 0.0, "caliper must be positive"), ("caliper", float("nan"), "caliper must be positive"),
+         ("caliper", float("inf"), "caliper must be finite")],
     )
     def test_bad_option_rejected_before_out_is_created(self, tmp_path, option, value, message):
         with pytest.raises(ValidationError, match=message):
@@ -979,15 +980,17 @@ class TestCli:
         assert (out / "tost_treated_fjobnum.json").exists()
 
     @pytest.mark.parametrize(
-        "command, option, value", [("tost", "bounds", "nan"), ("tost", "bounds", "inf"), ("match", "caliper", "nan")]
+        "command, option, value, rule",
+        [("tost", "bounds", "nan", "must be positive"), ("tost", "bounds", "inf", "must be positive"),
+         ("match", "caliper", "nan", "must be positive"), ("match", "caliper", "inf", "must be finite")],
     )
-    def test_non_finite_option_exits_2_naming_it(self, tmp_path, capsys, command, option, value):
+    def test_non_finite_option_exits_2_naming_it(self, tmp_path, capsys, command, option, value, rule):
         config_path = tmp_path / "scenario.json"
         write_scenario(two_market_config(AiPath(0.2, 0.45, 0.6), workers=60, seed=4), config_path)
         argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"), f"--{option}", value]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert option in err and "must be positive" in err
+        assert option in err and rule in err
 
     def test_package_import_loads_no_numerics_and_exports_only_the_version(self):
         code = (

@@ -648,6 +648,8 @@ class TestFitDesigns:
 INPUT_RULES = {
     "no outcomes": (lambda: fit_designs(toy_panel(np.ones((4, 6)), {0, 1}, 3), {}),
                     "fit_designs needs at least one outcome"),
+    "no designs": (lambda: fit_designs(toy_panel(np.ones((4, 6)), {0, 1}, 3), designs=()),
+                   "fit_designs needs at least one design"),
     "no baseline month": (lambda: event_study_fit(toy_panel(np.ones((4, 6)), {0, 1}, 0)),
                           "baseline period -1 not present in panel"),
     "absorption codes": (lambda: absorb_two_way(np.ones((4, 1)), np.arange(3), np.arange(4)),
@@ -802,17 +804,17 @@ class TestDemandDid:
         with pytest.raises(ValidationError, match=r"row 8: duplicate market_id,week_index cell \(m0, 2\), first at row 2"):
             demand_did_fit(series)
 
-    def test_market_ids_out_of_order_take_the_block_path(self, monkeypatch):
-        # markets are coded in row order, so ids that do not ascend in the rows (m1, m2, m0
-        # here) still sum (g, T) blocks, with the bits of the general path
+    def test_market_labels_move_the_path_not_the_bits(self, monkeypatch):
+        # markets are coded in sorted id order, as np.unique codes them: the m0, m1, m2 rows sum
+        # (g, T) blocks, and the same rows labelled m1, m2, m0 fall back to bincounts, with the
+        # same bits
         counts = np.random.default_rng(11).poisson(6.0, size=(3, 10))
         series = self.demand(counts, {0, 1}, shock_week=5)
-        series = dataclasses.replace(series, market_id=np.repeat(["m1", "m2", "m0"], 10).astype(object))
+        relabelled = dataclasses.replace(series, market_id=np.repeat(["m1", "m2", "m0"], 10).astype(object))
         results = spy_blocks(monkeypatch)
-        fit = demand_did_fit(series)
-        assert results == [(3, 10)]
-        monkeypatch.setattr(regression, "_blocks", lambda u, t: None)
-        assert_same_fit(demand_did_fit(series), fit)
+        fits = [demand_did_fit(s) for s in (series, relabelled)]
+        assert results == [(3, 10), None]
+        assert_same_fit(*fits)
 
     def test_needs_two_markets(self):
         counts = np.array([[3, 3, 8, 8]])
