@@ -364,7 +364,7 @@ class _Run:
             scores = model.predict_proba(covariates)
             result = propensity_match(scores, treat, self.option("caliper"))
             balance = balance_table(covariates, treat, result, names=names)
-            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
+            matched = ids[np.concatenate([result.pairs.treated_id, result.pairs.control_id])]
             sample = pair.subset(np.isin(pair.worker_id, matched))
             del pair
             return result, balance, fit_designs(sample, OUTCOME_TRANSFORMS, kinds) if kinds else {}

@@ -95,9 +95,9 @@ def balance_csv_lines(table: BalanceTable) -> list[str]:
 
 def match_csv_lines(result: MatchResult) -> list[str]:
     """The matched pairs, then one line per dropped treated unit: no
-    ``control_id``, and the drop reason in the ``distance`` column."""
-    rows = [(p.treated_id, p.control_id, p.distance) for p in result.pairs]
-    rows += [(d.unit_id, "", d.reason) for d in result.dropped_treated]
+    ``control_id``, and the drop reason in the ``distance`` column. The
+    records' ``tolist`` gives Python ints, floats and strings."""
+    rows = result.pairs.tolist() + [(unit_id, "", reason) for unit_id, reason in result.dropped_treated.tolist()]
     return csv_lines("treated_id,control_id,distance", rows)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from olmsim.errors import EmptySideError, RankDeficiencyError, SeparationError, 
 from olmsim.matching import (
     IRLS_MAX_ITER,
     NO_NEIGHBOR,
-    DroppedUnit,
     _balance_side,
     OFF_SUPPORT,
     balance_table,
@@ -224,14 +224,14 @@ class TestMatching:
         res = propensity_match(scores, treat, caliper=0.01)
         assert len(res.pairs) == 3
         assert all(p.distance == 0.0 for p in res.pairs)
-        assert not res.dropped_treated
+        assert len(res.dropped_treated) == 0
 
     def test_caliper_arithmetic(self):
         scores = np.array([0.9, 0.9005, 0.1])
         treat = np.array([1, 0, 0])
         res = propensity_match(scores, treat, caliper=2e-4)
-        assert not res.pairs
-        assert res.dropped_treated == [d for d in res.dropped_treated]
+        assert len(res.pairs) == 0
+        assert len(res.dropped_treated) == 1
         assert res.dropped_treated[0].unit_id == 0
         assert res.dropped_treated[0].reason == NO_NEIGHBOR
 
@@ -251,6 +251,31 @@ class TestMatching:
         # all treated off support
         with pytest.raises(EmptySideError):
             propensity_match(np.array([0.9, 0.1, 0.2]), np.array([1, 0, 0]), caliper=0.1)
+
+    @pytest.mark.parametrize("labels, row, label", [([1, 0, 2, 0, 1, 0], 2, "2.0"), ([0.5] * 6, 0, "0.5")],
+                             ids=["two", "half"])
+    def test_labels_other_than_0_1_rejected(self, labels, row, label):
+        # a unit labelled 2 was left out of both sides, neither matched nor dropped, and labels of
+        # 0.5 raised EmptySideError as if no unit were treated
+        scores = np.array([0.3, 0.2, 0.3, 0.4, 0.35, 0.35])
+        with pytest.raises(ValidationError, match=f"^row {row}: treatment label must be 0/1, got {label}$"):
+            propensity_match(scores, np.array(labels), caliper=0.1)
+
+    def test_result_retains_its_columns_only(self):
+        # 24 bytes a pair in three columns, where one object per pair with its own int and float
+        # objects took about 200; the drops and the arrays' headers add a little
+        rng = np.random.default_rng(8)
+        scores, treat = rng.uniform(size=8000), np.repeat([1, 0], 4000)
+        propensity_match(scores, treat, caliper=0.05)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = propensity_match(scores, treat, caliper=0.05)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.pairs) + len(res.dropped_treated) == 4000 and len(res.pairs) > 3800
+        assert retained <= 40 * len(res.pairs)
 
     def test_caliper_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -293,7 +318,7 @@ class TestMatching:
             assert all(treat[p.treated_id] == 1 and treat[p.control_id] == 0 for p in res.pairs)
             # determinism
             again = propensity_match(scores, treat, caliper)
-            assert res.pairs == again.pairs
+            assert np.array_equal(res.pairs, again.pairs)
 
     def test_tighter_caliper_never_adds_pairs(self):
         rng = np.random.default_rng(6)
@@ -339,7 +364,7 @@ class TestMatching:
         # free control is left within it
         res = propensity_match(np.full(4, 0.5), np.array([1, 1, 1, 0]), caliper=1.0)
         assert [(p.treated_id, p.control_id, p.distance) for p in res.pairs] == [(0, 3, 0.0)]
-        assert res.dropped_treated == [DroppedUnit(1, NO_NEIGHBOR), DroppedUnit(2, NO_NEIGHBOR)]
+        assert res.dropped_treated.tolist() == [(1, NO_NEIGHBOR), (2, NO_NEIGHBOR)]
 
     def test_matching_respects_distance_to_available_controls(self):
         # highest-score treated goes first and takes the closest control

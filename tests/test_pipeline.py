@@ -661,7 +661,7 @@ class TestRunPipeline:
             # the run keeps no rows: rebuild the pair from the whole panel, and its sample from the match
             pair = panel.subset((panel.market_id == market_id) | (panel.market_id == config.control_market_id))
             ids = derive_worker_covariates(pair)[0]
-            matched = ids[np.concatenate([result.treated_ids, result.control_ids])]
+            matched = ids[np.concatenate([result.pairs.treated_id, result.pairs.control_id])]
             sample = pair.subset(np.isin(pair.worker_id, matched))
             for outcome, transform in OUTCOME_TRANSFORMS.items():
                 for kind, fit_fn in single.items():

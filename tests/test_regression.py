@@ -643,6 +643,11 @@ class TestFitDesigns:
                 did_fit(panel, RegressionSpec(controls=controls))
 
 
+def _match_of_four() -> MatchResult:
+    """Two pairs of units 0-3: (2, 3) and (0, 1)."""
+    return propensity_match([0.4, 0.4, 0.6, 0.6], [1, 0, 1, 0], 0.1)
+
+
 #: an input rule of the fits, the propensity model, matching or the panel, a
 #: call that breaks it, and the whole message
 INPUT_RULES = {
@@ -658,8 +663,16 @@ INPUT_RULES = {
     "logit names": (lambda: logit_fit(np.eye(4)[:, :2], [0, 1, 0, 1], names=("x",)), "got 1 names for 2 covariates"),
     "match lengths": (lambda: propensity_match([0.2, 0.4], [1, 0, 0], 0.1),
                       "scores and treatment labels must have equal length"),
+    "match labels": (lambda: propensity_match([.3, .2, .3, .4, .35, .35], [1, 0, 2, 0, 1, 0], 0.1),
+                     "row 2: treatment label must be 0/1, got 2.0"),
     "no matched pair": (lambda: balance_table(np.ones((2, 1)), [1, 0], MatchResult([], []), names=("x",)),
                         "balance table needs at least one matched pair"),
+    "balance names": (lambda: balance_table(np.eye(4)[:, :2], [1, 0, 1, 0], _match_of_four(), names=("x",)),
+                      "got 1 names for 2 covariates"),
+    "balance lengths": (lambda: balance_table(np.ones((4, 1)), [1, 0, 1, 0, 0], _match_of_four(), names=("x",)),
+                        "got 5 treatment labels for 4 covariate rows"),
+    "balance labels": (lambda: balance_table(np.ones((4, 1)), [1, 0, 2, 0], _match_of_four(), names=("x",)),
+                       "row 2: treatment label must be 0/1, got 2.0"),
     "unknown panel column": (lambda: toy_panel(np.ones((4, 6)), {0, 1}, 3).column("bogus"),
                              "unknown panel column 'bogus'"),
 }

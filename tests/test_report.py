@@ -136,6 +136,27 @@ class TestEmission:
             "0,,no-neighbor-within-caliper",
         ]
 
+    @pytest.mark.parametrize(
+        "scores, treat, lines",
+        [([0.9, 0.9005, 0.1], [1, 0, 0], ["0,,no-neighbor-within-caliper"]),
+         ([0.4, 0.6, 0.4, 0.6], [1, 1, 0, 0], ["1,3,0", "0,2,0"])],
+        ids=["no pairs", "no drops"],
+    )
+    def test_empty_record_arrays(self, scores, treat, lines):
+        res = propensity_match(np.array(scores), np.array(treat), caliper=2e-4)
+        for records, fields in [(res.pairs, ("treated_id", "control_id", "distance")),
+                                (res.dropped_treated, ("unit_id", "reason"))]:
+            assert isinstance(records, np.recarray) and records.dtype.names == fields
+        assert min(len(res.pairs), len(res.dropped_treated)) == 0
+        assert match_csv_lines(res) == ["treated_id,control_id,distance", *lines]
+        x = np.array(scores)
+        if len(res.pairs) == 0:
+            with pytest.raises(ValidationError, match="^balance table needs at least one matched pair$"):
+                balance_table(x, treat, res, names=("score",))
+        else:
+            (row,) = balance_table(x, treat, res, names=("score",)).rows
+            assert row.post.mean_treated == row.post.mean_control == 0.5
+
     def test_quadrant_csv(self):
         rows = [("olm01", "fjobnum", 0.1, 0.001, -0.05, 0.2, QuadrantLabel.INCONCLUSIVE)]
         lines = quadrant_csv_lines(rows)
