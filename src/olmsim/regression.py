@@ -127,8 +127,12 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
     :data:`ABSORB_MAX_ITER` passes raises :class:`ConvergenceError`. A
     matrix without rows, or a nan or infinite cell, raises
     :class:`ValidationError`, the latter naming the cell's row and column.
+
+    The result is a new column-major array, ``(n, k)`` for a 2-D matrix and
+    ``(n, 1)`` for a 1-D one; the input is left as it was.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    # a private column-major copy, where each column is contiguous, demeaned in place and returned
+    m = np.array(matrix, dtype=np.float64, order="F")
     if m.ndim == 1:
         m = m[:, None]
     if m.shape[0] == 0:
@@ -152,12 +156,11 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
             means = np.bincount(codes, weights=col) / counts
             col -= means[codes]
 
-    # each column is demeaned in one private contiguous column, which leaves the input as
-    # it was, a pass's moves are taken in one more, and the result is C-ordered; every
-    # column's arithmetic is its own, so the layout changes no result
-    out, col, moved = np.empty(m.shape), np.empty(m.shape[0]), np.empty(m.shape[0])
+    # a pass's moves are taken in one more column; every column's arithmetic is its own,
+    # so the layout changes no result
+    moved = np.empty(m.shape[0])
     for j in range(k):
-        col[:] = m[:, j]
+        col = m[:, j]
         peak = np.abs(col, out=moved).max()  # nan or inf on a column no pass can settle
         if not np.isfinite(peak):
             _finite(col, (f"column {j}",), _row_label)
@@ -174,8 +177,7 @@ def absorb_two_way(matrix: np.ndarray, unit_codes: np.ndarray, time_codes: np.nd
                 f"two-way absorption of column {j} did not converge within {ABSORB_MAX_ITER} iterations",
                 iterations=ABSORB_MAX_ITER,
             )
-        out[:, j] = col
-    return AbsorbResult(out, column_iterations)
+    return AbsorbResult(m, column_iterations)
 
 
 @dataclass
@@ -185,15 +187,13 @@ class OlsResult:
 
 
 def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
-    """Economic pivoted QR of ``X``, whose cells the caller has checked are
-    finite; raises on a rank-deficient design."""
+    """Economic pivoted QR of ``X``, a column-major array whose cells the
+    caller has checked are finite and which it gives up: ``X`` is factored
+    in place. Raises on a rank-deficient design."""
     import scipy.linalg
 
     n, k = X.shape
-    # factored in place in one private copy; scipy copies a C-ordered ``X`` twice. Never
-    # ``np.asfortranarray``: an (n, 1) C-ordered ``X`` is F-contiguous, so it returns ``X``
-    q, r, piv = scipy.linalg.qr(np.array(X, order="F"), mode="economic", pivoting=True, overwrite_a=True,
-                                check_finite=False)
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
     rank_tol = max(n, k) * np.finfo(np.float64).eps * scale
@@ -246,7 +246,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: list[str] | None = None) -> Ols
         raise ValidationError(f"got {len(names)} names for {X.shape[1]} columns")
     _finite(X, names or [f"column {j}" for j in range(X.shape[1])], _row_label)
     _finite(y, ("y",), _row_label)
-    beta = _solve(*_pivoted_qr(X, names), y)
+    # never ``np.asfortranarray``: an (n, 1) C-ordered ``X`` is F-contiguous, so it returns ``X``
+    beta = _solve(*_pivoted_qr(np.array(X, order="F"), names), y)
     return OlsResult(coefficients=beta, residuals=y - X @ beta)
 
 
@@ -434,17 +435,22 @@ def _fit_columns(
     :func:`_blocks` without a sort.
 
     So that no input outlives its copy, the fit empties ``outcomes`` and
-    ``columns`` as it fills one stack with them, and drops the stack once
-    its absorbed values exist. A design of two or more adjacent columns of
-    ``columns`` is factored from a view of those values, any other from a
-    copy of its columns. At its peak the fit holds about two copies of the
-    stack, plus the copied designs and any input its caller still
-    references.
+    ``columns`` as it fills one column-major stack with them, and drops the
+    stack once :func:`absorb_two_way` has absorbed its own copy of it. The
+    fit's arithmetic reads one row-major copy of the absorbed values. The
+    design whose columns are the last of the stack, the largest one as
+    :func:`fit_designs` orders the columns, is fitted first and factored in
+    place in a view of the column-major values, which go with its factor;
+    any other design is factored in a column-major copy of its columns. At
+    its peak the fit holds about two copies of the stack, plus any input
+    its caller still references; the copied designs come after the
+    column-major values are gone, so a rank-deficient largest design is
+    the one reported when several are.
     """
     names = [*outcomes, *columns]
     position = {name: i for i, name in enumerate(names)}
     n, n_outcomes = len(unit_codes), len(outcomes)
-    # column-major, so each column ``absorb_two_way`` copies out is contiguous
+    # column-major, so each column ``absorb_two_way`` demeans is contiguous
     stack = np.empty((n, len(names)), order="F")
     for j, name in enumerate(names):
         stack[:, j] = outcomes.pop(name) if j < n_outcomes else columns.pop(name)
@@ -459,17 +465,27 @@ def _fit_columns(
     codes, g = (None, blocks[0]) if blocks else _cluster_codes(unit_codes if cluster_ids is None else cluster_ids)
     absorbed = absorb_two_way(stack, unit_codes, time_codes)
     del stack
-    values, iterations = absorbed.values, absorbed.column_iterations
+    iterations, tail = absorbed.column_iterations, absorbed.values
+    del absorbed
+    # the arithmetic reads row-major values: on column-major columns ``X @ beta`` sums in another order
+    values = np.ascontiguousarray(tail)
+    columns_of = {kind: [position[t] for t in terms] for kind, terms in designs.items()}
+    last = next((kind for kind, idx in columns_of.items() if idx == list(range(len(names) - len(idx), len(names)))),
+                None)
     fits: dict[tuple[str, str], FitResult] = {}
-    for kind, terms in designs.items():
-        idx = [position[t] for t in terms]
-        # adjacent columns as a view, others as a copy; both are row-major like ``values``:
-        # on column-major columns ``X @ beta`` sums in another order. One column stays a
-        # copy: numpy forms its ``X.T @ X`` as a dot product, which sums a strided column
-        # in another order
+    # the design of the last columns goes first: it is factored in place in a view of the
+    # column-major values, which go with its factor, before any other design is copied
+    for kind in sorted(designs, key=lambda kind: kind != last):
+        terms, idx = designs[kind], columns_of[kind]
+        # adjacent columns as a view, others as a copy. One column stays a copy: numpy
+        # forms its ``X.T @ X`` as a dot product, which sums a strided column in another order
         adjacent = len(idx) > 1 and idx == list(range(idx[0], idx[0] + len(idx)))
         X = values[:, idx[0]:idx[0] + len(idx)] if adjacent else np.take(values, idx, axis=1)
-        qr = _pivoted_qr(X, terms)
+        if kind == last:
+            qr = _pivoted_qr(tail[:, idx[0]:], terms)
+            del tail
+        else:
+            qr = _pivoted_qr(np.array(X, order="F"), terms)
         bread = np.linalg.inv(X.T @ X)
         for j, outcome in enumerate(names[:n_outcomes]):
             ya = values[:, j]
@@ -488,7 +504,8 @@ def _fit_columns(
                 outcome_sd=outcome_sds[j],
                 vcov=vcov,
             )
-    return fits
+        del X, qr  # the largest design's factor is the last hold on the column-major values
+    return {(kind, outcome): fits[(kind, outcome)] for kind in designs for outcome in names[:n_outcomes]}
 
 
 def _did_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
@@ -515,7 +532,7 @@ def _event_terms(arrays: PanelArrays) -> dict[str, np.ndarray]:
     for sigma in present:
         if sigma == EVENT_BASELINE:
             continue
-        cols[f"treat_rel[{int(sigma)}]"] = arrays.treat * (rel == sigma).astype(np.float64)
+        cols[f"treat_rel[{int(sigma)}]"] = np.multiply(arrays.treat, rel == sigma, dtype=np.float64)
     return cols
 
 

@@ -13,15 +13,15 @@ whole simulation a deterministic function of ``(config, seed)`` and lets
 (common random numbers), which removes Monte Carlo bias from the oracle.
 One table, ``_MARKET_DRAWS``, names every draw of a market in stream
 order, so the oracle draws only the prefix of the stream that its outcome
-reads, and it inverts the counts of both paths of every treated market in
-one inverse-CDF call per replication. The same stream, drawn as it is
-read, gives the panel one market at a time: ``generate_panel_blocks``
-yields each market's rows, whose identifiers and flags repeat or tile
-per-market and per-month values, with worker ids offset by the market's
-index, so a caller that reads one market pair at a time never holds the
-panel. ``generate_panel_arrays`` has each block written into its rows of
-whole columns. The demand series assembles each column once for all
-markets.
+reads, and it inverts the counts of both paths of every treated market,
+for a few replications at a time, in one inverse-CDF call. The same
+stream, drawn as it is read, gives the panel one market at a time:
+``generate_panel_blocks`` yields each market's rows, whose identifiers
+and flags repeat or tile per-market and per-month values, with worker ids
+offset by the market's index, so a caller that reads one market pair at a
+time never holds the panel. ``generate_panel_arrays`` has each block
+written into its rows of whole columns. The demand series assembles each
+column once for all markets.
 
 The config classes check their ranges on construction, and each message
 names the value it rejects: every number field but the seed goes through
@@ -87,10 +87,17 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     above :data:`_ICDF_RATE_CUTOFF` and to every cell its search has not
     finished after :data:`ICDF_MAX_TERMS` terms. A rate that is negative,
     infinite or nan, or a uniform outside [0, 1) or nan, raises
-    :class:`ValidationError` naming the value.
+    :class:`ValidationError` naming the value, and rates that do not
+    broadcast to the uniforms' shape raise it naming both shapes.
     """
     u = np.asarray(u, dtype=np.float64)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), u.shape)
+    lam = np.asarray(lam, dtype=np.float64)
+    try:
+        lam = np.broadcast_to(lam, u.shape)
+    except ValueError:
+        raise ValidationError(
+            f"poisson rates of shape {lam.shape} do not broadcast to the uniforms' shape {u.shape}"
+        ) from None
     good = (lam >= 0) & (lam < np.inf)  # false for nan
     if not good.all():
         raise ValidationError(f"poisson rate must be finite and nonnegative, got {lam[~good][0]}")
@@ -113,31 +120,48 @@ def _ppf_recipe(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _term_search(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest k with ``sum_{i <= k} exp(-lam) lam^i / i! >= u``, cell by cell.
 
-    One pass over every cell: each cell's cumulative sum only grows, so once
+    One pass over the cells: each cell's cumulative sum only grows, so once
     it reaches ``u`` the cell stays reached and its count stops, while the
-    cells still below add their next term, in place. Two kinds of cell take
-    :func:`_ppf_recipe`'s count instead: a rate above
+    cells still below add their next term, in place. Once fewer than a
+    quarter of the searched cells are still below, the search gathers
+    their rates, terms, sums, uniforms and counts and goes on with those
+    alone, scattering their counts back by flat index; each cell
+    still runs the same term sequence, so compacting moves no count. Two
+    kinds of cell take :func:`_ppf_recipe`'s count instead: a rate above
     :data:`_ICDF_RATE_CUTOFF`, up front, and, since next to ``u = 1`` the
     rounded sum can stop growing below ``u``, a cell still below after
     :data:`ICDF_MAX_TERMS` terms.
     """
-    k = np.zeros(u.shape, dtype=np.int64)
-    p = np.exp(-lam, out=np.empty(u.shape))  # ``out`` keeps a 0-d input's terms an array, updated in place
+    shape, u, lam = u.shape, u.reshape(-1), lam.reshape(-1)
+    k = out = np.zeros(u.size, dtype=np.int64)
+    p = np.exp(-lam)
     cum = p.copy()
     big = lam > _ICDF_RATE_CUTOFF
     if big.any():
         k[big] = _ppf_recipe(u[big], lam[big])
-        cum[big] = np.inf  # above every uniform at every term, so the search adds none to their counts
-    below = np.less(cum, u, out=np.empty(u.shape, dtype=bool))
+        cum[big] = np.inf  # above every uniform at every term, so the search drops them
+    below = cum < u
+    cells = None  # flat indices of the searched cells once compacted; until then every cell
     for i in range(1, ICDF_MAX_TERMS + 1):
-        if not below.any():
-            return k
+        searching = np.count_nonzero(below)
+        if not searching:
+            break
+        if 4 * searching < below.size:
+            keep = np.flatnonzero(below)
+            if cells is not None:
+                out[cells] = k  # the finished cells' counts; the rest are written again later
+            cells = keep if cells is None else cells[keep]
+            lam, p, cum, u, k = lam[keep], p[keep], cum[keep], u[keep], k[keep]
+            below = np.ones(searching, dtype=bool)
         k += below
         p *= lam / i
         cum += p
         np.less(cum, u, out=below)
-    k[below] = _ppf_recipe(u[below], lam[below])
-    return k
+    else:
+        k[below] = _ppf_recipe(u[below], lam[below])
+    if cells is not None:
+        out[cells] = k
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -479,6 +503,10 @@ class GroundTruth:
     reps: int
 
 
+#: replications whose job counts the oracle inverts in one call
+_ORACLE_CHUNK = 4
+
+
 def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int = 200) -> GroundTruth:
     """ATT oracle: factual minus frozen-at-pre outcome under shared draws.
 
@@ -491,10 +519,12 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     average reads are computed: the treated markets' post-shock months, in
     panel order (markets, then workers, then months). Each treated market's
     equilibrium levels on both paths are solved once per call; the job
-    counts of every treated market on both paths come from one inverse-CDF
-    call per replication, and the path-independent factors are computed
-    once per replication. The difference of the transformed outcome is
-    averaged over those cells.
+    counts of every treated market on both paths, for up to
+    :data:`_ORACLE_CHUNK` replications at a time, come from one inverse-CDF
+    call, and the path-independent factors are computed once per
+    replication. Each replication's difference of the transformed outcome
+    is averaged over its own cells, so how replications are chunked moves
+    no bit.
 
     Replication streams are ``seed ^ r``, so with seed 0 replication ``r``
     reuses the draws of ``config.with_seed(r)``.
@@ -518,16 +548,20 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     n_cells = config.workers_per_market * (config.n_months - config.shock1_index)
     cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
-    for r in range(reps):
-        month_fe, *draws = _draw(config, config.seed ^ r, stop)
-        markets = [(_MarketCells(config, month_fe, draws[idx], cols), levels) for idx, levels in treated]
-        # every market's counts on both paths in one call; axes: market, path, worker, month
-        lam = np.stack([[cells.rate(q) for q, _ in levels] for cells, levels in markets])
-        u = np.stack([[cells.u_jobs] * len(levels) for cells, levels in markets])
-        for k, ((cells, levels), jobs) in enumerate(zip(markets, poisson_icdf(u, lam))):
-            y1, y0 = (transform_outcome(cells.outcome(outcome, n, p), transform) for n, (_, p) in zip(jobs, levels))
-            cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
-        diffs[r] = float(np.mean(cell_diffs))
+    for start in range(0, reps, _ORACLE_CHUNK):
+        chunk = range(start, min(start + _ORACLE_CHUNK, reps))
+        markets = []  # per replication: each treated market's cells and levels
+        for r in chunk:
+            month_fe, *draws = _draw(config, config.seed ^ r, stop)
+            markets.append([(_MarketCells(config, month_fe, draws[idx], cols), levels) for idx, levels in treated])
+        # the chunk's counts in one call; axes: replication, market, path, worker, month
+        lam = np.stack([[[cells.rate(q) for q, _ in levels] for cells, levels in rep] for rep in markets])
+        u = np.stack([[[cells.u_jobs] * len(levels) for cells, levels in rep] for rep in markets])
+        for r, rep, counts in zip(chunk, markets, poisson_icdf(u, lam)):
+            for k, ((cells, levels), jobs) in enumerate(zip(rep, counts)):
+                y1, y0 = (transform_outcome(cells.outcome(outcome, n, p), transform) for n, (_, p) in zip(jobs, levels))
+                cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
+            diffs[r] = float(np.mean(cell_diffs))
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return GroundTruth(att=float(diffs.mean()), mc_se=se, reps=reps)
 

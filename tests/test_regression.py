@@ -176,7 +176,7 @@ class TestAbsorb:
         before = x.copy()
         values = absorb_two_way(x, unit, time).values
         assert np.array_equal(x, before)
-        assert values.shape == (100, x.size // 100) and values.flags.c_contiguous
+        assert values.shape == (100, x.size // 100) and values.flags.f_contiguous
 
 
 class TestOls:
@@ -551,24 +551,24 @@ class TestFitDesigns:
         panel = self.panel()
         outcomes = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
         assert list(self.SINGLE) == list(DESIGNS)
-        views, factor = [], regression._pivoted_qr
+        calls, factor = [], regression._pivoted_qr
 
         def spy(X, terms):  # is the design a view of the absorbed values?
-            views.append(X.base is not None)
+            calls.append((tuple(terms), X.base is not None))
             return factor(X, terms)
 
         monkeypatch.setattr(regression, "_pivoted_qr", spy)
         fits = fit_designs(panel, outcomes, designs=designs, controls=controls)
         monkeypatch.undo()
-        # the largest design, event, is factored from a view. did is a copy: with tenure its
-        # columns are apart, and alone it is one column, whose X'X numpy forms as a dot
-        # product, which sums a strided column in another order (on a view, the demand
-        # fit's SE moves in its last bit). The controls follow event's terms, so with them
-        # every other design is a copy
-        view = dict(zip(designs, views))
+        # the largest design, event, is factored in place in a view of the absorbed values,
+        # whose last columns are its terms and the controls; every other design, did among
+        # them, in a copy of its columns. The largest design is factored first, so each call
+        # is told by its terms
+        views = dict(calls)
+        assert len(views) == len(calls) == len(designs)
+        view = {kind: views[fits[(kind, "fjobnum")].terms] for kind in designs}
         assert view["event"] and not view["did"]
-        if controls:
-            assert sum(views) == 1
+        assert sum(view.values()) == 1
         assert list(fits) == [(kind, outcome) for kind in designs for outcome in outcomes]
         for (kind, outcome), fit in fits.items():
             spec = RegressionSpec(outcome=outcome, transform=outcomes[outcome], controls=controls)
@@ -581,8 +581,9 @@ class TestFitDesigns:
         fit = did_fit(panel, RegressionSpec(outcome="fjobearn", transform="identity"))
         # the public solve runs the same steps as the fit path
         stack = np.column_stack([panel.fjobearn, panel.treat * panel.post35, panel.tenure])
-        absorbed = absorb_two_way(stack, panel.worker_id, panel.month_index).values
-        ols = ols_fit(np.ascontiguousarray(absorbed[:, 1:]), absorbed[:, 0], names=list(fit.terms))
+        # the fit reads its outcome as a strided column of a row-major copy of the absorbed values
+        absorbed = np.ascontiguousarray(absorb_two_way(stack, panel.worker_id, panel.month_index).values)
+        ols = ols_fit(absorbed[:, 1:], absorbed[:, 0], names=list(fit.terms))
         assert ols.coefficients.tolist() == [fit.coefficients[t] for t in fit.terms]
         # the covariance against an independent reference: the worker-plus-month dummy
         # regression, as acceptance C05 builds it, with the CR1 factor charging only the
@@ -965,9 +966,9 @@ def test_first_fit_pins_scipys_openblas():
 
 def test_event_fit_peak_allocation_about_two_copies_of_its_stack():
     # the fit's stack, one outcome and the event design, is at most 18 float64 columns. It
-    # peaks at about 2 times that: the stack and its absorbed values, then those values and
-    # QR's copy of the design, which is a view of them. A whole-stack copy in absorption
-    # or of the design takes it to about 3 times
+    # peaks at about 2 times that: the stack and absorption's copy of it, then the absorbed
+    # values and their row-major copy, while the design is factored in place in a view of
+    # the absorbed values. One more whole-stack copy, say of the design, takes it to about 3
     panel = generate_panel_arrays(substitution_config(workers=1000, seed=3))
     event_study_fit(panel)  # scipy loaded and the BLAS controls cached outside the trace
     tracemalloc.start()

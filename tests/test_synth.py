@@ -156,6 +156,35 @@ class TestPoissonIcdf:
             assert got.ravel().tolist() == [_icdf_reference(ui, li) for ui, li in zip(u.flat, lam.flat)]
             assert got[unfinished].tolist() == stats.poisson.ppf(u[unfinished], lam[unfinished]).tolist()
 
+    def test_compacted_search_equals_per_cell_reference(self, monkeypatch):
+        # most cells finish at once and the rest thin out geometrically, so the search compacts
+        # again and again; rates above the cutoff sit among them, and the cells with rate 25
+        # and uniform 0.999 are still below after the patched ICDF_MAX_TERMS terms, by
+        # which time they have been compacted, so they take the recipe's count
+        monkeypatch.setattr(synth, "ICDF_MAX_TERMS", 30)
+        rng = np.random.default_rng(8)
+        groups = [(600, 0.5, 0.0, 0.6), (150, 2.0, 0.5, 0.9), (40, 10.0, 0.5, 0.99), (8, 25.0, 0.999, 0.9995),
+                  (20, 150.0, 0.0, 1.0)]
+        u = np.concatenate([rng.uniform(lo, hi, size=n) for n, _, lo, hi in groups])
+        lam = np.concatenate([np.full(n, rate) for n, rate, _, _ in groups])
+        order = rng.permutation(u.size)
+        u, lam = u[order].reshape(2, -1), lam[order].reshape(2, -1)
+        counts = [_term_reference(ui, li) for ui, li in zip(u.flat, lam.flat)]
+        small = (lam <= synth._ICDF_RATE_CUTOFF).ravel()
+        assert [li for li, k, s in zip(lam.flat, counts, small) if s and k is None] == [25.0] * 8
+        # the search's rule, replayed on the reference counts: a cell is still below at term
+        # i when it needs at least i terms or stalls; it compacts whenever fewer than a
+        # quarter of the searched cells are still below
+        searched, compactions = u.size, 0
+        for i in range(1, synth.ICDF_MAX_TERMS + 1):
+            below = sum(1 for k, s in zip(counts, small) if s and (k is None or k >= i))
+            if 4 * below < searched:
+                searched, compactions = below, compactions + 1
+        assert compactions >= 2
+        got = poisson_icdf(u, lam)
+        assert got.shape == u.shape
+        assert got.ravel().tolist() == [_icdf_reference(ui, li) for ui, li in zip(u.flat, lam.flat)]
+
     def test_zero_d_input_gives_zero_d_count(self):
         # a rate below and one above the cutoff
         for u, lam in ((0.5, 1.0), (0.5, 100.0)):
@@ -279,8 +308,9 @@ def _config_with(**changes) -> ScenarioConfig:
     return dataclasses.replace(substitution_config(workers=10), **changes)
 
 
-#: one out-of-range value of a config field, a boost or the oracle, and the
-#: whole message, which names the value
+#: one out-of-range value of a config field, a boost, the oracle or the
+#: Poisson inverse CDF, and the whole message, which names the value, or,
+#: for rates that do not broadcast to the uniforms, both shapes
 RANGE_RULES = {
     "no markets": (lambda: ScenarioConfig(markets=(), control_market_id="c"),
                    "scenario needs at least one market, got 0"),
@@ -299,6 +329,10 @@ RANGE_RULES = {
     "a_path level": (lambda: AiPath(0.1, 0.2, float("nan")), "a_path a_post40 must lie in [0, 1], got nan"),
     "boost multiplier": (lambda: ModeratorBoost("us", -0.5), "moderator multiplier must be nonnegative, got -0.5"),
     "oracle reps": (lambda: ground_truth_att(null_config(workers=5), reps=0), "reps must be positive, got 0"),
+    "poisson rates too few": (lambda: poisson_icdf(np.full(3, 0.5), np.ones(2)),
+                              "poisson rates of shape (2,) do not broadcast to the uniforms' shape (3,)"),
+    "poisson rates too many": (lambda: poisson_icdf(np.full(3, 0.5), np.ones((2, 3))),
+                               "poisson rates of shape (2, 3) do not broadcast to the uniforms' shape (3,)"),
 }
 
 
@@ -545,7 +579,7 @@ def _reference_att(config, outcome, reps):
         y1 = transform(factual.column(outcome).astype(np.float64))
         y0 = transform(frozen.column(outcome).astype(np.float64))
         diffs[r] = float(np.mean(y1[cells] - y0[cells]))
-    return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(reps))
+    return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 
 @pytest.mark.parametrize("outcome", ["fjobnum", "fjobearn", "fjobratio"])
@@ -559,9 +593,12 @@ def _reference_att(config, outcome, reps):
     ],
     ids=["sweep", "substitution", "us-boost", "experienced-boost"],
 )
-def test_oracle_equals_full_panel_reference(config, outcome):
-    gt = ground_truth_att(config, outcome=outcome, reps=4)
-    assert (gt.att, gt.mc_se) == _reference_att(config, outcome, reps=4)
+@pytest.mark.parametrize("reps", [1, 4, 5, 6])
+def test_oracle_equals_full_panel_reference(config, outcome, reps):
+    # the oracle inverts up to 4 replications' counts in one call; 1, 5 and 6 end on a part chunk
+    assert synth._ORACLE_CHUNK == 4
+    gt = ground_truth_att(config, outcome=outcome, reps=reps)
+    assert (gt.att, gt.mc_se) == _reference_att(config, outcome, reps=reps)
 
 
 def _reference_demand(config, weeks):
