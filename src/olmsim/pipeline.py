@@ -164,25 +164,17 @@ def _cells(column: np.ndarray) -> Iterable[str]:
     return map(str, column.tolist())
 
 
-def _csv_blocks(parts: Iterable[PanelArrays | DemandArrays], columns: tuple[str, ...]) -> Iterator[list[str]]:
+def _csv_blocks(parts: Iterable[PanelArrays | DemandArrays], columns: tuple[str, ...]) -> Iterator[str]:
     """The header line, then the lines of each ``_CSV_BLOCK_ROWS`` rows of
-    each of ``parts`` in turn, one list at a time."""
+    each of ``parts`` in turn, joined by newlines, one block at a time."""
     # the data CSVs' own writer, apart from ``report.csv_lines``: they must read
     # back exactly, and str of a Python float is its repr, the shortest such form
-    yield [",".join(columns)]
+    yield ",".join(columns)
     for arrays in parts:
         values = [getattr(arrays, name) for name in columns]
         for start in range(0, arrays.n_rows, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            yield list(map(",".join, zip(*(_cells(column[block]) for column in values))))
-
-
-def panel_csv_lines(arrays: PanelArrays) -> list[str]:
-    return [line for block in _csv_blocks([arrays], PANEL_COLUMNS) for line in block]
-
-
-def demand_csv_lines(arrays: DemandArrays) -> list[str]:
-    return [line for block in _csv_blocks([arrays], DEMAND_COLUMNS) for line in block]
+            yield "\n".join(map(",".join, zip(*(_cells(column[block]) for column in values))))
 
 
 def _csv_line(i: int) -> str:
@@ -384,8 +376,8 @@ class _Run:
 
     def simulate(self) -> None:
         # streamed a block at a time: a file's text is never held whole
-        self._emit("panel.csv", map("\n".join, _csv_blocks(generate_panel_blocks(self.config), PANEL_COLUMNS)))
-        self._emit("demand.csv", map("\n".join, _csv_blocks([self.demand], DEMAND_COLUMNS)))
+        self._emit("panel.csv", _csv_blocks(generate_panel_blocks(self.config), PANEL_COLUMNS))
+        self._emit("demand.csv", _csv_blocks([self.demand], DEMAND_COLUMNS))
         for scenario in self.config.markets:
             rows = sweep_comparative_statics(scenario.market, STATICS_GRID)
             self._emit(f"statics_{scenario.market_id}.csv", statics_csv_lines(rows))

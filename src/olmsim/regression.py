@@ -9,9 +9,10 @@ factor each design once by pivoted QR, then solve and compute a clustered
 sandwich covariance per outcome. :func:`fit_designs` fits several outcomes
 and designs of one sample this way, as the pipeline does for each matched
 sample. :data:`DESIGNS` is the one table of panel designs, and every fit
-names its designs from it: the single-fit functions, the heterogeneity fits
-included, are the same path with one outcome and one named design. Every fit
-is a pure function of its inputs.
+names its designs from it: the single-fit functions are the same path with
+one outcome and one named design, and a heterogeneity fit is
+``fit_designs(panel, {outcome: transform}, ("het_us",), controls)``. Every
+fit is a pure function of its inputs.
 
 The input rules a fit reads are :mod:`olmsim.panel`'s: every panel fit runs
 its shock-flag and one-row-per-cell rules, a ``het_*`` design its moderator
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .panel import (
     MODERATORS, OUTCOME_TRANSFORMS, DemandArrays, PanelArrays, _binary, _finite, _one_row_per, _reject, _row_label,
-    _same_within, check_flags, check_moderator, check_transform, transform_outcome,
+    _same_within, check_flags, check_transform, transform_outcome,
 )
 
 #: a column stops absorbing once no cell moves by more than this fraction
@@ -437,19 +438,22 @@ def _fit_columns(
     So that no input outlives its copy, the fit empties ``outcomes`` and
     ``columns`` as it fills one column-major stack with them, and drops the
     stack once :func:`absorb_two_way` has absorbed its own copy of it. The
-    fit's arithmetic reads one row-major copy of the absorbed values. The
-    design whose columns are the last of the stack, the largest one as
-    :func:`fit_designs` orders the columns, is fitted first and factored in
-    place in a view of the column-major values, which go with its factor;
-    any other design is factored in a column-major copy of its columns. At
-    its peak the fit holds about two copies of the stack, plus any input
-    its caller still references; the copied designs come after the
+    stack holds the outcomes, then the columns that the largest design (the
+    first on a tie) does not use, in their order, then that design's terms.
+    The fit's arithmetic reads one row-major copy of the absorbed values.
+    The largest design is fitted first: it is factored in place in its
+    columns of the column-major values, which go with its factor, and reads
+    its columns of the row-major values as a view. Every other design is a
+    copy of its columns, factored in a column-major copy of its own. At its
+    peak the fit holds about two copies of the stack, plus any input its
+    caller still references; the copied designs come after the
     column-major values are gone, so a rank-deficient largest design is
     the one reported when several are.
     """
-    names = [*outcomes, *columns]
+    largest = max(designs, key=lambda kind: len(designs[kind]))
+    names = [*outcomes, *(name for name in columns if name not in designs[largest]), *designs[largest]]
     position = {name: i for i, name in enumerate(names)}
-    n, n_outcomes = len(unit_codes), len(outcomes)
+    n, n_outcomes, start = len(unit_codes), len(outcomes), len(names) - len(designs[largest])
     # column-major, so each column ``absorb_two_way`` demeans is contiguous
     stack = np.empty((n, len(names)), order="F")
     for j, name in enumerate(names):
@@ -469,20 +473,16 @@ def _fit_columns(
     del absorbed
     # the arithmetic reads row-major values: on column-major columns ``X @ beta`` sums in another order
     values = np.ascontiguousarray(tail)
-    columns_of = {kind: [position[t] for t in terms] for kind, terms in designs.items()}
-    last = next((kind for kind, idx in columns_of.items() if idx == list(range(len(names) - len(idx), len(names)))),
-                None)
     fits: dict[tuple[str, str], FitResult] = {}
-    # the design of the last columns goes first: it is factored in place in a view of the
-    # column-major values, which go with its factor, before any other design is copied
-    for kind in sorted(designs, key=lambda kind: kind != last):
-        terms, idx = designs[kind], columns_of[kind]
-        # adjacent columns as a view, others as a copy. One column stays a copy: numpy
+    # the largest design first: the column-major values go with its factor before any other design is copied
+    for kind in (largest, *(kind for kind in designs if kind != largest)):
+        terms = designs[kind]
+        idx = [position[t] for t in terms]
+        # the largest design as a view, any other as a copy. One column stays a copy: numpy
         # forms its ``X.T @ X`` as a dot product, which sums a strided column in another order
-        adjacent = len(idx) > 1 and idx == list(range(idx[0], idx[0] + len(idx)))
-        X = values[:, idx[0]:idx[0] + len(idx)] if adjacent else np.take(values, idx, axis=1)
-        if kind == last:
-            qr = _pivoted_qr(tail[:, idx[0]:], terms)
+        X = values[:, start:] if kind == largest and len(terms) > 1 else np.take(values, idx, axis=1)
+        if kind == largest:
+            qr = _pivoted_qr(tail[:, start:], terms)
             del tail
         else:
             qr = _pivoted_qr(np.array(X, order="F"), terms)
@@ -547,7 +547,9 @@ def _heterogeneity_terms(arrays: PanelArrays, moderator: str) -> dict[str, np.nd
 
 #: interest-term builders of the named panel designs, one ``het_<moderator>``
 #: design per entry of :data:`~olmsim.panel.MODERATORS`; the spec's controls
-#: follow the interest terms in every design
+#: follow the interest terms in every design. A ``het_*`` design reports the
+#: moderated treatment effect and the moderator-by-post term; the worker
+#: fixed effect absorbs the moderator's main effect
 DESIGNS = {"did": _did_terms, "dual": _dual_terms, "event": _event_terms,
            **{f"het_{m}": functools.partial(_heterogeneity_terms, moderator=m) for m in MODERATORS}}
 
@@ -567,6 +569,8 @@ def fit_designs(
     each (worker, month) cell once, and whose ``log1p`` outcomes must
     exceed -1: the outcomes and the design columns are absorbed together,
     once, with worker and month effects, and every fit clusters on workers.
+    The designs' columns are merged in design order, and
+    :func:`_fit_columns` lays out the stack from them.
     """
     if unknown := [kind for kind in designs if kind not in DESIGNS]:
         raise ValidationError(f"unknown design(s) {unknown}; known: {', '.join(DESIGNS)}")
@@ -588,11 +592,8 @@ def fit_designs(
     controls = {name: panel.column(name).astype(np.float64) for name in controls}
     designed = {kind: DESIGNS[kind](panel) for kind in designs}
     terms = {kind: [*cols, *controls] for kind, cols in designed.items()}
-    # the largest design's terms last, before the controls, so it is factored from a view
-    largest = max(designed.values(), key=len)
-    columns = {name: v for cols in designed.values() for name, v in cols.items() if name not in largest}
-    columns |= {**largest, **controls}
-    del designed, largest, controls  # ``_fit_columns`` frees each column once its stack holds it
+    columns = {name: v for cols in designed.values() for name, v in cols.items()} | controls
+    del designed, controls  # ``_fit_columns`` frees each column once its stack holds it
     return _fit_columns(ys, columns, terms, panel.worker_id, panel.month_index)
 
 
@@ -627,18 +628,6 @@ def event_study_fit(panel: PanelArrays, spec: RegressionSpec | None = None) -> F
     :data:`EVENT_BASELINE` (``-1``, the last pre-shock month).
     """
     return _fit_one(panel, spec, "event")
-
-
-def heterogeneity_fit(panel: PanelArrays, spec: RegressionSpec | None = None, moderator: str = "us") -> FitResult:
-    """DiD with a binary worker-level moderator interacted with the shock.
-
-    ``moderator`` is one of :data:`~olmsim.panel.MODERATORS`, and the fit is
-    the ``het_<moderator>`` design of :data:`DESIGNS`. Reports the moderated
-    treatment effect and the moderator-by-post term; the moderator's main
-    effect is absorbed by the worker fixed effect.
-    """
-    check_moderator(moderator)
-    return _fit_one(panel, spec, f"het_{moderator}")
 
 
 def demand_did_fit(series: DemandArrays) -> FitResult:

@@ -418,8 +418,7 @@ class _MarketCells:
 
     @cached_property
     def background(self) -> np.ndarray:
-        u_bg = self.d["u_bg"][:, self.cols]
-        return poisson_icdf(u_bg, np.full(u_bg.shape, self.config.background_rate))
+        return poisson_icdf(self.d["u_bg"][:, self.cols], self.config.background_rate)
 
     def earn(self, jobs: np.ndarray, p: np.ndarray) -> np.ndarray:
         return jobs * p[:, self.cols][self.boosted] * self.earn_factor

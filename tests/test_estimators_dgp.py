@@ -11,7 +11,7 @@ from olmsim.regression import (
     did_fit,
     dual_shock_fit,
     event_study_fit,
-    heterogeneity_fit,
+    fit_designs,
 )
 from olmsim.scenarios import (
     CROSSING_PATH,
@@ -127,13 +127,14 @@ class TestDemandDgp:
 class TestHeterogeneityDgp:
     def test_unmoderated_dgp_gives_null_interaction(self):
         arr = generate_panel_arrays(honeymoon_config(workers=800, seed=100))
-        fit = heterogeneity_fit(arr, JOBS, moderator="us")
+        fit = fit_designs(arr, {JOBS.outcome: JOBS.transform}, ("het_us",), JOBS.controls)[("het_us", JOBS.outcome)]
         term = "us_x_treat_x_post35"
         assert abs(fit.coefficients[term]) < 2 * fit.se[term]
 
     def test_boosted_subgroup_shows_positive_interaction(self):
         config = honeymoon_config(workers=800, seed=101, moderator_boost=ModeratorBoost("us", 2.0))
-        fit = heterogeneity_fit(generate_panel_arrays(config), JOBS, moderator="us")
+        panel = generate_panel_arrays(config)
+        fit = fit_designs(panel, {JOBS.outcome: JOBS.transform}, ("het_us",), JOBS.controls)[("het_us", JOBS.outcome)]
         term = "us_x_treat_x_post35"
         assert fit.coefficients[term] > 0
         assert fit.pvalues[term] < 0.05

@@ -28,10 +28,9 @@ from olmsim.pipeline import (
     STAGES,
     RunManifest,
     _Run,
+    _csv_blocks,
     config_hash,
-    demand_csv_lines,
     ingest_panel_csv,
-    panel_csv_lines,
     parse_scenario,
     run_pipeline,
     write_scenario,
@@ -338,7 +337,7 @@ class TestPanelCsv:
     def test_write_then_ingest_round_trip(self, tmp_path):
         arrays = generate_panel_arrays(small_config())
         path = tmp_path / "panel.csv"
-        path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
+        path.write_text(csv_text(arrays) + "\n")
         # floats too: the writer's shortest repr reads back exactly
         assert_same_columns(ingest_panel_csv(path), arrays, PANEL_COLUMNS)
 
@@ -347,7 +346,7 @@ class TestPanelCsv:
         arrays.fjobnum[3] = 0
         arrays.fjobearn[3] = 5.0
         path = tmp_path / "panel.csv"
-        path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
+        path.write_text(csv_text(arrays) + "\n")
         with pytest.raises(ValidationError, match="fjobearn must be 0"):
             ingest_panel_csv(path)
 
@@ -356,14 +355,14 @@ class TestPanelCsv:
         arrays.fjobnum[3] = 0
         arrays.fjobearn[3] = 5.0
         path = tmp_path / "panel.csv"
-        path.write_text("\n".join(panel_csv_lines(arrays)) + "\n")
+        path.write_text(csv_text(arrays) + "\n")
         # data row 3 follows the header and rows 0-2: CSV line 5
         with pytest.raises(ValidationError, match=r"^line 5: fjobearn must be 0"):
             ingest_panel_csv(path)
 
     def test_shuffled_header_rejected(self, tmp_path):
         arrays = generate_panel_arrays(small_config())
-        lines = panel_csv_lines(arrays)
+        lines = csv_text(arrays).split("\n")
         header = lines[0].split(",")
         header[0], header[1] = header[1], header[0]
         path = tmp_path / "panel.csv"
@@ -376,7 +375,7 @@ class TestPanelCsv:
     )
     def test_schema_errors(self, tmp_path, n_lines, message):
         # the file's first ``n_lines`` lines; a last data line loses its last field
-        lines = panel_csv_lines(generate_panel_arrays(small_config()))[:n_lines]
+        lines = csv_text(generate_panel_arrays(small_config())).split("\n")[:n_lines]
         if n_lines > 1:
             lines[-1] = lines[-1].rsplit(",", 1)[0]
         path = tmp_path / "panel.csv"
@@ -418,7 +417,7 @@ class TestPanelCsv:
         ],
     )
     def test_bad_field_reports_line(self, tmp_path, column, cell, message):
-        lines = panel_csv_lines(generate_panel_arrays(small_config()))
+        lines = csv_text(generate_panel_arrays(small_config())).split("\n")
         # data row 5, CSV line 7; a later bad cell too: the first one is named
         for row in (5, 9):
             parts = lines[row + 1].split(",")
@@ -428,6 +427,11 @@ class TestPanelCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=rf"^line 7: {message}, got "):
             ingest_panel_csv(path)
+
+
+def csv_text(arrays, columns=PANEL_COLUMNS) -> str:
+    """A data CSV's text without its last newline: the writer's blocks, joined."""
+    return "\n".join(_csv_blocks([arrays], columns))
 
 
 def reference_csv_lines(arrays, columns) -> list[str]:
@@ -450,13 +454,13 @@ class TestCsvWriter:
     def test_panel_lines_match_per_row_reference(self, n):
         panel = generate_panel_arrays(self.CONFIG)  # 9,600 rows
         part = panel.subset(np.arange(panel.n_rows) < n)
-        assert panel_csv_lines(part) == reference_csv_lines(part, PANEL_COLUMNS)
+        assert csv_text(part) == "\n".join(reference_csv_lines(part, PANEL_COLUMNS))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_demand_lines_match_per_row_reference(self, n):
         demand = generate_demand_arrays(self.CONFIG, weeks=4200)  # 8,400 rows
         part = demand.subset(np.arange(demand.n_rows) < n)
-        assert demand_csv_lines(part) == reference_csv_lines(part, DEMAND_COLUMNS)
+        assert csv_text(part, DEMAND_COLUMNS) == "\n".join(reference_csv_lines(part, DEMAND_COLUMNS))
 
 
 def edge_panel(n: int) -> PanelArrays:
@@ -490,7 +494,7 @@ class TestCsvWriterEdgeValues:
     @pytest.mark.parametrize("n", SIZES)
     def test_panel_lines_match_per_row_reference(self, n):
         panel = edge_panel(n)
-        assert panel_csv_lines(panel) == reference_csv_lines(panel, PANEL_COLUMNS)
+        assert csv_text(panel) == "\n".join(reference_csv_lines(panel, PANEL_COLUMNS))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_demand_lines_match_per_row_reference(self, n):
@@ -499,10 +503,10 @@ class TestCsvWriterEdgeValues:
             market_id=panel.market_id, week_index=panel.worker_id, postnum=panel.fjobratio,
             treat=panel.treat, post=panel.fjobearn,
         )
-        assert demand_csv_lines(demand) == reference_csv_lines(demand, DEMAND_COLUMNS)
+        assert csv_text(demand, DEMAND_COLUMNS) == "\n".join(reference_csv_lines(demand, DEMAND_COLUMNS))
 
     def test_signed_zeros_keep_their_sign(self):
-        lines = panel_csv_lines(edge_panel(_CSV_BLOCK_ROWS))
+        lines = csv_text(edge_panel(_CSV_BLOCK_ROWS)).split("\n")
         ratios = [line.split(",")[PANEL_COLUMNS.index("fjobratio")] for line in lines[1:9]]
         assert ratios == ["0.0", "-0.0", "nan", "inf", "-inf", "0.1", "-2.5e-300", "1e+16"]
 
@@ -518,9 +522,9 @@ class TestStreamedDataFiles:
         panel = generate_panel_arrays(small_config())
         assert panel.n_rows % block_rows in (0, 1)
         demand = generate_demand_arrays(small_config(), weeks=DEFAULT_WEEKS)
-        for name, lines in (("panel.csv", panel_csv_lines(panel)), ("demand.csv", demand_csv_lines(demand))):
+        for name, text in (("panel.csv", csv_text(panel)), ("demand.csv", csv_text(demand, DEMAND_COLUMNS))):
             data = (tmp_path / name).read_bytes()
-            assert data == ("\n".join(lines) + "\n").encode(), name
+            assert data == (text + "\n").encode(), name
             assert manifest.outputs[name] == hashlib.sha256(data).hexdigest(), name
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
@@ -546,7 +550,7 @@ class TestPanelInvariants:
         return path
 
     def test_duplicate_cell_rejected(self, tmp_path):
-        lines = panel_csv_lines(generate_panel_arrays(small_config()))
+        lines = csv_text(generate_panel_arrays(small_config())).split("\n")
         lines.insert(40, lines[20])  # data row 19 again, as CSV line 41
         with pytest.raises(ValidationError, match=r"line 41: duplicate worker_id,month_index .*first at line 21"):
             ingest_panel_csv(self.write(tmp_path, lines))
@@ -560,7 +564,7 @@ class TestPanelInvariants:
         values[row + 2] = values[row]  # a later bad row too: the first one is named
         message = rf"line {row + 2}: {column} must be the same on every row of worker_id 3"
         with pytest.raises(ValidationError, match=message):
-            ingest_panel_csv(self.write(tmp_path, panel_csv_lines(arrays)))
+            ingest_panel_csv(self.write(tmp_path, csv_text(arrays).split("\n")))
 
     @pytest.mark.parametrize("column, month, value", [("post35", 6, 0), ("post40", 7, 1)])
     def test_post_flag_not_a_function_of_month_rejected(self, tmp_path, column, month, value):
@@ -569,7 +573,7 @@ class TestPanelInvariants:
         arrays.column(column)[row] = value
         message = rf"line {row + 2}: {column} must be the same on every row of month_index {month}"
         with pytest.raises(ValidationError, match=message):
-            ingest_panel_csv(self.write(tmp_path, panel_csv_lines(arrays)))
+            ingest_panel_csv(self.write(tmp_path, csv_text(arrays).split("\n")))
 
     def test_validate_names_duplicate_cell_row(self):
         arrays = generate_panel_arrays(small_config())
@@ -589,7 +593,7 @@ class TestPanelInvariants:
     def test_market_id_the_writer_cannot_write_back_rejected(self, tmp_path, market_id):
         # the csv module reads such an id from a quoted cell, but the writer
         # writes ids unquoted and into file names
-        rows = [line.split(",") for line in panel_csv_lines(generate_panel_arrays(small_config()))]
+        rows = [line.split(",") for line in csv_text(generate_panel_arrays(small_config())).split("\n")]
         first_market = rows[1][1]
         for row in rows[1:]:
             row[1] = market_id if row[1] == first_market else row[1]

@@ -1,5 +1,5 @@
 import dataclasses
-import functools
+import itertools
 import json
 import math
 import re
@@ -33,13 +33,12 @@ from olmsim.regression import (
     dual_shock_fit,
     event_study_fit,
     fit_designs,
-    heterogeneity_fit,
     ols_fit,
     tost_pretrends,
 )
 from olmsim.panel import DemandArrays, transform_outcome
 from olmsim.scenarios import SUBSTITUTION_PATH, substitution_config, two_market_config
-from olmsim.synth import ModeratorBoost, generate_panel_arrays
+from olmsim.synth import generate_panel_arrays
 
 
 def toy_panel(y: np.ndarray, treat_workers, shock_month: int, shock2_month: int | None = None) -> PanelArrays:
@@ -68,6 +67,12 @@ def toy_panel(y: np.ndarray, treat_workers, shock_month: int, shock2_month: int 
 
 
 IDENTITY_SPEC = RegressionSpec(outcome="fjobearn", transform="identity", controls=())
+
+
+def het_fit(panel: PanelArrays, spec: RegressionSpec = RegressionSpec(), moderator: str = "us") -> FitResult:
+    """The ``het_<moderator>`` design of ``spec``'s outcome, fitted through ``fit_designs``."""
+    kind = f"het_{moderator}"
+    return fit_designs(panel, {spec.outcome: spec.transform}, (kind,), spec.controls)[(kind, spec.outcome)]
 
 
 class TestAbsorb:
@@ -433,7 +438,7 @@ class TestHeterogeneity:
         rng = np.random.default_rng(19)
         y = rng.standard_normal((12, 8))
         panel = toy_panel(y, set(range(6)), shock_month=4)
-        fit = heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+        fit = het_fit(panel, IDENTITY_SPEC, "us")
         assert "us_x_treat_x_post35" in fit.coefficients
         assert "us_x_post35" in fit.coefficients
         assert "treat_x_post35" in fit.coefficients
@@ -445,14 +450,15 @@ class TestHeterogeneity:
         panel = toy_panel(y, {0, 1, 2}, shock_month=3)
         panel.us[7] = 2
         with pytest.raises(ValidationError, match=r"^row 7: us must be 0/1, got 2$"):
-            heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+            het_fit(panel, IDENTITY_SPEC, "us")
 
     @pytest.mark.parametrize("moderator", ["treat", "tenure", "market_id"])
     def test_moderator_outside_list_rejected(self, moderator):
-        # without the check, treat would fail as numeric: its interaction is collinear with treat_x_post35
+        # DESIGNS holds one het design per moderator of the list, and no other
         panel = toy_panel(np.random.default_rng(20).standard_normal((6, 6)), {0, 1, 2}, shock_month=3)
-        with pytest.raises(ValidationError, match=rf"moderator must be one of \('us', 'experienced'\), got '{moderator}'"):
-            heterogeneity_fit(panel, IDENTITY_SPEC, moderator=moderator)
+        message = rf"^unknown design\(s\) \['het_{moderator}'\]; known: did, dual, event, het_us, het_experienced$"
+        with pytest.raises(ValidationError, match=message):
+            het_fit(panel, IDENTITY_SPEC, moderator)
 
     def test_all_zero_moderator_is_rank_deficient(self):
         rng = np.random.default_rng(21)
@@ -460,7 +466,7 @@ class TestHeterogeneity:
         panel = toy_panel(y, {0, 1, 2}, shock_month=3)
         panel.us[:] = 0
         with pytest.raises(RankDeficiencyError) as exc:
-            heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+            het_fit(panel, IDENTITY_SPEC, "us")
         assert "us" in exc.value.column
 
     def test_within_worker_variation_rejected(self):
@@ -470,7 +476,7 @@ class TestHeterogeneity:
         panel.us[0] = 1 - panel.us[1]  # worker 0's first row now disagrees with its other rows
         message = r"^row 1: us must be the same on every row of worker_id 0, got 1 here and 0 at row 0$"
         with pytest.raises(ValidationError, match=message):
-            heterogeneity_fit(panel, IDENTITY_SPEC, moderator="us")
+            het_fit(panel, IDENTITY_SPEC, "us")
 
     def test_varying_moderator_names_first_worker(self):
         rng = np.random.default_rng(23)
@@ -488,7 +494,7 @@ class TestHeterogeneity:
         message = (rf"^row {row}: us must be the same on every row of worker_id {worker}, "
                    rf"got {us} here and {shuffled.us[first]} at row {first}$")
         with pytest.raises(ValidationError, match=message):
-            heterogeneity_fit(shuffled, IDENTITY_SPEC, moderator="us")
+            het_fit(shuffled, IDENTITY_SPEC, "us")
 
 
 def _valid_panel(column: str | None = None, row: int = 0, value=0) -> PanelArrays:
@@ -506,16 +512,13 @@ def _valid_panel(column: str | None = None, row: int = 0, value=0) -> PanelArray
                  lambda: dual_shock_fit(_valid_panel("post40", 1, 1), IDENTITY_SPEC), id="post40-outside-post35"),
     pytest.param("row 7: us must be 0/1, got 2",
                  lambda: _valid_panel("us", 7, 2).validate(),
-                 lambda: heterogeneity_fit(_valid_panel("us", 7, 2), IDENTITY_SPEC, "us"), id="non-binary-moderator"),
+                 lambda: het_fit(_valid_panel("us", 7, 2), IDENTITY_SPEC, "us"), id="non-binary-moderator"),
     pytest.param("row 8: us must be the same on every row of worker_id 1, got 1 here and 0 at row 6",
                  lambda: _valid_panel("us", 8, 1).validate(),
-                 lambda: heterogeneity_fit(_valid_panel("us", 8, 1), IDENTITY_SPEC, "us"), id="varying-moderator"),
+                 lambda: het_fit(_valid_panel("us", 8, 1), IDENTITY_SPEC, "us"), id="varying-moderator"),
     pytest.param("transform must be one of ('log1p', 'identity'), got 'log'",
                  lambda: transform_outcome(np.ones(3), "log"),
                  lambda: RegressionSpec(transform="log"), id="unknown-transform"),
-    pytest.param("moderator must be one of ('us', 'experienced'), got 'tenure'",
-                 lambda: ModeratorBoost("tenure", 1.5),
-                 lambda: heterogeneity_fit(_valid_panel(), IDENTITY_SPEC, "tenure"), id="unknown-moderator"),
 ])
 def test_one_rule_one_message(message, data_model, fit):
     """The data model and the fits reject a bad input by the same rule, with the same message."""
@@ -529,8 +532,8 @@ def test_one_rule_one_message(message, data_model, fit):
 class TestFitDesigns:
     SINGLE = {
         "did": did_fit, "dual": dual_shock_fit, "event": event_study_fit,
-        "het_us": functools.partial(heterogeneity_fit, moderator="us"),
-        "het_experienced": functools.partial(heterogeneity_fit, moderator="experienced"),
+        "het_us": lambda panel, spec: het_fit(panel, spec, "us"),
+        "het_experienced": lambda panel, spec: het_fit(panel, spec, "experienced"),
     }
 
     @staticmethod
@@ -576,6 +579,21 @@ class TestFitDesigns:
             assert_same_fit(fit, single)
             assert fit.vcov.tobytes() == single.vcov.tobytes()
 
+    @pytest.mark.parametrize("designs", [("did", "dual", "event"), ("het_us", "het_experienced", "did"), ("did", "dual")])
+    @pytest.mark.parametrize("controls", [("tenure",), ()])
+    def test_design_order_moves_no_bit(self, controls, designs):
+        # the stack's layout follows the largest design, the first on a tie (het_us and
+        # het_experienced have as many terms), so each order lays out and factors them anew
+        panel = self.panel()
+        outcomes = {"fjobnum": "log1p", "fjobratio": "identity", "fjobearn": "log1p"}
+        first = fit_designs(panel, outcomes, designs, controls)
+        for order in itertools.permutations(designs):
+            fits = fit_designs(panel, outcomes, order, controls)
+            assert list(fits) == [(kind, outcome) for kind in order for outcome in outcomes]
+            for key, fit in fits.items():
+                assert_same_fit(fit, first[key])
+                assert fit.vcov.tobytes() == first[key].vcov.tobytes()
+
     def test_ols_fit_equals_did_fit_and_vcov_equals_dummy_cr1(self):
         panel = self.panel()
         fit = did_fit(panel, RegressionSpec(outcome="fjobearn", transform="identity"))
@@ -606,7 +624,7 @@ class TestFitDesigns:
 
     @pytest.mark.parametrize(
         "fit",
-        [did_fit, dual_shock_fit, event_study_fit, heterogeneity_fit,
+        [did_fit, dual_shock_fit, event_study_fit, het_fit,
          lambda panel: fit_designs(panel, {"fjobnum": "log1p", "fjobearn": "log1p"})],
     )
     def test_duplicate_worker_month_rejected_naming_rows(self, fit):
@@ -618,7 +636,7 @@ class TestFitDesigns:
         with pytest.raises(ValidationError, match=rf"row 96: duplicate worker_id,month_index cell {cell}, first at row {i}"):
             fit(repeated)
 
-    @pytest.mark.parametrize("fit", [did_fit, dual_shock_fit, heterogeneity_fit])
+    @pytest.mark.parametrize("fit", [did_fit, dual_shock_fit, het_fit])
     def test_no_rows_rejected(self, fit):
         panel = self.panel()
         with pytest.raises(ValidationError, match="at least one row"):
