@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
-import os
 import re
-import sys
 import threading
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
@@ -190,11 +189,20 @@ class OlsResult:
 def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
     """Economic pivoted QR of ``X``, a column-major array whose cells the
     caller has checked are finite and which it gives up: ``X`` is factored
-    in place. Raises on a rank-deficient design."""
-    import scipy.linalg
+    in place. Raises on a rank-deficient design.
 
+    The factor is ``scipy.linalg.qr(X, mode="economic", pivoting=True,
+    overwrite_a=True)``'s, bit for bit: :func:`_economic_qr` makes the same
+    LAPACK calls in the same library, and only where scipy bundles no
+    OpenBLAS does the fit call ``scipy.linalg``.
+    """
     n, k = X.shape
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True, overwrite_a=True, check_finite=False)
+    if _lapack():
+        q, r, piv = _economic_qr(X)
+    else:
+        import scipy.linalg
+
+        q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
     rank_tol = max(n, k) * np.finfo(np.float64).eps * scale
@@ -209,12 +217,77 @@ def _pivoted_qr(X: np.ndarray, names: Sequence[str] | None):
 
 
 def _solve(q: np.ndarray, r: np.ndarray, piv: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of ``y`` on the design that :func:`_pivoted_qr` factored."""
-    import scipy.linalg
-
+    """Coefficients of ``y`` on the design that :func:`_pivoted_qr` factored,
+    by ``scipy.linalg.solve_triangular(r, q.T @ y)``'s LAPACK call, bit for
+    bit, in scipy's bundled OpenBLAS where it has one."""
     beta = np.empty(r.shape[1])
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    if _lapack():
+        beta[piv] = _solve_triangular(r, q.T @ y)
+    else:
+        import scipy.linalg
+
+        beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
     return beta
+
+
+def _economic_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scipy.linalg.qr(a, mode="economic", pivoting=True, overwrite_a=True,
+    check_finite=False)``, call for call: for a column-major float64 ``a``,
+    ``dgeqp3`` factors ``a`` in place, R is the upper triangle of its first
+    ``min(m, n)`` rows, and ``dorgqr`` forms Q in place in its first
+    ``min(m, n)`` columns. The pivots are 0-based int32, as scipy's. Any
+    other ``a`` is factored in a column-major float64 copy, as scipy's
+    wrapper copies it."""
+    a = np.asfortranarray(a, dtype=np.float64)
+    m, n = a.shape
+    kk = min(m, n)
+    if a.size == 0:
+        return np.empty((m, kk)), np.empty((kk, n)), np.arange(n, dtype=np.int32)
+    jpvt, tau = np.zeros(n, dtype=np.int32), np.empty(kk)  # a zero pivot leaves its column free
+    _lapack_with_workspace("dgeqp3", m, n, a, m, jpvt, tau)
+    r = np.triu(a[:kk])
+    q = a[:, :kk]
+    _lapack_with_workspace("dorgqr", m, kk, kk, q, m, tau)
+    jpvt -= 1
+    return q, r, jpvt
+
+
+def _solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(r, b)`` of an upper-triangular ``r``
+    and a vector ``b``, solved in place where ``b`` is a contiguous float64
+    array: the same finite check, and the same ``dtrtrs`` call, on ``r.T``
+    as a lower triangle where ``r`` is row-major, as scipy solves it."""
+    r, b = np.asarray(r, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    if r.shape != (len(b), len(b)):
+        raise ValueError(f"shapes of a {r.shape} and b {b.shape} are incompatible")
+    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if b.size:
+        uplo, trans, a = (b"U", b"N", r) if r.flags.f_contiguous else (b"L", b"T", np.asfortranarray(r.T))
+        _lapack_call("dtrtrs", uplo, trans, b"N", len(b), 1, a, len(b), b, len(b))
+    return b
+
+
+def _lapack_call(name: str, *args) -> None:
+    """Call routine ``name`` of :func:`_lapack` with its Fortran arguments,
+    as :data:`_LAPACK_SIGNATURES` lists them, then ``info`` and the
+    options' lengths. Raises as scipy does on a nonzero ``info``."""
+    signature, info = _LAPACK_SIGNATURES[name], ctypes.c_int()
+    fortran = [_LAPACK_KINDS[kind][1](arg) for kind, arg in zip(signature, args, strict=True)]
+    _lapack()[name](*fortran, ctypes.byref(info), *[1] * signature.count("c"))
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal {name}")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info.value - 1}")
+
+
+def _lapack_with_workspace(name: str, *args) -> None:
+    """:func:`_lapack_call` after an ``lwork = -1`` query, with the workspace
+    the routine asks for, as scipy's wrappers call it."""
+    work = np.empty(1)
+    _lapack_call(name, *args, work, -1)
+    lwork = int(work[0])
+    _lapack_call(name, *args, np.empty(max(lwork, 1)), lwork)
 
 
 def _cluster_codes(cluster_ids: np.ndarray) -> tuple[np.ndarray, int]:
@@ -355,34 +428,76 @@ def _pvalues(beta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
     return np.where(se == 0.0, np.where(beta != 0.0, 0.0, 1.0), p)
 
 
-#: the OpenBLAS builds bundled in the numpy and scipy wheels: (package,
-#: library path relative to the package's parent, thread-count symbol suffix)
-_OPENBLAS_LIBS = (
-    ("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    ("scipy", "scipy.libs/libscipy_openblas-*.so", ""),
-)
+#: the OpenBLAS builds bundled in the numpy and scipy wheels: package ->
+#: (library path relative to the package's parent, thread-count symbol suffix)
+_OPENBLAS_LIBS = {
+    "numpy": ("numpy.libs/libscipy_openblas64_*.so", "64_"),
+    "scipy": ("scipy.libs/libscipy_openblas-*.so", ""),
+}
+
+
+@functools.cache
+def _bundled_openblas(package: str) -> ctypes.CDLL | None:
+    """``package``'s bundled OpenBLAS, loaded, or None where it bundles
+    none. ``importlib.util.find_spec`` locates the package without
+    importing any module of it, so scipy's library loads without
+    ``scipy.linalg``."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return None
+    for path in sorted(Path(spec.origin).parent.parent.glob(_OPENBLAS_LIBS[package][0])):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+#: the Fortran arguments before ``info`` of each LAPACK routine the fits
+#: call: ``i`` an int by reference, ``a`` an array, ``c`` a one-letter option
+_LAPACK_SIGNATURES = {"dgeqp3": "iiaiaaai", "dorgqr": "iiiaiaai", "dtrtrs": "ccciiaiai"}
+#: each kind of argument's ctypes type, and how a Python value is passed as it
+_LAPACK_KINDS = {
+    "i": (ctypes.POINTER(ctypes.c_int), lambda v: ctypes.byref(ctypes.c_int(v))),
+    "a": (ctypes.c_void_p, lambda v: v.ctypes.data),
+    "c": (ctypes.c_char_p, lambda v: v),
+}
+
+
+@functools.cache
+def _lapack() -> dict | None:
+    """The LAPACK routines of :data:`_LAPACK_SIGNATURES` (LP64), bound in
+    scipy's bundled OpenBLAS, the library ``scipy.linalg`` calls them in;
+    None where it lacks any of them, and the fits call ``scipy.linalg``."""
+    lib = _bundled_openblas("scipy")
+    if not all(hasattr(lib, f"scipy_{name}_") for name in _LAPACK_SIGNATURES):
+        return None
+    routines = {}
+    for name, signature in _LAPACK_SIGNATURES.items():
+        routine = routines[name] = getattr(lib, f"scipy_{name}_")
+        # then ``info``, then each option's length, as gfortran passes them
+        routine.argtypes = [*(_LAPACK_KINDS[kind][0] for kind in (*signature, "i")),
+                            *[ctypes.c_size_t] * signature.count("c")]
+        routine.restype = None
+    return routines
 
 
 @functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each bundled OpenBLAS loaded in
-    this process, scipy's included; empty with another BLAS."""
-    # the probe finds only loaded libraries and its result is cached, so load
-    # scipy's OpenBLAS, which the fits' QR runs on, before probing
-    import scipy.linalg  # noqa: F401
-
+    """(get, set) thread-count functions of numpy's and scipy's bundled
+    OpenBLAS, each loaded by :func:`_bundled_openblas`; empty with another
+    BLAS."""
     controls = []
-    for package, pattern, suffix in _OPENBLAS_LIBS:
-        for path in sorted(Path(sys.modules[package].__file__).parent.parent.glob(pattern)):
-            try:  # RTLD_NOLOAD: a library not loaded yet stays unloaded
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            controls.append((get, set_threads))
+    for package, (_, suffix) in _OPENBLAS_LIBS.items():
+        lib = _bundled_openblas(package)
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:  # also where ``lib`` is None
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        controls.append((get, set_threads))
     return tuple(controls)
 
 

@@ -92,8 +92,8 @@ def poisson_icdf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    try:
-        lam = np.broadcast_to(lam, u.shape)
+    try:  # a broadcast rate is a view that repeats cells; the search runs on a full array
+        lam = np.ascontiguousarray(np.broadcast_to(lam, u.shape))
     except ValueError:
         raise ValidationError(
             f"poisson rates of shape {lam.shape} do not broadcast to the uniforms' shape {u.shape}"
@@ -401,6 +401,10 @@ class _MarketCells:
     def u_jobs(self) -> np.ndarray:
         return self.d["u_jobs"][:, self.cols]
 
+    @property
+    def u_bg(self) -> np.ndarray:
+        return self.d["u_bg"][:, self.cols]
+
     def rate(self, q: np.ndarray) -> np.ndarray:
         # row 0 of the (2, t) levels is the base path, row 1 the boosted one
         return q[:, self.cols][self.boosted] * self.config.jobs_scale * self.activity
@@ -418,7 +422,8 @@ class _MarketCells:
 
     @cached_property
     def background(self) -> np.ndarray:
-        return poisson_icdf(self.d["u_bg"][:, self.cols], self.config.background_rate)
+        # the oracle sets it from its chunked inverse-CDF call instead
+        return poisson_icdf(self.u_bg, self.config.background_rate)
 
     def earn(self, jobs: np.ndarray, p: np.ndarray) -> np.ndarray:
         return jobs * p[:, self.cols][self.boosted] * self.earn_factor
@@ -518,12 +523,12 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     average reads are computed: the treated markets' post-shock months, in
     panel order (markets, then workers, then months). Each treated market's
     equilibrium levels on both paths are solved once per call; the job
-    counts of every treated market on both paths, for up to
-    :data:`_ORACLE_CHUNK` replications at a time, come from one inverse-CDF
-    call, and the path-independent factors are computed once per
-    replication. Each replication's difference of the transformed outcome
-    is averaged over its own cells, so how replications are chunked moves
-    no bit.
+    counts of every treated market on both paths, and for ``fjobratio``
+    its background counts, for up to :data:`_ORACLE_CHUNK` replications at
+    a time, come from one inverse-CDF call, and the other path-independent
+    factors are computed once per replication. Each replication's
+    difference of the transformed outcome is averaged over its own cells,
+    so how replications are chunked moves no bit.
 
     Replication streams are ``seed ^ r``, so with seed 0 replication ``r``
     reuses the draws of ``config.with_seed(r)``.
@@ -545,6 +550,8 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
     stop = (treated[-1][0], _LAST_DRAW[outcome])
     cols = slice(config.shock1_index, None)
     n_cells = config.workers_per_market * (config.n_months - config.shock1_index)
+    ratio = outcome == "fjobratio"  # a market's background counts join its job counts' call
+    background_rate = [np.full(n_cells, config.background_rate).reshape(config.workers_per_market, -1)] if ratio else []
     cell_diffs = np.empty(len(treated) * n_cells)
     diffs = np.empty(reps)
     for start in range(0, reps, _ORACLE_CHUNK):
@@ -553,11 +560,16 @@ def ground_truth_att(config: ScenarioConfig, outcome: str = "fjobnum", reps: int
         for r in chunk:
             month_fe, *draws = _draw(config, config.seed ^ r, stop)
             markets.append([(_MarketCells(config, month_fe, draws[idx], cols), levels) for idx, levels in treated])
-        # the chunk's counts in one call; axes: replication, market, path, worker, month
-        lam = np.stack([[[cells.rate(q) for q, _ in levels] for cells, levels in rep] for rep in markets])
-        u = np.stack([[[cells.u_jobs] * len(levels) for cells, levels in rep] for rep in markets])
+        # the chunk's counts in one call; axes: replication, market, count, worker, month. A market's
+        # counts are its job counts on each path, then, for ``fjobratio``, its background counts
+        lam = np.stack([[[cells.rate(q) for q, _ in levels] + background_rate for cells, levels in rep]
+                        for rep in markets])
+        u = np.stack([[[cells.u_jobs] * len(levels) + ([cells.u_bg] if ratio else []) for cells, levels in rep]
+                      for rep in markets])
         for r, rep, counts in zip(chunk, markets, poisson_icdf(u, lam)):
             for k, ((cells, levels), jobs) in enumerate(zip(rep, counts)):
+                if ratio:
+                    cells.background = jobs[-1]
                 y1, y0 = (transform_outcome(cells.outcome(outcome, n, p), transform) for n, (_, p) in zip(jobs, levels))
                 cell_diffs[k * n_cells:(k + 1) * n_cells] = (y1 - y0).reshape(-1)
             diffs[r] = float(np.mean(cell_diffs))

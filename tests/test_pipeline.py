@@ -16,7 +16,7 @@ from conftest import (
     assert_same_columns, assert_same_fit, demo_config, fresh_python, random_logistic_market, spy_blocks,
 )
 
-from olmsim import pipeline
+from olmsim import pipeline, regression
 from olmsim.cli import BUILTIN_DEMO, SUBCOMMANDS, _resolve_config, build_parser, main
 from olmsim.errors import BoundaryConditionError, PipelineError, SchemaError, ValidationError
 from olmsim.market import MarketPotentialSpec, PotentialFamily
@@ -1017,6 +1017,19 @@ class TestCli:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert fresh_python("-c", code).stdout.strip() == "[]"
+
+    @pytest.mark.skipif(regression._lapack() is None, reason="scipy bundles no OpenBLAS")
+    def test_run_loads_no_scipy_linalg(self, tmp_path):
+        # the fits call LAPACK in scipy's bundled OpenBLAS themselves; the run loads scipy.special only
+        config_path = tmp_path / "scenario.json"
+        write_scenario(two_market_config(AiPath(0.2, 0.45, 0.6), workers=60, seed=4), config_path)
+        code = (
+            "import sys\n"
+            "from olmsim.cli import main\n"
+            f"code = main(['run', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)"
+        )
+        assert fresh_python("-c", code).stdout.strip().split("\n")[-1] == "0 True False"
 
     def test_run_opens_no_file_in_the_locale_encoding(self, tmp_path):
         # the default-encoding warning, raised as an error, fails any open that leaves the encoding to the locale

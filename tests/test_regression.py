@@ -947,11 +947,78 @@ class TestEffectSize:
             coef_to_percent(float("nan"))
 
 
+@pytest.mark.skipif(regression._lapack() is None, reason="scipy bundles no OpenBLAS")
+class TestLapack:
+    """The fits call LAPACK in scipy's bundled OpenBLAS themselves, with the
+    bits of ``scipy.linalg.qr`` and ``solve_triangular``, which they call
+    where scipy bundles none."""
+
+    SHAPES = [(50, 1), (500, 3), (2000, 16), (20, 20), (5, 8)]
+
+    @staticmethod
+    def scipy_path(monkeypatch):
+        monkeypatch.setattr(regression, "_lapack", lambda: None)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_qr_and_solve_equal_scipys(self, shape):
+        import scipy.linalg
+
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        x, y = np.asfortranarray(rng.standard_normal(shape)), rng.standard_normal(shape[0])
+        q, r, piv = regression._economic_qr(x.copy(order="F"))
+        q0, r0, piv0 = scipy.linalg.qr(x.copy(order="F"), mode="economic", pivoting=True, overwrite_a=True,
+                                       check_finite=False)
+        for got, want in ((q, q0), (r, r0), (piv, piv0)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert got.tobytes() == want.tobytes()
+        if shape[0] >= shape[1]:  # R is square
+            assert regression._solve_triangular(r, q.T @ y).tobytes() == scipy.linalg.solve_triangular(
+                r0, q0.T @ y).tobytes()
+            beta = regression._solve(*regression._pivoted_qr(x.copy(order="F"), None), y)
+            beta0 = np.empty(shape[1])
+            beta0[piv0] = scipy.linalg.solve_triangular(r0, q0.T @ y)
+            assert beta.tobytes() == beta0.tobytes()
+
+    def test_non_finite_right_hand_side_raises_as_scipy(self):
+        r = np.triu(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            regression._solve_triangular(r, np.array([1.0, np.nan]))
+
+    def test_collinear_design_names_the_same_column(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal(30)
+        x, y = np.column_stack([rng.standard_normal(30), a, 2.0 * a]), rng.standard_normal(30)
+        names = ["noise", "alpha", "alpha_doubled"]
+        with pytest.raises(RankDeficiencyError) as direct:
+            ols_fit(x, y, names=names)
+        self.scipy_path(monkeypatch)
+        with pytest.raises(RankDeficiencyError) as via_scipy:
+            ols_fit(x, y, names=names)
+        assert direct.value.column == via_scipy.value.column in names[1:]
+
+    @pytest.mark.parametrize("rows", ["balanced", "reversed", "unbalanced"])
+    def test_fits_equal_the_scipy_path(self, rows, monkeypatch):
+        panel = generate_panel_arrays(substitution_config(workers=60, seed=4))
+        keep = {"balanced": np.arange(panel.n_rows), "reversed": np.arange(panel.n_rows)[::-1],
+                "unbalanced": np.random.default_rng(2).uniform(size=panel.n_rows) < 0.9}[rows]
+        panel = panel.subset(keep)
+        outcomes = {"fjobnum": "log1p", "fjobratio": "identity"}
+        direct = fit_designs(panel, outcomes, designs=tuple(DESIGNS))
+        self.scipy_path(monkeypatch)
+        via_scipy = fit_designs(panel, outcomes, designs=tuple(DESIGNS))
+        assert direct.keys() == via_scipy.keys()
+        for key in direct:
+            assert_same_fit(direct[key], via_scipy[key])
+
+
 blas_controls = regression._openblas_thread_controls()
 
 #: a fresh process that has not loaded scipy runs one fit; it prints whether
 #: scipy was loaded before, the cached controls' symbols, and each OpenBLAS
-#: count read inside the fit, right after its QR, by an uncached probe
+#: count read inside the fit, right after its QR, by an uncached probe. The
+#: fit loads scipy's bundled OpenBLAS itself, with no ``scipy.linalg``
 FIRST_FIT = """
 import json, sys
 from olmsim import regression
@@ -976,8 +1043,9 @@ print(json.dumps({"scipy_before": before, "controls": controls, "inside": inside
 
 @pytest.mark.skipif(len(blas_controls) != 2, reason="numpy's and scipy's bundled OpenBLAS are not both loaded")
 def test_first_fit_pins_scipys_openblas():
-    # the controls are probed once per process, so the first fit of a process that
-    # has not loaded scipy must load scipy's OpenBLAS, which the QR runs on, first
+    # the controls are cached once per process, so the first fit of a process that
+    # has not loaded scipy must load scipy's OpenBLAS, which the QR runs in, before
+    # caching them; the loader finds it without importing any scipy module
     result = json.loads(fresh_python("-c", FIRST_FIT, env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
     assert result == {"scipy_before": False, "controls": [get.__name__ for get, _ in blas_controls], "inside": [1, 1]}
 
